@@ -1,0 +1,35 @@
+// Bench (continuous) power: never browns out. Used for the paper's
+// "continuous power supply" experiments (Fig. 7a) and as the oracle runs
+// the intermittent outputs must match bit-for-bit.
+#pragma once
+
+#include <algorithm>
+
+#include "device/power_interface.h"
+
+namespace ehdnn::power {
+
+class ContinuousPower : public dev::PowerSupply {
+ public:
+  explicit ContinuousPower(double volts = 3.3) : volts_(volts) {}
+
+  bool consume(double joules, double dt) override {
+    energy_drawn_ += joules;
+    now_ += dt;
+    return true;
+  }
+  double voltage() const override { return volts_; }
+  bool on() const override { return true; }
+  double recharge_to_on() override { return 0.0; }
+  void idle_until(double t_s) override { now_ = std::max(now_, t_s); }
+  double now() const override { return now_; }
+
+  double energy_drawn() const { return energy_drawn_; }
+
+ private:
+  double volts_;
+  double now_ = 0.0;
+  double energy_drawn_ = 0.0;
+};
+
+}  // namespace ehdnn::power

@@ -1,0 +1,68 @@
+// Key=value spec-string argument parsing, shared by the harvest-source
+// factory ("rf:base=0.2e-3,burst=5e-3"), the forecaster factory
+// ("ema:prior=1.2e-3,alpha=0.5"), and the adaptive-scheduler spec
+// ("adaptive:rich=3e-3,demote=2"). Keys are consumption-tracked so a
+// typo'd key is an error instead of a silently applied default.
+#pragma once
+
+#include <map>
+#include <string>
+#include <vector>
+
+#include "util/check.h"
+#include "util/parse.h"
+
+namespace ehdnn {
+
+class SpecArgs {
+ public:
+  // `spec` is the full spec string (for error messages); `args` is the
+  // comma-separated key=value list after the kind prefix.
+  SpecArgs(const std::string& spec, const std::string& args) : spec_(spec) {
+    std::size_t pos = 0;
+    while (pos < args.size()) {
+      std::size_t comma = args.find(',', pos);
+      if (comma == std::string::npos) comma = args.size();
+      const std::string item = args.substr(pos, comma - pos);
+      pos = comma + 1;
+      if (item.empty()) continue;
+      const std::size_t eq = item.find('=');
+      check(eq != std::string::npos && eq > 0,
+            "spec \"" + spec_ + "\": expected key=value, got \"" + item + "\"");
+      kv_[item.substr(0, eq)] = item.substr(eq + 1);
+    }
+  }
+
+  double num(const std::string& key, double fallback) {
+    const auto it = kv_.find(key);
+    if (it == kv_.end()) return fallback;
+    used_.push_back(key);
+    const auto v = parse_double(it->second);
+    check(v.has_value(),
+          "spec \"" + spec_ + "\": bad number for " + key + ": \"" + it->second + "\"");
+    return *v;
+  }
+
+  std::string str(const std::string& key, const std::string& fallback = "") {
+    const auto it = kv_.find(key);
+    if (it == kv_.end()) return fallback;
+    used_.push_back(key);
+    return it->second;
+  }
+
+  // Call after construction: every provided key must have been consumed.
+  void finish() const {
+    for (const auto& [k, v] : kv_) {
+      bool used = false;
+      for (const auto& u : used_) used = used || u == k;
+      check(used, "spec \"" + spec_ + "\": unknown key \"" + k + "\"");
+    }
+  }
+
+ private:
+  std::string spec_;
+  std::map<std::string, std::string> kv_;
+  std::vector<std::string> used_;
+};
+
+}  // namespace ehdnn
