@@ -205,8 +205,8 @@ KernelResult bench_circulant(std::size_t k, int reps) {
 }
 
 // Fleet-engine throughput: a homogeneous flex population on a synthetic
-// square harvest, driven by the event queue (jobs=1). The modeled totals
-// reuse the harness's cycle/energy slots — "cycles" is the scheduler
+// square harvest, run by the fleet device loop (jobs=1). The modeled
+// totals reuse the harness's cycle/energy slots — "cycles" is the scheduler
 // slice count and "energy" the population's modeled joules, both
 // deterministic, so the CI gate pins the engine's semantics exactly;
 // wall-clock (and the devices/s line) stays advisory like every kernel.

@@ -13,9 +13,9 @@
 // The executor is *incremental*: start() arms a run, each step() executes
 // at most one bounded slice (a policy chunk, a boot, or a post-failure
 // recovery), and finished()/stats() read the result. Between step() calls
-// nothing touches the device, so a run can be suspended indefinitely and
-// interleaved with other runs — the property the fleet harness
-// (sim/fleet.h) uses to step hundreds of independent devices round-robin.
+// nothing touches the device, so a caller can act between slices — the
+// agenda queue (sched/agenda.h) parks the device between jobs, and the
+// phase profiler attributes host time per slice.
 // infer() on the classic InferenceRuntime wrapper is just start() + a
 // drain loop, so the one-call API is unchanged and bit-exact.
 #pragma once
@@ -125,13 +125,6 @@ class IntermittentExecutor {
 
   // True once the run has ended — completed, DNF, or starved.
   bool finished() const { return done_; }
-
-  // Next instant (supply time) at which step() can make progress: a live
-  // run is always immediately actionable, so this is the supply's current
-  // time; +infinity when no run is armed or the run has finished. The
-  // fleet's next-event engine keys its queue on this through
-  // sched::JobQueue::next_time_s().
-  double next_actionable_s() const;
 
   // The run's stats; fully populated (trace deltas, output) only once
   // finished() is true.

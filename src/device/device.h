@@ -38,8 +38,8 @@ struct DeviceConfig {
 
 // Recycled backing storage for a device's memory regions. A retired
 // device donates its word buffers via release_slabs(); constructing the
-// next device from them (fleet arena) skips the two dominant per-device
-// heap allocations. Semantically inert: a slab-built device is
+// next device from them (as each fleet worker does) skips the two
+// dominant per-device heap allocations. Semantically inert: a slab-built device is
 // indistinguishable from a freshly allocated one.
 struct DeviceSlabs {
   std::vector<fx::q15_t> sram, fram;

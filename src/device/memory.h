@@ -36,9 +36,9 @@ class MemoryRegion {
 
   // Arena construction: adopt `storage` as the backing buffer (its
   // capacity is reused; contents are reset to the `words` zeros a fresh
-  // region holds). The fleet engine's slab arena hands retired devices'
-  // buffers to newly admitted ones this way, so a bounded resident
-  // window allocates its big word arrays once instead of per device.
+  // region holds). Each fleet worker hands a finished device's buffers
+  // to its next device this way, so the big word arrays are allocated
+  // once per worker instead of once per device.
   MemoryRegion(MemKind kind, std::size_t words, std::vector<fx::q15_t> storage)
       : kind_(kind), words_(std::move(storage)) {
     words_.assign(words, 0);

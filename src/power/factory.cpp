@@ -10,8 +10,12 @@ namespace ehdnn::power {
 
 namespace {
 
-std::unique_ptr<HarvestSource> make_const(const std::string&, SpecArgs& a) {
-  return std::make_unique<ConstantSource>(a.num("w", 1e-3));
+std::unique_ptr<HarvestSource> make_const(const std::string& spec, SpecArgs& a) {
+  // Harvested income only adds energy; the device's prepaid-energy budget
+  // relies on that, so a negative income is a spec error, not a drain.
+  const double w = a.num("w", 1e-3);
+  check(w >= 0.0, "harvest spec \"" + spec + "\": const w must be >= 0");
+  return std::make_unique<ConstantSource>(w);
 }
 
 std::unique_ptr<HarvestSource> make_square(const std::string&, SpecArgs& a) {

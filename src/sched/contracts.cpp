@@ -1,7 +1,6 @@
 #include "sched/contracts.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,7 +8,6 @@
 #include <map>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "core/ace/compiled_model.h"
 #include "core/flex/runtime.h"
@@ -24,6 +22,7 @@
 #include "power/monitor.h"
 #include "quant/quantize.h"
 #include "util/check.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace ehdnn::sched::contract {
@@ -764,28 +763,12 @@ void check_relock(const RelockWorld& w, Report& rep) {
 Report check(const std::vector<World>& worlds, const std::vector<RelockWorld>& relocks,
              int jobs) {
   fixture();  // build the shared fixture before the pool forks
-  const int n_workers = std::max(1, jobs);
 
   // Worlds run in a worker pool; results land per-index and reduce in
   // world order, so the report bytes cannot depend on the worker count.
   std::vector<WorldResult> results(worlds.size());
-  std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= worlds.size()) return;
-      results[i] = run_world(worlds[i]);
-    }
-  };
-  if (n_workers == 1 || worlds.size() <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    const int n = std::min<int>(n_workers, static_cast<int>(worlds.size()));
-    pool.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
+  parallel_for(worlds.size(), jobs,
+               [&](std::size_t i, int) { results[i] = run_world(worlds[i]); });
 
   Report rep;
   for (std::size_t i = 0; i < worlds.size(); ++i) {

@@ -1,22 +1,18 @@
 #include "sim/fleet.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <queue>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "core/ace/compiled_model.h"
@@ -26,6 +22,7 @@
 #include "sched/adaptive.h"
 #include "sim/scenario.h"
 #include "util/check.h"
+#include "util/parallel.h"
 #include "util/parse.h"
 #include "util/qsketch.h"
 #include "util/rng.h"
@@ -103,7 +100,8 @@ void validate(const FleetConfig& cfg) {
     const std::string where = "fleet group \"" + g.name + "\"";
     check(names.insert(g.name).second, where + ": duplicate group name");
     check(g.count >= 1, where + ": count must be >= 1");
-    check(g.capacitance_f > 0.0, where + ": capacitance must be > 0");
+    check(std::isfinite(g.capacitance_f) && g.capacitance_f > 0.0,
+          where + ": capacitance must be finite and > 0");
     check(g.max_off_s > 0.0, where + ": max_off must be > 0");
     check(g.max_reboots >= 1, where + ": reboots must be >= 1");
     check(g.max_futile >= 0, where + ": max_futile must be >= 0");
@@ -146,9 +144,9 @@ struct GroupTemplate {
 // Population-wide immutable state shared by every device build: the base
 // harvest source, one model instance per (task, variant), each group's
 // FRAM sizing and compiled template, and the device-id -> group mapping.
-// Building a device needs nothing else, which is what lets the event
-// engine construct devices lazily (and worker processes construct only
-// their shard).
+// Building a device needs nothing else, which is what lets a worker
+// build each device only when it claims it (and shard processes build
+// only their range).
 struct FleetWorld {
   std::unique_ptr<power::HarvestSource> base_source;
   std::map<std::pair<int, bool>, quant::QuantModel> qms;
@@ -232,13 +230,11 @@ FleetWorld build_world(const FleetConfig& cfg) {
 }
 
 // Builds device `d` of the population. Depends only on (cfg, world, d),
-// never on which devices exist around it — the property every execution
-// path (event queue, worker pool, shard) relies on for determinism.
+// never on which devices exist around it — the property that makes the
+// report independent of the job count and of the shard split.
 std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig& cfg, int d,
-                                         bool force_admit_all,
-                                         dev::DeviceSlabs* slabs = nullptr,
-                                         flex::PhaseProfile* profile = nullptr,
-                                         long trace_capacity = 0) {
+                                         bool force_admit_all, dev::DeviceSlabs* slabs,
+                                         flex::PhaseProfile* profile, long trace_capacity) {
   const std::size_t gi = w.device_group[static_cast<std::size_t>(d)];
   const FleetGroup& g = cfg.groups[gi];
   const bool adaptive = runtime_is_adaptive(g.agenda.runtime);
@@ -473,7 +469,7 @@ class DetailSink final : public FleetSink {
 // and shard merges alike. Rows arrive sorted by device id; integer
 // counters and double sums accumulate in that order, percentiles come
 // from the sketches. This shared funnel is why `--jobs 8`, `--shards 4`
-// and the serial event queue cannot disagree on a single byte.
+// and a serial run cannot disagree on a single byte.
 FleetReport finalize_report(const FleetConfig& cfg, AggregateSink& agg,
                             DetailSink* detail) {
   FleetReport r;
@@ -538,29 +534,21 @@ void print_verbose(const FleetDeviceResult& res) {
 }
 
 // Drives devices [begin, end) to completion and feeds each result to the
-// sinks. Three execution paths, one result:
-//   - serial (jobs == 1): the next-event engine — a min-heap keyed on
-//     JobQueue::next_time_s() with a bounded resident window, devices
-//     built on admission and destroyed on completion;
-//   - parallel (jobs > 1): workers claim whole devices off an atomic
-//     cursor, build-run-destroy each (already O(workers) resident);
-//   - legacy round-robin: the pre-event-engine loop, kept so the
-//     equivalence test can pin the engine bit-exact against it.
+// sinks. Devices are independent, so one loop serves every job count:
+// workers claim device ids (util/parallel.h), build the device, drain its
+// agenda and deliver the result. Each worker owns one slab slot: a
+// finished device donates its SRAM/FRAM word buffers to it and the
+// worker's next device is built from them, so the two big per-device
+// arrays are allocated once per worker, not once per device. (Groups can
+// differ in FRAM size; the adopting region resizes, which still reuses
+// capacity when the next group's image is no larger.)
 void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
                const FleetRunOptions& opts, const std::vector<FleetSink*>& sinks) {
-  auto deliver = [&](const FleetDeviceResult& res) {
-    for (FleetSink* s : sinks) s->record(res);
-    if (opts.verbose) print_verbose(res);
-  };
-
-  const int run_jobs = std::max(opts.jobs, 1);
-  // Wall-clock phase attribution (--profile): only the serial paths are
-  // wired (one shared, unsynchronized sink). Device construction is timed
-  // into build_s here; the executor attributes its own slices.
-  flex::PhaseProfile* const prof = run_jobs == 1 || opts.legacy_round_robin ||
-                                           end - begin <= 1
-                                       ? opts.profile
-                                       : nullptr;
+  // Wall-clock phase attribution (--profile) is one unsynchronized sink;
+  // validate_run_options only lets it through with jobs == 1, which runs
+  // the loop inline. Device construction is timed into build_s here; the
+  // executor attributes its own slices.
+  flex::PhaseProfile* const prof = opts.profile;
   // Ring capture only for the ids in trace_devices (the counts-only trace
   // is unconditional, wired inside make_device).
   auto trace_cap_of = [&](int d) -> long {
@@ -569,107 +557,25 @@ void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
     }
     return 0;
   };
-  auto timed_build = [&](int d, dev::DeviceSlabs* slabs) {
-    if (prof == nullptr) {
-      return make_device(w, cfg, d, opts.force_admit_all, slabs, nullptr, trace_cap_of(d));
-    }
+  std::vector<dev::DeviceSlabs> slabs(static_cast<std::size_t>(std::max(opts.jobs, 1)));
+  std::mutex mu;
+  parallel_for(static_cast<std::size_t>(end - begin), opts.jobs, [&](std::size_t i, int worker) {
+    const int d = begin + static_cast<int>(i);
+    dev::DeviceSlabs& slot = slabs[static_cast<std::size_t>(worker)];
     const auto t0 = std::chrono::steady_clock::now();
-    auto fd = make_device(w, cfg, d, opts.force_admit_all, slabs, prof, trace_cap_of(d));
-    prof->build_s +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return fd;
-  };
-  if (opts.legacy_round_robin) {
-    std::vector<std::unique_ptr<FleetDevice>> fleet;
-    fleet.reserve(static_cast<std::size_t>(end - begin));
-    for (int d = begin; d < end; ++d) {
-      fleet.push_back(timed_build(d, nullptr));
+    auto fd = make_device(w, cfg, d, opts.force_admit_all, &slot, prof, trace_cap_of(d));
+    if (prof != nullptr) {
+      prof->build_s +=
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     }
-    bool any_live = true;
-    while (any_live) {
-      any_live = false;
-      for (auto& fd : fleet) {
-        if (fd->queue->finished()) continue;
-        fd->queue->step();
-        any_live = any_live || !fd->queue->finished();
-      }
+    while (fd->queue->step()) {
     }
-    for (int d = begin; d < end; ++d) {
-      deliver(distill(w, cfg, d, *fleet[static_cast<std::size_t>(d - begin)]));
-    }
-  } else if (run_jobs == 1 || end - begin <= 1) {
-    // Next-event engine. The heap orders (next actionable instant,
-    // device id): parked devices sink until their release arrives, live
-    // devices interleave in global virtual time, and ties break by id —
-    // fully deterministic. Correctness does not depend on the ordering
-    // at all (devices are independent); the keys exist so a device
-    // sleeping through a 2 s duty-cycle park costs one heap pop instead
-    // of thousands of no-op slices.
-    using Entry = std::pair<double, int>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-    std::vector<std::unique_ptr<FleetDevice>> live(static_cast<std::size_t>(end - begin));
-    const int window = std::max(1, opts.max_resident);
-    int next_build = begin;
-    int resident = 0;
-    // Slab arena: retired devices donate their SRAM/FRAM word buffers,
-    // newly admitted ones are built from them, so the steady state
-    // allocates the two big per-device arrays once per window slot
-    // instead of once per device. (Groups can differ in FRAM size; the
-    // adopting region resizes, which still reuses capacity when the next
-    // group's image is no larger.)
-    std::vector<dev::DeviceSlabs> arena;
-    arena.reserve(static_cast<std::size_t>(window));
-    auto admit = [&] {
-      while (resident < window && next_build < end) {
-        auto& slot = live[static_cast<std::size_t>(next_build - begin)];
-        dev::DeviceSlabs* slabs = arena.empty() ? nullptr : &arena.back();
-        slot = timed_build(next_build, slabs);
-        if (slabs != nullptr) arena.pop_back();
-        heap.emplace(slot->queue->next_time_s(), next_build);
-        ++resident;
-        ++next_build;
-      }
-    };
-    admit();
-    while (!heap.empty()) {
-      const int d = heap.top().second;
-      heap.pop();
-      auto& slot = live[static_cast<std::size_t>(d - begin)];
-      slot->queue->step();
-      if (slot->queue->finished()) {
-        deliver(distill(w, cfg, d, *slot));
-        if (next_build < end) {
-          arena.emplace_back();
-          slot->device.release_slabs(arena.back());
-        }
-        slot.reset();  // free the window slot before admitting the next id
-        --resident;
-        admit();
-      } else {
-        heap.emplace(slot->queue->next_time_s(), d);
-      }
-    }
-  } else {
-    std::atomic<int> cursor{begin};
-    std::mutex mu;
-    auto worker = [&] {
-      for (int d = cursor.fetch_add(1); d < end; d = cursor.fetch_add(1)) {
-        auto fd = make_device(w, cfg, d, opts.force_admit_all, nullptr, nullptr,
-                              trace_cap_of(d));
-        while (fd->queue->step()) {
-        }
-        const FleetDeviceResult res = distill(w, cfg, d, *fd);
-        fd.reset();
-        std::lock_guard<std::mutex> lk(mu);
-        deliver(res);
-      }
-    };
-    std::vector<std::thread> pool;
-    const int n_threads = std::min(run_jobs, end - begin);
-    pool.reserve(static_cast<std::size_t>(n_threads));
-    for (int t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
+    const FleetDeviceResult res = distill(w, cfg, d, *fd);
+    fd->device.release_slabs(slot);
+    const std::lock_guard<std::mutex> lock(mu);
+    for (FleetSink* s : sinks) s->record(res);
+    if (opts.verbose) print_verbose(res);
+  });
 }
 
 flex::Outcome parse_outcome(const std::string& name) {
@@ -745,6 +651,22 @@ ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
           r.tier_switches >> r.steps >> energy >> reclaimed;
       for (int k = 0; k < obs::kKindCount; ++k) ls >> r.events[k];
       check(!ls.fail(), where + ": bad row \"" + line + "\"");
+      // A row's counters must be the ones distill() could have produced:
+      // nothing negative, verdict buckets that partition the jobs, and no
+      // more in-deadline jobs than jobs. A hand-edited partial otherwise
+      // merges into a report whose rates exceed 1.
+      bool negative = r.jobs_total < 0 || r.jobs_completed < 0 || r.jobs_in_deadline < 0 ||
+                      r.jobs_skipped < 0 || r.jobs_dnf < 0 || r.jobs_starved < 0 ||
+                      r.jobs_livelock < 0 || r.reboots < 0 || r.tier_switches < 0 ||
+                      r.steps < 0;
+      for (int k = 0; k < obs::kKindCount; ++k) negative = negative || r.events[k] < 0;
+      check(!negative, where + ": negative count in row \"" + line + "\"");
+      check(r.jobs_completed + r.jobs_dnf + r.jobs_starved + r.jobs_livelock +
+                    r.jobs_skipped ==
+                r.jobs_total,
+            where + ": verdict buckets do not sum to jobs_total in row \"" + line + "\"");
+      check(r.jobs_in_deadline <= r.jobs_total,
+            where + ": in_deadline exceeds jobs_total in row \"" + line + "\"");
       r.energy_j = shard_num(energy, where);
       r.energy_reclaimed_j = shard_num(reclaimed, where);
       p.agg.rows.push_back(r);
@@ -992,7 +914,7 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
   FleetReport r = finalize_report(cfg_, agg, cfg_.per_device_detail ? &detail : nullptr);
   if (ropts.profile != nullptr) {
     // Whatever the attributed phases did not claim is engine overhead:
-    // the event heap, sinks, reporting, and instrumentation slack.
+    // the device loop, sinks, reporting, and instrumentation slack.
     flex::PhaseProfile& p = *ropts.profile;
     const double total =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
@@ -1011,8 +933,6 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
     }
     FleetRunOptions bo;
     bo.jobs = ropts.jobs;
-    bo.max_resident = ropts.max_resident;
-    bo.legacy_round_robin = ropts.legacy_round_robin;
     const FleetReport br = FleetEngine(bc).run(bo);
     r.baselines.push_back({key, br.jobs_completed, br.jobs_in_deadline});
     if (ropts.verbose) {
@@ -1026,8 +946,6 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
   if (ropts.compare_admission) {
     FleetRunOptions ao;
     ao.jobs = ropts.jobs;
-    ao.max_resident = ropts.max_resident;
-    ao.legacy_round_robin = ropts.legacy_round_robin;
     ao.force_admit_all = true;
     const FleetReport ar = FleetEngine(cfg_).run(ao);
     r.admission_baseline.push_back({"admit=all", ar.jobs_completed, ar.jobs_in_deadline});

@@ -12,22 +12,21 @@
 // parsed from a fleet config file (see parse_fleet_config), so new
 // populations are new configs, no code.
 //
-// Execution is event-driven: FleetEngine keeps a priority queue keyed on
-// each device's next actionable instant (sched::JobQueue::next_time_s —
-// the pending agenda release while parked, the supply's clock while a run
-// is live), so parked devices cost zero slices and only a bounded window
-// of devices is resident at once — devices are built lazily when the
-// window admits them and destroyed the moment their agenda completes,
+// Devices never interact: each runs its own agenda against a private
+// supply. So execution is one loop: each worker (FleetRunOptions::jobs)
+// claims the next device id, builds that device, drives its agenda to
+// completion, hands the result to the sinks and destroys the device.
+// Parking between jobs is one JobQueue step (the supply fast-forwards to
+// the release), and only one device per worker is resident at a time,
 // which is what makes 10^5-device populations fit in memory. Per-device
 // results stream into FleetSink implementations (record/merge/finalize);
 // the built-in aggregation sink folds completed-job latencies into
 // mergeable quantile sketches (util/qsketch.h) instead of materializing
 // per-job arrays.
 //
-// Devices are fully independent, so the report — and the bytes of
-// FLEET.json, schema ehdnn-fleet-v6 — is identical whether the population
-// ran on the event queue, the legacy round-robin loop, a worker pool
-// (FleetRunOptions::jobs), or split across processes as shards
+// Because devices are independent, the report — and the bytes of
+// FLEET.json, schema ehdnn-fleet-v6 — is identical for any worker count
+// and when the population is split across processes as shards
 // (run_shard + merge_fleet_shards): every aggregation path sorts by
 // device id and sums in id order, and sketch merges are bin-wise integer
 // adds, so no floating-point result depends on completion order.
@@ -99,9 +98,9 @@ struct FleetConfig {
 //
 // Tokens are whitespace-separated key=value pairs; the `fleet` line is
 // optional (defaults above) and allowed at most once. Malformed entries —
-// negative capacitance, zero-count or duplicate-name groups, zero-period
-// agendas, unknown runtime keys or tasks, duplicate/unknown keys — throw
-// ehdnn::Error.
+// non-positive or non-finite capacitance, zero-count or duplicate-name
+// groups, zero-period agendas, unknown runtime keys or tasks,
+// duplicate/unknown keys — throw ehdnn::Error.
 FleetConfig parse_fleet_config(std::istream& is);
 FleetConfig parse_fleet_config_file(const std::string& path);
 
@@ -112,19 +111,11 @@ FleetConfig parse_fleet_config_file(const std::string& path);
 void write_fleet_config(std::ostream& os, const FleetConfig& cfg);
 
 struct FleetRunOptions {
-  // Worker threads. Devices are fully independent, so the report is
-  // byte-identical for any value; 1 = the next-event engine.
+  // Worker threads, each running whole devices one at a time, so peak
+  // memory is O(jobs) devices. Devices are fully independent, so the
+  // report is byte-identical for any value; 1 runs on the calling thread.
   int jobs = 1;
   bool verbose = false;  // per-device line to stderr
-  // Event-engine resident window: at most this many devices are built at
-  // once (lazy build on admission, destroyed at completion). Bounds peak
-  // memory at O(window), not O(population).
-  int max_resident = 1024;
-  // Run the pre-event-engine stepping loop (every live device gets one
-  // slice per round, whole population resident). Kept for the
-  // equivalence test pinning the event engine bit-exact against it;
-  // implies serial execution.
-  bool legacy_round_robin = false;
   // Re-run the SAME population with every agenda's runtime forced to
   // each of these fixed keys and record jobs-completed/in-deadline —
   // the "adaptive vs best fixed runtime" comparison in FLEET.json.
@@ -137,11 +128,10 @@ struct FleetRunOptions {
   // group's admission mode to admit=all regardless of its sched spec.
   bool force_admit_all = false;
   // Host wall-clock phase attribution (--profile): recharge vs kernel vs
-  // checkpoint vs engine time. Honored only on the serial event-engine
-  // and legacy paths (the worker pool shares one sink unsynchronized);
-  // null = no instrumentation. run()/run_shard() THROW when profile is
-  // set together with jobs > 1 — the request used to be silently ignored,
-  // which read as "the run was profiled" when it was not.
+  // checkpoint vs engine time. One unsynchronized sink, so it needs
+  // jobs == 1; null = no instrumentation. run()/run_shard() THROW when
+  // profile is set together with jobs > 1 — the request used to be
+  // silently ignored, which read as "the run was profiled" when it was not.
   flex::PhaseProfile* profile = nullptr;
   // Devices whose event ring is retained for export (--trace-devices).
   // Every device always collects counts-only events for the metrics
@@ -241,8 +231,8 @@ struct FleetReport {
 };
 
 // Observer of per-device results. record() is called once per device as
-// agendas complete — the order is unspecified (the event queue, worker
-// pools and shards all retire devices differently) and calls are
+// agendas complete — the order is unspecified (worker pools and shards
+// retire devices in different orders) and calls are
 // serialized by the engine, so implementations need no locking but MUST
 // be order-independent (sort by FleetDeviceResult::device at finalize,
 // accumulate only order-free state in record). merge() folds another

@@ -1,13 +1,11 @@
 #include "sim/scenario.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <thread>
 
 #include <limits>
 #include <optional>
@@ -19,6 +17,7 @@
 #include "power/monitor.h"
 #include "sched/adaptive.h"
 #include "util/check.h"
+#include "util/parallel.h"
 #include "util/parse.h"
 #include "util/rng.h"
 
@@ -316,8 +315,8 @@ ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
   }
 
   // Flatten the sweep into an index space with the canonical cell order
-  // (task-major, then scenario, then runtime); workers claim cells from
-  // an atomic cursor and write results into their fixed slot, so the
+  // (task-major, then scenario, then runtime); workers claim cells
+  // (util/parallel.h) and write results into their fixed slot, so the
   // matrix is byte-identical for any job count.
   const std::size_t n_cells = tasks.size() * scenarios.size() * runtimes.size();
   for (const int id : opts.trace_cells) {
@@ -326,49 +325,34 @@ ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
               " out of range [0, " + std::to_string(n_cells) + ")");
   }
   m.cells.resize(n_cells);
-  std::atomic<std::size_t> cursor{0};
   std::mutex log_mu;
-
-  auto worker = [&] {
-    for (std::size_t i = cursor.fetch_add(1); i < n_cells; i = cursor.fetch_add(1)) {
-      const std::size_t ri = i % runtimes.size();
-      const std::size_t si = (i / runtimes.size()) % scenarios.size();
-      const std::size_t ti = i / (runtimes.size() * scenarios.size());
-      const std::string& rt = runtimes[ri];
-      const ScenarioSpec& sc = scenarios[si];
-      // Per-cell derived scramble seed: cells are fully independent and
-      // reproducible in isolation. (Outputs and modeled costs are
-      // scramble-independent — the crash-consistency contract — so this
-      // cannot change the matrix.)
-      const std::uint64_t cell_seed =
-          opts.seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(i) + 1);
-      long trace_cap = 0;
-      for (const int id : opts.trace_cells) {
-        if (static_cast<std::size_t>(id) == i) trace_cap = std::max<long>(1, opts.trace_capacity);
-      }
-      ScenarioCell cell = run_cell(rt, tasks[ti], qms[ti], inputs[ti], sc,
-                                   sources[si].get(), cell_seed, opts.profile,
-                                   trace_cap);
-      if (opts.verbose) {
-        const std::lock_guard<std::mutex> lock(log_mu);
-        std::fprintf(stderr, "scenario %s/%s/%s: %s (on %.3fs, off %.3fs, %ld reboots)\n",
-                     cell.task.c_str(), sc.name.c_str(), rt.c_str(),
-                     flex::outcome_name(cell.outcome), cell.on_s, cell.off_s, cell.reboots);
-      }
-      m.cells[i] = std::move(cell);
+  parallel_for(n_cells, opts.jobs, [&](std::size_t i, int) {
+    const std::size_t ri = i % runtimes.size();
+    const std::size_t si = (i / runtimes.size()) % scenarios.size();
+    const std::size_t ti = i / (runtimes.size() * scenarios.size());
+    const std::string& rt = runtimes[ri];
+    const ScenarioSpec& sc = scenarios[si];
+    // Per-cell derived scramble seed: cells are fully independent and
+    // reproducible in isolation. (Outputs and modeled costs are
+    // scramble-independent — the crash-consistency contract — so this
+    // cannot change the matrix.)
+    const std::uint64_t cell_seed =
+        opts.seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(i) + 1);
+    long trace_cap = 0;
+    for (const int id : opts.trace_cells) {
+      if (static_cast<std::size_t>(id) == i) trace_cap = std::max<long>(1, opts.trace_capacity);
     }
-  };
-
-  const int jobs = std::max(opts.jobs, 1);
-  if (jobs == 1 || n_cells <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    const std::size_t n_threads = std::min<std::size_t>(jobs, n_cells);
-    pool.reserve(n_threads);
-    for (std::size_t t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
+    ScenarioCell cell = run_cell(rt, tasks[ti], qms[ti], inputs[ti], sc,
+                                 sources[si].get(), cell_seed, opts.profile,
+                                 trace_cap);
+    if (opts.verbose) {
+      const std::lock_guard<std::mutex> lock(log_mu);
+      std::fprintf(stderr, "scenario %s/%s/%s: %s (on %.3fs, off %.3fs, %ld reboots)\n",
+                   cell.task.c_str(), sc.name.c_str(), rt.c_str(),
+                   flex::outcome_name(cell.outcome), cell.on_s, cell.off_s, cell.reboots);
+    }
+    m.cells[i] = std::move(cell);
+  });
 
   // Metrics and trace captures from the finished cell array, summed in
   // canonical cell order — deterministic for any worker count because the

@@ -5,6 +5,7 @@
 // typo'd key is an error instead of a silently applied default.
 #pragma once
 
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
@@ -37,8 +38,10 @@ class SpecArgs {
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
     used_.push_back(key);
+    // strtod accepts "nan" and "inf"; no spec field means either, and a
+    // NaN slips past every later range check (all comparisons are false).
     const auto v = parse_double(it->second);
-    check(v.has_value(),
+    check(v.has_value() && std::isfinite(*v),
           "spec \"" + spec_ + "\": bad number for " + key + ": \"" + it->second + "\"");
     return *v;
   }

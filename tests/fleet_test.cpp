@@ -1,8 +1,7 @@
 // Fleet engine (sim/fleet.h) and parallel sweep (SweepOptions::jobs):
 // the fleet runs heterogeneous groups of duty-cycled devices through the
-// incremental executor API, and every execution path — the next-event
-// engine, the legacy round-robin loop, worker pools, process shards —
-// must produce identical artifacts.
+// incremental executor API, and every way of running it — any worker
+// count, any process-shard split — must produce identical artifacts.
 
 #include <gtest/gtest.h>
 
@@ -53,7 +52,7 @@ TEST(Fleet, CompletesAndAggregates) {
   EXPECT_GT(r.latency_p50_s, 0.0);
   for (const auto& d : r.devices) {
     EXPECT_EQ(d.jobs_completed, 1) << "device " << d.device;
-    // Round-robin actually interleaved: every run took many slices.
+    // The agenda was stepped slice by slice, not run in one call.
     EXPECT_GT(d.steps, 5) << "device " << d.device;
     EXPECT_GT(d.energy_j, 0.0);
   }
@@ -81,12 +80,14 @@ TEST(Fleet, DeterministicAcrossRunsAndWorkerCounts) {
   serial.jobs = 1;
   FleetRunOptions parallel;
   parallel.jobs = 3;
-  FleetRunOptions tight_window;  // event engine forced to evict and re-admit
-  tight_window.max_resident = 2;
+  // More workers than devices: the pool clamps to 6, and every worker
+  // reuses its slab slot across the devices it claims.
+  FleetRunOptions oversubscribed;
+  oversubscribed.jobs = 8;
   const FleetReport a = run_fleet(tiny_fleet(), serial);
   const FleetReport b = run_fleet(tiny_fleet(), parallel);
   const FleetReport c = run_fleet(tiny_fleet(), serial);
-  const FleetReport d = run_fleet(tiny_fleet(), tight_window);
+  const FleetReport d = run_fleet(tiny_fleet(), oversubscribed);
   ASSERT_EQ(a.devices.size(), b.devices.size());
   std::ostringstream ja, jb, jc, jd;
   write_fleet_json(ja, a);
@@ -95,27 +96,7 @@ TEST(Fleet, DeterministicAcrossRunsAndWorkerCounts) {
   write_fleet_json(jd, d);
   EXPECT_EQ(ja.str(), jb.str()) << "FLEET.json must be byte-identical for any worker count";
   EXPECT_EQ(ja.str(), jc.str()) << "FLEET.json must be byte-identical across reruns";
-  EXPECT_EQ(ja.str(), jd.str()) << "FLEET.json must be byte-identical for any resident window";
-}
-
-// The new engine's ordering (pop the device with the globally-minimal
-// next actionable instant) against the old loop's (one slice per live
-// device per round): devices are independent, so the artifacts must be
-// bit-exact — on the committed heterogeneous population and on the
-// micro-capacitor ladder whose livelocks exercise every verdict path.
-TEST(Fleet, EventEngineMatchesLegacyRoundRobin) {
-  for (const char* path : {"configs/fleet_hetero.cfg", "configs/fleet_microcap.cfg"}) {
-    const FleetConfig cfg = parse_fleet_config_file(path);
-    FleetRunOptions event_opts;
-    FleetRunOptions legacy_opts;
-    legacy_opts.legacy_round_robin = true;
-    const FleetReport ev = run_fleet(cfg, event_opts);
-    const FleetReport rr = run_fleet(cfg, legacy_opts);
-    std::ostringstream jev, jrr;
-    write_fleet_json(jev, ev);
-    write_fleet_json(jrr, rr);
-    EXPECT_EQ(jev.str(), jrr.str()) << path << ": event engine diverged from round-robin";
-  }
+  EXPECT_EQ(ja.str(), jd.str()) << "FLEET.json must be byte-identical with jobs > devices";
 }
 
 // A FleetSink attached through the public API sees every device exactly
@@ -183,6 +164,33 @@ TEST(Fleet, ShardedRunMergesToTheIdenticalArtifact) {
   EXPECT_NE(agg_whole.str().find("\"detail\": \"aggregate\""), std::string::npos);
   EXPECT_NE(agg_whole.str().find("\"per_device\": []"), std::string::npos);
   EXPECT_EQ(run_as_shards(agg_cfg, 2), agg_whole.str());
+}
+
+// A partial whose row counters no device could have produced is refused
+// at merge instead of folding into a report with rates above 1.
+TEST(Fleet, MergeRejectsTamperedRows) {
+  std::ostringstream part;
+  FleetEngine(tiny_fleet()).run_shard(part, 0, 1);
+  const std::string good = part.str();
+  // Row fields: device jobs_total completed in_deadline skipped dnf starved
+  // livelock reboots tier_switches steps energy reclaimed events...
+  const std::string head = "\nrow 0 1 1 1 0 0 0 0 ";
+  const std::size_t row = good.find(head);
+  ASSERT_NE(row, std::string::npos) << "fixture: device 0 completes its one job";
+  auto tampered = [&](const std::string& fields) {
+    return std::string(good).replace(row, head.size(), "\nrow 0 " + fields + " ");
+  };
+  const std::string path = testing::TempDir() + "fleet_tampered.part";
+  auto merge_text = [&](const std::string& text) {
+    std::ofstream(path) << text;
+    return merge_fleet_shards({path});
+  };
+  EXPECT_NO_THROW(merge_text(good));
+  EXPECT_THROW(merge_text(tampered("1 9 1 0 0 0 0")), Error);   // buckets sum to 9, not 1
+  EXPECT_THROW(merge_text(tampered("1 1 2 0 0 0 0")), Error);   // in_deadline > jobs_total
+  EXPECT_THROW(merge_text(tampered("1 2 1 0 -1 0 0")), Error);  // negative bucket
+  EXPECT_THROW(merge_text(tampered("-1 -1 0 0 0 0 0")), Error);  // negative total
+  std::remove(path.c_str());
 }
 
 TEST(Fleet, ConfigRoundTripsThroughWriter) {

@@ -495,6 +495,8 @@ TEST(FleetConfig, RejectsMalformedEntries) {
   };
   EXPECT_THROW(parse(""), Error);  // no groups
   EXPECT_THROW(parse("group count=2 cap=-10e-6\n"), Error);       // negative capacitance
+  EXPECT_THROW(parse("group count=2 cap=inf\n"), Error);          // infinite capacitance
+  EXPECT_THROW(parse("group count=2 cap=nan\n"), Error);
   EXPECT_THROW(parse("group count=2 period=0\n"), Error);         // zero-period agenda
   EXPECT_THROW(parse("group count=2 runtime=warp\n"), Error);     // unknown runtime key
   EXPECT_THROW(parse("group count=2 task=sudoku\n"), Error);      // unknown task

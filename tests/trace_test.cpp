@@ -142,6 +142,11 @@ TEST(Factory, RejectsBadSpecs) {
   EXPECT_THROW(make_harvest_source("warp:w=1"), Error);          // unknown kind
   EXPECT_THROW(make_harvest_source("const:watts=1e-3"), Error);  // unknown key
   EXPECT_THROW(make_harvest_source("const:w=soon"), Error);      // bad number
+  EXPECT_THROW(make_harvest_source("const:w=nan"), Error);       // non-finite
+  EXPECT_THROW(make_harvest_source("const:w=inf"), Error);
+  EXPECT_THROW(make_harvest_source("square:hi=nan"), Error);
+  EXPECT_THROW(make_harvest_source("square:period=inf"), Error);
+  EXPECT_THROW(make_harvest_source("const:w=-1"), Error);        // negative income
   EXPECT_THROW(make_harvest_source("const:w"), Error);           // missing '='
   EXPECT_THROW(make_harvest_source("trace"), Error);             // missing path
   EXPECT_THROW(make_harvest_source("trace:path=/no/such.csv"), Error);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/check.h"
 #include "util/math.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -22,6 +25,31 @@ TEST(Check, ThrowsWithMessage) {
 }
 
 TEST(Check, FailAlwaysThrows) { EXPECT_THROW(fail("nope"), Error); }
+
+TEST(ParallelFor, RunsEveryIndexOnceOnValidWorkers) {
+  for (const std::size_t n : {0u, 1u, 37u}) {
+    for (const int jobs : {0, 1, 3, 64}) {
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<int> bad_worker{0};
+      parallel_for(n, jobs, [&](std::size_t i, int worker) {
+        ++hits[i];
+        if (worker < 0 || worker >= std::max(jobs, 1)) ++bad_worker;
+      });
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 1) << n << "/" << jobs << " @" << i;
+      EXPECT_EQ(bad_worker, 0);
+    }
+  }
+}
+
+TEST(ParallelFor, RethrowsAWorkerException) {
+  for (const int jobs : {1, 4}) {
+    EXPECT_THROW(parallel_for(100, jobs,
+                              [](std::size_t i, int) {
+                                if (i == 42) fail("index 42");
+                              }),
+                 Error);
+  }
+}
 
 TEST(Rng, DeterministicFromSeed) {
   Rng a(42), b(42);
