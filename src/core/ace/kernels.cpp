@@ -1,6 +1,7 @@
 #include "core/ace/kernels.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <vector>
 
@@ -58,6 +59,97 @@ void pack_acc64(Span w, std::size_t idx, std::int64_t v) {
   }
 }
 
+// ------------------------------------------------------- conv window rows
+
+// The conv kernels' per-pixel loop, batched by output row. On the device
+// each output pixel is one window gather plus one LEA MAC, and the model
+// charges, in order: cpu_ops(2g) for the gather loop, a g-word SRAM
+// gather read, a g-word write of the window into win_vec, and the MAC of
+// win_vec against kern_vec. Both conv kernels are stride 1, so the
+// windows of one row start at consecutive staged-input words.
+//
+// compute() convolves the whole row on the host, straight from the staged
+// input and the gathered kernel in SRAM. That is exact: every product fits
+// 32 bits and the sums are 64-bit, so any order gives the MAC's value, and
+// nothing in the row writes the input or the kernel. pixel() then replays
+// the pixel's four charges through the device's cost-only primitives. From
+// the first charge that would not take its bulk arm (near brown-out, or
+// with bulk disabled) the pixel runs the ops themselves, which keeps
+// word-granular brown-outs and the scalar reference mode unchanged.
+class WindowRow {
+ public:
+  // `gbuf` is the kernel's window staging buffer, one word per gather
+  // offset.
+  WindowRow(ExecCtx& ctx, ScratchArena& ar, Span gbuf)
+      : dv_(ctx.dev), sp_(ctx.cm.sram), lp_(ctx.plan()), g_(gbuf.size()), gbuf_(gbuf),
+        arena_(ar) {
+    check(lp_.x_gather.size() == g_, "conv: window gather table / buffer mismatch");
+  }
+
+  // Host convolution of the `n` windows starting at SRAM word `first`.
+  void compute(Addr first, std::size_t n) {
+    first_ = first;
+    n_ = n;
+    batched_ = dv_.bulk_enabled();
+    if (!batched_) return;  // the scalar reference runs every op
+    acc_ = ScratchArena::need(arena_.row_acc, n);
+    std::int64_t* const acc = acc_.data();
+    std::fill(acc, acc + n, std::int64_t{0});
+    const auto x = dv_.sram().view(first, n - 1 + lp_.x_span);
+    const auto k = dv_.sram().view(sp_.kern_vec, g_);
+    for (std::size_t e = 0; e < g_; ++e) {
+      const q15_t w = k[e];
+      const q15_t* xe = x.data() + lp_.x_gather[e];
+      for (std::size_t p = 0; p < n; ++p) acc[p] += fx::mul_q30(xe[p], w);
+    }
+  }
+
+  // Pixel p's charges, in the per-op order; returns its accumulator.
+  std::int64_t pixel(std::size_t p) {
+    const Addr win = first_ + p;
+    const double ops = 2.0 * static_cast<double>(g_);
+    const bool cpu = batched_ && dv_.charge_cpu_ops(ops);
+    const bool rd = cpu && dv_.charge_read(MemKind::kSram, g_);
+    const bool wr = rd && dv_.charge_write(MemKind::kSram, g_);
+    if (wr) {
+      dv_.charge_mac(g_);
+      // A row that exits normally leaves its last window in win_vec, as
+      // the per-op loop does.
+      if (p + 1 == n_) gather_window(win, dv_.sram().mut_view(sp_.win_vec, g_));
+      return acc_[p];
+    }
+    if (!cpu) dv_.cpu_ops(ops);
+    if (rd) {
+      gather_window(win, gbuf_);  // its read was charged above
+    } else {
+      dv_.read_gather(MemKind::kSram, win, lp_.x_gather, lp_.x_span, gbuf_,
+                      /*offsets_in_span=*/true);
+    }
+    dv_.write_block(MemKind::kSram, sp_.win_vec, gbuf_);
+    const std::int64_t acc = dv_.lea_mac(sp_.win_vec, sp_.kern_vec, g_);
+    assert(!batched_ || acc == acc_[p]);
+    return acc;
+  }
+
+ private:
+  // The window's effect alone (no charge): out[e] = sram[win + x_gather[e]].
+  void gather_window(Addr win, Span out) {
+    const auto src = dv_.sram().view(win, lp_.x_span);
+    for (std::size_t e = 0; e < g_; ++e) out[e] = src[lp_.x_gather[e]];
+  }
+
+  dev::Device& dv_;
+  const SramPlan& sp_;
+  const LayerPlan& lp_;
+  const std::size_t g_;
+  const Span gbuf_;
+  ScratchArena& arena_;
+  std::span<std::int64_t> acc_;
+  Addr first_ = 0;
+  std::size_t n_ = 0;
+  bool batched_ = false;
+};
+
 // ---------------------------------------------------------------- Conv2D
 
 void run_conv2d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
@@ -78,6 +170,7 @@ void run_conv2d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
 
   const Span gbuf = ScratchArena::need(ar->gather, gather);
   const Span rowbuf = ScratchArena::need(ar->row, ow);
+  WindowRow row(ctx, ar.ar, gbuf);
 
   std::size_t cur_f = static_cast<std::size_t>(-1);
   q15_t bias_f = 0;
@@ -98,13 +191,11 @@ void run_conv2d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
       cur_f = f;
     }
 
+    // Window gather (SRAM -> SRAM, pruned positions skipped) + LEA MAC
+    // per output pixel.
+    row.compute(sp.input_stage + i * iw, ow);
     for (std::size_t j = 0; j < ow; ++j) {
-      // Window gather (SRAM -> SRAM), pruned positions skipped.
-      dv.cpu_ops(2.0 * static_cast<double>(gather));
-      dv.read_gather(MemKind::kSram, sp.input_stage + i * iw + j, lp.x_gather, lp.x_span,
-                     gbuf, /*offsets_in_span=*/true);
-      dv.write_block(MemKind::kSram, sp.win_vec, gbuf);
-      const std::int64_t acc = dv.lea_mac(sp.win_vec, sp.kern_vec, gather);
+      const std::int64_t acc = row.pixel(j);
       q15_t v = fx::narrow_q30(acc, rshift, ctx.stats);
       if (!q.bias.empty()) v = fx::add_sat(v, bias_f, ctx.stats);
       rowbuf[j] = v;
@@ -125,7 +216,6 @@ void run_conv1d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
   dev::Device& dv = ctx.dev;
   const QLayer& q = ctx.q();
   const SramPlan& sp = ctx.cm.sram;
-  const LayerPlan& lp = ctx.plan();
   ArenaRef ar(ctx);
   const std::size_t ol = q.out_shape[1];
   const std::size_t gather = q.in_ch * q.k;
@@ -136,6 +226,7 @@ void run_conv1d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
 
   const Span gbuf = ScratchArena::need(ar->gather, gather);
   const Span rowbuf = ScratchArena::need(ar->row, ol);
+  WindowRow row(ctx, ar.ar, gbuf);
 
   for (std::size_t f = start_unit; f < q.out_ch; ++f) {
     if (hooks.boundary) hooks.boundary(f);
@@ -145,12 +236,9 @@ void run_conv1d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
     dv.write_block(MemKind::kSram, sp.kern_vec, gbuf);
     const q15_t bias_f = q.bias.empty() ? q15_t{0} : dv.read(MemKind::kFram, ctx.img().b_base + f);
 
+    row.compute(sp.input_stage, ol);
     for (std::size_t i = 0; i < ol; ++i) {
-      dv.cpu_ops(2.0 * static_cast<double>(gather));
-      dv.read_gather(MemKind::kSram, sp.input_stage + i, lp.x_gather, lp.x_span, gbuf,
-                     /*offsets_in_span=*/true);
-      dv.write_block(MemKind::kSram, sp.win_vec, gbuf);
-      const std::int64_t acc = dv.lea_mac(sp.win_vec, sp.kern_vec, gather);
+      const std::int64_t acc = row.pixel(i);
       q15_t v = fx::narrow_q30(acc, rshift, ctx.stats);
       if (!q.bias.empty()) v = fx::add_sat(v, bias_f, ctx.stats);
       rowbuf[i] = v;

@@ -43,8 +43,10 @@ struct ScratchArena {
   std::vector<fx::q15_t> acc;     // accumulator-row images (acc32/acc64)
   std::vector<fx::q15_t> bias;    // bias block staging
   std::vector<fx::q15_t> spect;   // BCM interleave / spectrum staging
+  std::vector<std::int64_t> row_acc;  // conv output row's exact accumulators
 
-  static std::span<fx::q15_t> need(std::vector<fx::q15_t>& v, std::size_t n) {
+  template <class T>
+  static std::span<T> need(std::vector<T>& v, std::size_t n) {
     if (v.size() < n) v.resize(n);
     return {v.data(), n};
   }

@@ -41,8 +41,8 @@ bool IntermittentExecutor::step() {
       ++*prof->recoveries;
       break;
     case 2:
-      prof->checkpoint_s += dt;
-      ++*prof->slices;
+      prof->boot_s += dt;
+      ++*prof->boots;
       break;
     default:
       // Checkpoint writes inside the slice have already moved their share

@@ -139,7 +139,7 @@ class IntermittentExecutor {
   void finish();
   // The slice body behind step(). When profiling, `phase` receives which
   // PhaseProfile slot the slice's wall-clock belongs to (0 = kernel,
-  // 1 = recharge, 2 = checkpoint/boot-restore); null when not profiling.
+  // 1 = recharge, 2 = boot); null when not profiling.
   bool step_impl(int* phase);
   StepContext ctx() { return StepContext{*dev_, *cm_, input_, opts_, st_}; }
 

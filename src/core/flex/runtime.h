@@ -90,12 +90,14 @@ struct RunStats {
 // so optimization work aims at the right phase. Attribution:
 //   recharge_s   — recover_from_failure slices (analytic recharge, boot
 //                  energy, starvation waits);
-//   checkpoint_s — boot-time cursor/state restores plus FLEX checkpoint
-//                  writes (carved out of the enclosing kernel slice);
+//   boot_s       — boot slices: the policy's on_boot (cursor/state
+//                  restores, FLEX checkpoint reads);
+//   checkpoint_s — FLEX checkpoint writes (carved out of the enclosing
+//                  kernel slice);
 //   kernel_s     — the rest of policy slices: layer kernels, staging,
 //                  prepaid settlement;
 //   build_s      — device construction + image stamping (drivers);
-//   engine_s     — driver bookkeeping (event heap, sinks, reporting),
+//   engine_s     — driver bookkeeping (device loop, sinks, reporting),
 //                  computed by the driver as total minus the above.
 // Null RunOptions::profile (the default) keeps every instrumentation
 // site down to one predicted branch.
@@ -108,10 +110,12 @@ struct PhaseProfile {
   double build_s = 0.0;
   double recharge_s = 0.0;
   double kernel_s = 0.0;
+  double boot_s = 0.0;
   double checkpoint_s = 0.0;
   double engine_s = 0.0;
   obs::MetricsRegistry reg;
-  long* slices = reg.counter("profile.slices");  // policy/boot slices (kernel_s)
+  long* slices = reg.counter("profile.slices");            // policy slices (kernel_s)
+  long* boots = reg.counter("profile.boots");              // boot slices (boot_s)
   long* recoveries = reg.counter("profile.recoveries");    // recover slices
   long* checkpoints = reg.counter("profile.checkpoints");  // FLEX ckpt writes
 

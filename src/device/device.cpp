@@ -67,21 +67,17 @@ void Device::settle_supply() {
 }
 
 void Device::cpu_ops(double n_ops) {
-  const CostModel& cm = cfg_.cost;
   // Kernels batch whole blocks of ALU work into one call; near brown-out,
   // fall back to op-granular spends so a dying burst's trace and supply
   // drain stop where per-op accounting would have stopped them.
-  if (n_ops > 1.0 && !can_bulk_spend(spend_joules(n_ops * cm.cycles_cpu_op, 0.0,
-                                                  cm.p_cpu_active))) {
-    double remaining = n_ops;
-    while (remaining > 0.0) {
-      const double step = std::min(1.0, remaining);
-      spend(Rail::kCpu, step * cm.cycles_cpu_op, 0.0, cm.p_cpu_active);
-      remaining -= step;
-    }
-    return;
+  if (charge_cpu_ops(n_ops)) return;
+  const CostModel& cm = cfg_.cost;
+  double remaining = n_ops;
+  while (remaining > 0.0) {
+    const double step = std::min(1.0, remaining);
+    spend(Rail::kCpu, step * cm.cycles_cpu_op, 0.0, cm.p_cpu_active);
+    remaining -= step;
   }
-  spend(Rail::kCpu, n_ops * cm.cycles_cpu_op, 0.0, cm.p_cpu_active);
 }
 
 void Device::cpu_mac_cycles() { spend_fixed(Rail::kCpu, c_cpu_mac_); }
@@ -105,15 +101,10 @@ void Device::write(MemKind mem, Addr a, fx::q15_t v) {
   fram_.poke(a, v);
 }
 
-bool Device::can_bulk_spend(double joules) {
-  if (supply_ == nullptr) return true;
-  // Within the open window's remaining budget the draw provably succeeds
-  // (true headroom only exceeds the budget: income adds, every buffered
-  // draw was already debited), so no settlement is needed to decide.
-  if (prepaid_open_) {
-    if (joules <= prepaid_budget_) return true;
-    settle_supply();  // decision needs the true, settled headroom
-  }
+bool Device::can_bulk_spend_slow(double joules) {
+  // Past the open window's budget the decision needs the true, settled
+  // headroom.
+  if (prepaid_open_) settle_supply();
   return joules <= supply_->headroom();
 }
 
@@ -131,44 +122,27 @@ bool ranges_overlap(Addr a, Addr b, std::size_t n) {
 void Device::read_block(MemKind mem, Addr a, std::span<fx::q15_t> out) {
   const std::size_t n = out.size();
   if (n == 0) return;
-  const CostModel& cm = cfg_.cost;
-  const auto dn = static_cast<double>(n);
-  const double cycles =
-      dn * (mem == MemKind::kSram ? cm.cycles_sram_word : cm.cycles_fram_word);
-  const double extra = dn * (mem == MemKind::kSram ? cm.e_sram_read : cm.e_fram_read);
   // Near brown-out, replay the scalar sequence so the dying burst's trace
   // and supply drain stop at exactly the word the scalar path reaches.
-  if (!bulk_enabled_ || !can_bulk_spend(spend_joules(cycles, extra, cm.p_cpu_active))) {
+  if (!charge_read(mem, n)) {
     for (std::size_t i = 0; i < n; ++i) out[i] = read(mem, a + i);
     return;
   }
   const auto src = region(mem).view(a, n);
-  spend(mem == MemKind::kSram ? Rail::kSramRead : Rail::kFramRead, cycles, extra,
-        cm.p_cpu_active);
   std::memcpy(out.data(), src.data(), n * sizeof(fx::q15_t));
 }
 
 void Device::write_block(MemKind mem, Addr a, std::span<const fx::q15_t> v) {
   const std::size_t n = v.size();
   if (n == 0) return;
-  const CostModel& cm = cfg_.cost;
-  const auto dn = static_cast<double>(n);
-  const double cycles =
-      dn * (mem == MemKind::kSram ? cm.cycles_sram_word : cm.cycles_fram_word);
-  const double extra =
-      dn * (mem == MemKind::kSram ? cm.e_sram_write : cm.e_fram_write);
   // Near brown-out, replay the scalar sequence: a failure then leaves the
   // same word-granular clean prefix (the FRAM intermittency contract) and
   // the same prefix-only trace/supply accounting.
-  const bool word_granular =
-      !bulk_enabled_ || !can_bulk_spend(spend_joules(cycles, extra, cm.p_cpu_active));
-  if (word_granular) {
+  if (!charge_write(mem, n)) {
     for (std::size_t i = 0; i < n; ++i) write(mem, a + i, v[i]);
     return;
   }
   auto dst = region(mem).mut_view(a, n);
-  spend(mem == MemKind::kSram ? Rail::kSramWrite : Rail::kFramWrite, cycles, extra,
-        cm.p_cpu_active);
   std::memcpy(dst.data(), v.data(), n * sizeof(fx::q15_t));
 }
 
@@ -178,18 +152,11 @@ void Device::read_gather(MemKind mem, Addr base, std::span<const std::uint32_t> 
   const std::size_t n = offsets.size();
   check(out.size() == n, "read_gather: offsets/out size mismatch");
   if (n == 0) return;
-  const CostModel& cm = cfg_.cost;
-  const auto dn = static_cast<double>(n);
-  const double cycles =
-      dn * (mem == MemKind::kSram ? cm.cycles_sram_word : cm.cycles_fram_word);
-  const double extra = dn * (mem == MemKind::kSram ? cm.e_sram_read : cm.e_fram_read);
-  if (!bulk_enabled_ || !can_bulk_spend(spend_joules(cycles, extra, cm.p_cpu_active))) {
+  if (!charge_read(mem, n)) {
     for (std::size_t i = 0; i < n; ++i) out[i] = read(mem, base + offsets[i]);
     return;
   }
   const auto src = region(mem).view(base, span_words);
-  spend(mem == MemKind::kSram ? Rail::kSramRead : Rail::kFramRead, cycles, extra,
-        cm.p_cpu_active);
   if (offsets_in_span) {
     // The caller's gather table carries span = max offset + 1 as a
     // construction invariant; the window view above already range-checked
@@ -279,25 +246,10 @@ std::int64_t Device::lea_mac(Addr a, Addr b, std::size_t n, bool* overflow) {
 }
 
 std::int64_t Device::mac_block(Addr a, Addr b, std::size_t n, bool* overflow) {
-  const CostModel& cm = cfg_.cost;
-  const double cycles = cm.lea_setup + cm.lea_mac_per_elem * static_cast<double>(n);
-  const double e_mem = static_cast<double>(2 * n) * cm.e_sram_read;
-  spend(Rail::kLea, cycles, e_mem, cm.p_lea_active);
+  charge_mac(n);
   std::int64_t acc = 0;
-  bool ovf = false;
-  if (bulk_enabled_) {
-    const auto va = sram_.view(a, n);
-    const auto vb = sram_.view(b, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += fx::mul_q30(va[i], vb[i]);
-      // Checked per element: a transient excursion past the 32-bit
-      // accumulator must set the flag even if later products cancel it.
-      if (acc > std::numeric_limits<fx::q31_t>::max() ||
-          acc < std::numeric_limits<fx::q31_t>::min()) {
-        ovf = true;
-      }
-    }
-  } else {
+  if (!bulk_enabled_) {
+    bool ovf = false;
     for (std::size_t i = 0; i < n; ++i) {
       acc += fx::mul_q30(sram_.peek(a + i), sram_.peek(b + i));
       if (acc > std::numeric_limits<fx::q31_t>::max() ||
@@ -305,8 +257,28 @@ std::int64_t Device::mac_block(Addr a, Addr b, std::size_t n, bool* overflow) {
         ovf = true;
       }
     }
+    if (overflow != nullptr) *overflow = ovf;
+    return acc;
   }
-  if (overflow != nullptr) *overflow = ovf;
+  const auto va = sram_.view(a, n);
+  const auto vb = sram_.view(b, n);
+  if (overflow == nullptr) {
+    // No flag requested: a plain widening dot product (the sum is exact
+    // in int64 whatever the 32-bit excursions on the way).
+    for (std::size_t i = 0; i < n; ++i) acc += fx::mul_q30(va[i], vb[i]);
+    return acc;
+  }
+  bool ovf = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    acc += fx::mul_q30(va[i], vb[i]);
+    // Checked per element: a transient excursion past the 32-bit
+    // accumulator must set the flag even if later products cancel it.
+    if (acc > std::numeric_limits<fx::q31_t>::max() ||
+        acc < std::numeric_limits<fx::q31_t>::min()) {
+      ovf = true;
+    }
+  }
+  *overflow = ovf;
   return acc;
 }
 

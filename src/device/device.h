@@ -8,7 +8,14 @@
 // FRAM are word-granular so a power failure can leave a partially written
 // FRAM region — exactly the hazard the intermittent runtimes must handle.
 // LEA operations read and write SRAM only, so their all-or-nothing
-// modelling is unobservable (SRAM is scrambled at reboot anyway).
+// modelling is unobservable (SRAM is scrambled at reboot anyway). The
+// same argument covers the row-batched conv kernels (core/ace/kernels.cpp),
+// which compute an output row on the host and replay its per-pixel
+// charges through the cost-only charge_* primitives below: the charges
+// and their order are the per-pixel ops' exactly, and the SRAM window
+// buffer they skip writing is rewritten before the row exits normally.
+// After a PowerFailure mid-row that buffer may differ from the per-op
+// path's, but only until reboot() scrambles it.
 //
 // Default geometry matches the evaluation board: 8 KB SRAM (4 K words),
 // 256 KB FRAM (128 K words), 16 MHz. The LEA owns no memory of its own; it
@@ -132,13 +139,57 @@ class Device {
                    bool offsets_in_span = false);
   // LEA MAC over SRAM operand blocks (identical cost and semantics to
   // lea_mac, which delegates here): one bounds check per operand and a
-  // tight pointer loop instead of per-word peeks.
+  // tight pointer loop instead of per-word peeks. The 32-bit excursion
+  // scan runs only when `overflow` is requested.
   std::int64_t mac_block(Addr a, Addr b, std::size_t n, bool* overflow = nullptr);
   // CPU copy loop (the non-DMA arm of ACE's data-movement decision):
   // per word, 2 ALU ops + one read + one write, charged as three
   // aggregated events. Torn-prefix semantics preserved for FRAM
   // destinations as with write_block.
   void cpu_copy(MemKind src_mem, Addr src, MemKind dst_mem, Addr dst, std::size_t words);
+
+  // ---- cost-only charges ----------------------------------------------
+  // The one aggregated charge each bulk arm above makes, without its
+  // memory effect; the bulk arms themselves are built on these, so each
+  // cost formula exists once. A caller that computes the effect on the
+  // host replays an op's charge through them and stays charge-for-charge
+  // identical to calling the op. charge_cpu_ops/read/write return false,
+  // charging nothing, when the op would not take its bulk arm (bulk
+  // disabled, or the supply cannot provably cover the draw); the caller
+  // then runs the op itself, which decides the same way and takes its
+  // word-granular arm. (cpu_ops has no scalar reference mode, so
+  // charge_cpu_ops ignores set_bulk_enabled.)
+  bool charge_cpu_ops(double n_ops) {
+    const CostModel& cm = cfg_.cost;
+    const double cycles = n_ops * cm.cycles_cpu_op;
+    if (n_ops > 1.0 && !can_bulk_spend(spend_joules(cycles, 0.0, cm.p_cpu_active))) {
+      return false;
+    }
+    spend(Rail::kCpu, cycles, 0.0, cm.p_cpu_active);
+    return true;
+  }
+  // read_block / read_gather
+  bool charge_read(MemKind mem, std::size_t n) {
+    const CostModel& cm = cfg_.cost;
+    const bool sram = mem == MemKind::kSram;
+    return charge_block(sram ? Rail::kSramRead : Rail::kFramRead,
+                        sram ? cm.cycles_sram_word : cm.cycles_fram_word,
+                        sram ? cm.e_sram_read : cm.e_fram_read, n);
+  }
+  // write_block
+  bool charge_write(MemKind mem, std::size_t n) {
+    const CostModel& cm = cfg_.cost;
+    const bool sram = mem == MemKind::kSram;
+    return charge_block(sram ? Rail::kSramWrite : Rail::kFramWrite,
+                        sram ? cm.cycles_sram_word : cm.cycles_fram_word,
+                        sram ? cm.e_sram_write : cm.e_fram_write, n);
+  }
+  // mac_block's charge: one LEA spend, no word-granular arm.
+  void charge_mac(std::size_t n) {
+    const CostModel& cm = cfg_.cost;
+    spend(Rail::kLea, cm.lea_setup + cm.lea_mac_per_elem * static_cast<double>(n),
+          static_cast<double>(2 * n) * cm.e_sram_read, cm.p_lea_active);
+  }
 
   // ---- DMA ------------------------------------------------------------
   // Bulk copy; word-granular effect application so FRAM writes can be
@@ -242,7 +293,26 @@ class Device {
   // so per-word accounting can be collapsed without changing which FRAM
   // words commit before a failure. (Non-const: deciding may require
   // settling the prepaid window to read true headroom.)
-  bool can_bulk_spend(double joules);
+  bool can_bulk_spend(double joules) {
+    // Within the open window's remaining budget the draw provably
+    // succeeds (true headroom only exceeds the budget: income adds, every
+    // buffered draw was already debited), so no settlement is needed.
+    if (supply_ == nullptr || (prepaid_open_ && joules <= prepaid_budget_)) return true;
+    return can_bulk_spend_slow(joules);
+  }
+  bool can_bulk_spend_slow(double joules);
+  // A bulk memory op's charge: n words at `word_cycles` and `word_joules`.
+  bool charge_block(Rail rail, double word_cycles, double word_joules, std::size_t n) {
+    const CostModel& cm = cfg_.cost;
+    const auto dn = static_cast<double>(n);
+    const double cycles = dn * word_cycles;
+    const double extra = dn * word_joules;
+    if (!bulk_enabled_ || !can_bulk_spend(spend_joules(cycles, extra, cm.p_cpu_active))) {
+      return false;
+    }
+    spend(rail, cycles, extra, cm.p_cpu_active);
+    return true;
+  }
   // Total joules spend() would draw for `cycles` at `watts` plus extras.
   double spend_joules(double cycles, double extra_energy_joules, double watts) const {
     return watts * cfg_.cost.seconds(cycles) + extra_energy_joules;

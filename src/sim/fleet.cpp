@@ -919,7 +919,7 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
     const double total =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
     p.engine_s = std::max(
-        0.0, total - p.build_s - p.recharge_s - p.kernel_s - p.checkpoint_s);
+        0.0, total - p.build_s - p.recharge_s - p.boot_s - p.kernel_s - p.checkpoint_s);
   }
 
   // Fixed-runtime baselines: the same population with every agenda forced

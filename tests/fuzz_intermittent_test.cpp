@@ -3,10 +3,11 @@
 // intermittent runtime's output must be bit-identical to its own
 // continuous-power output. The FailureScheduleSupply replays >= 1500
 // seeded schedules across SONIC, TAILS, FLEX, and TILE, aiming brown-outs
-// at adversarial instants — mid-block, tearing FRAM progress commits,
-// during FLEX checkpoint writes, inside tile cursor commits (between the
-// double-buffer halves and on the epoch flip), and right on commit
-// boundaries — and every run is checked against the continuous oracle.
+// at adversarial instants — mid-block, inside conv2d and conv1d output
+// rows, tearing FRAM progress commits, during FLEX checkpoint writes,
+// inside tile cursor commits (between the double-buffer halves and on the
+// epoch flip), and right on commit boundaries — and every run is checked
+// against the continuous oracle.
 
 #include <gtest/gtest.h>
 
@@ -71,9 +72,24 @@ quant::QuantModel dense_model(Rng& rng) {
   return quant::quantize(m, calib, {1, 10, 10});
 }
 
+// A conv1d front end (the HAR shape, shrunk): the only model whose conv
+// layer is a Conv1D, so brown-outs land inside conv1d output rows.
+quant::QuantModel conv1d_model(Rng& rng) {
+  nn::Model m;
+  m.add<nn::Conv1D>(2, 8, 5)->init(rng);
+  m.add<nn::ReLU>();
+  m.add<nn::Flatten>();
+  m.add<nn::Dense>(8 * 36, 4)->init(rng);
+  std::vector<nn::Tensor> calib;
+  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor({2, 40}, rng));
+  return quant::quantize(m, calib, {2, 40});
+}
+
+enum FuzzModel { kDense, kBcm, kConv1d };
+
 struct FuzzCase {
   const char* runtime;
-  bool bcm_model;       // mixed (BCM) model vs dense twin
+  FuzzModel model;      // mixed (BCM) model, its dense twin, or conv1d
   int schedules;        // seeded schedules replayed
   std::uint64_t seed0;  // first seed; seeds are seed0 .. seed0+schedules-1
   double flex_v_warn = 2.45;  // default; varied to hit eager/late monitors
@@ -101,31 +117,40 @@ struct FuzzCase {
 // rich-stuck const forecast, and the sel=deadline cases reach the same
 // ACE-first choice through the completion model (unbounded burst makes
 // the cheapest-energy tier win), so brown-outs land on deadline-mode
-// decision boots and on the demotion switches they trigger.
+// decision boots and on the demotion switches they trigger. The conv1d
+// model is the only one with a Conv1D layer, so its FLEX and TAILS cases
+// (per-op and prepaid) are what put brown-outs inside conv1d output rows.
 constexpr FuzzCase kCases[] = {
-    {"sonic", false, 250, 0x50000, 2.45},
-    {"tails", false, 150, 0x51000, 2.45},
-    {"tails", true, 150, 0x52000, 2.45},
-    {"flex", true, 250, 0x53000, 2.45},
-    {"flex", false, 100, 0x54000, 2.45},
-    {"flex", true, 60, 0x55000, 3.5},     // eager: warns every cycle
-    {"flex", true, 40, 0x56000, 2.2001},  // late: failures arrive unwarned
-    {"tile", false, 80, 0x5d000, 2.45},
-    {"tile:t=1", false, 40, 0x5e000, 2.45},  // every MAC is a commit
-    {"tile:t=4", false, 60, 0x5f000, 2.45},
-    {"adaptive", true, 120, 0x57000, 2.45, "adaptive:fc=const,w=9,rich=5e-3,demote=1"},
-    {"adaptive", false, 80, 0x58000, 2.45, "adaptive:fc=const,w=9,rich=5e-3,demote=1"},
-    {"adaptive", true, 70, 0x5c000, 2.45, "adaptive:sel=deadline,fc=const,w=9,demote=1"},
-    {"adaptive", false, 50, 0x5b000, 2.45,
+    {"sonic", kDense, 250, 0x50000, 2.45},
+    {"tails", kDense, 150, 0x51000, 2.45},
+    {"tails", kBcm, 150, 0x52000, 2.45},
+    {"flex", kBcm, 250, 0x53000, 2.45},
+    {"flex", kDense, 100, 0x54000, 2.45},
+    {"flex", kBcm, 60, 0x55000, 3.5},     // eager: warns every cycle
+    {"flex", kBcm, 40, 0x56000, 2.2001},  // late: failures arrive unwarned
+    {"tile", kDense, 80, 0x5d000, 2.45},
+    {"tile:t=1", kDense, 40, 0x5e000, 2.45},  // every MAC is a commit
+    {"tile:t=4", kDense, 60, 0x5f000, 2.45},
+    {"adaptive", kBcm, 120, 0x57000, 2.45, "adaptive:fc=const,w=9,rich=5e-3,demote=1"},
+    {"adaptive", kDense, 80, 0x58000, 2.45, "adaptive:fc=const,w=9,rich=5e-3,demote=1"},
+    {"adaptive", kBcm, 70, 0x5c000, 2.45, "adaptive:sel=deadline,fc=const,w=9,demote=1"},
+    {"adaptive", kDense, 50, 0x5b000, 2.45,
      "adaptive:sel=deadline,fc=periodic,demote=1"},
     // Prepaid-headroom window schedules: per-cycle budgets make the
     // device buffer draws and settle them in batches; failures fire on
     // the over-budget draw right after a settlement — the torn-settlement
     // boundary the prepaid contract must keep bit-exact.
-    {"flex", true, 100, 0x60000, 2.45, nullptr, true},
-    {"sonic", false, 80, 0x61000, 2.45, nullptr, true},
-    {"tails", true, 60, 0x62000, 2.45, nullptr, true},
-    {"tile", false, 60, 0x63000, 2.45, nullptr, true},
+    {"flex", kBcm, 100, 0x60000, 2.45, nullptr, true},
+    {"sonic", kDense, 80, 0x61000, 2.45, nullptr, true},
+    {"tails", kBcm, 60, 0x62000, 2.45, nullptr, true},
+    {"tile", kDense, 60, 0x63000, 2.45, nullptr, true},
+    // Conv1D rows: per-op schedules tear the window loop word by word,
+    // prepaid ones land on the over-budget draw after a settlement, both
+    // in the middle of an output row.
+    {"flex", kConv1d, 60, 0x64000, 2.45},
+    {"tails", kConv1d, 60, 0x65000, 2.45},
+    {"flex", kConv1d, 50, 0x66000, 2.45, nullptr, true},
+    {"tails", kConv1d, 50, 0x67000, 2.45, nullptr, true},
 };
 
 // Builds the case's runtime/policy honoring an adaptive spec override.
@@ -147,7 +172,9 @@ class CrashConsistency : public ::testing::TestWithParam<FuzzCase> {};
 TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
   const FuzzCase fc = GetParam();
   Rng model_rng(1234);
-  const auto qm = fc.bcm_model ? mixed_model(model_rng) : dense_model(model_rng);
+  const auto qm = fc.model == kBcm      ? mixed_model(model_rng)
+                  : fc.model == kConv1d ? conv1d_model(model_rng)
+                                        : dense_model(model_rng);
   const auto input = quant::quantize_input(
       qm, random_tensor(qm.layers.front().in_shape, model_rng));
   auto rt = flex::make_policy_runtime(make_case_policy(fc));
@@ -278,7 +305,9 @@ INSTANTIATE_TEST_SUITE_P(Schedules, CrashConsistency, ::testing::ValuesIn(kCases
                            for (char& ch : name) {
                              if (ch == ':' || ch == '=') ch = '_';
                            }
-                           name += c.bcm_model ? "_bcm" : "_dense";
+                           name += c.model == kBcm      ? "_bcm"
+                                   : c.model == kConv1d ? "_conv1d"
+                                                        : "_dense";
                            if (c.prepaid) name += "_pp";
                            name += "_" + std::to_string(c.schedules);
                            name += "_w" + std::to_string(static_cast<int>(

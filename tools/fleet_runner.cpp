@@ -262,13 +262,15 @@ int main(int argc, char** argv) {
                  r.latency_p50_s, r.latency_p90_s, r.latency_p99_s, out_path.c_str());
     if (profile) {
       const double total =
-          prof.build_s + prof.recharge_s + prof.kernel_s + prof.checkpoint_s + prof.engine_s;
+          prof.build_s + prof.recharge_s + prof.boot_s + prof.kernel_s + prof.checkpoint_s +
+          prof.engine_s;
       std::fprintf(stderr,
                    "fleet_runner: profile (host seconds, main run): total %.3f | "
-                   "build %.3f | recharge %.3f (%ld recoveries) | kernel %.3f "
-                   "(%ld slices) | checkpoint %.3f (%ld writes) | engine %.3f\n",
-                   total, prof.build_s, prof.recharge_s, *prof.recoveries, prof.kernel_s,
-                   *prof.slices, prof.checkpoint_s, *prof.checkpoints, prof.engine_s);
+                   "build %.3f | recharge %.3f (%ld recoveries) | boot %.3f (%ld boots) | "
+                   "kernel %.3f (%ld slices) | checkpoint %.3f (%ld writes) | engine %.3f\n",
+                   total, prof.build_s, prof.recharge_s, *prof.recoveries, prof.boot_s,
+                   *prof.boots, prof.kernel_s, *prof.slices, prof.checkpoint_s,
+                   *prof.checkpoints, prof.engine_s);
     }
     if (r.jobs_skipped > 0) {
       std::fprintf(stderr,
