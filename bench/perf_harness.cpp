@@ -364,7 +364,7 @@ std::optional<Baseline> load_baseline(const std::string& path, bool per_line) {
     if (name) {
       b.entries.push_back(
           {*name, {scan_num(text, "modeled_cycles"), scan_num(text, "modeled_energy_j"),
-                   scan_num(text, "wall_ns_per_run_bulk")}});
+                   scan_num(text, "wall_ns_per_run_bulk"), std::nullopt}});
     }
   }
   return b;

@@ -118,6 +118,7 @@ struct PhaseProfile {
   long* boots = reg.counter("profile.boots");              // boot slices (boot_s)
   long* recoveries = reg.counter("profile.recoveries");    // recover slices
   long* checkpoints = reg.counter("profile.checkpoints");  // FLEX ckpt writes
+  long* sram_fills = reg.counter("profile.sram_fills");    // Device::sram_fills
 
   PhaseProfile() = default;
   // The cached cells point into this->reg; a copy would alias the

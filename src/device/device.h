@@ -92,6 +92,10 @@ class Device {
   double elapsed_cycles() const { return trace_.total_cycles(); }
   double elapsed_seconds() const { return cfg_.cost.seconds(trace_.total_cycles()); }
   long reboots() const { return reboots_; }
+  // Deferred SRAM scrambles materialized so far (memory.h): the reboots
+  // whose garbage something actually looked at. A deterministic count of
+  // the host work reboot() defers.
+  long sram_fills() const { return sram_.fills(); }
 
   // ---- CPU ------------------------------------------------------------
   // n generic ALU cycles (loop control, compares, pointer arithmetic).
@@ -218,6 +222,9 @@ class Device {
   // ---- power ------------------------------------------------------------
   // Reboot after a power failure: SRAM scrambled, FRAM retained.
   // (The runtime decides what to do next; boot-time cost is charged.)
+  // The scramble draws one key from the device's scramble seed stream;
+  // the SRAM words are filled from it only when something next accesses
+  // SRAM, so a reboot that nothing observes costs no fill.
   void reboot();
 
   // Sample the supply voltage (the FLEX voltage-monitor read; costs a few

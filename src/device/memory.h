@@ -8,6 +8,15 @@
 // prove that a runtime never silently relies on dead state) and leaves
 // FRAM intact.
 //
+// The scramble is deferred. scramble() draws one 64-bit key and marks
+// the region stale; the garbage words it stands for are written only
+// when something next looks at the region, through any accessor below.
+// A device that reboots again before touching SRAM (a recharge storm, or
+// a runtime that stages its work in host scratch) just replaces the key,
+// so it pays for one draw instead of a whole-region fill. Observably this
+// is an eager fill keyed per reboot: every accessor sees the same words
+// whichever of them runs first.
+//
 // Word addressing: all ehdnn device data is 16-bit, so addresses index
 // q15 words. Cost accounting happens in Device, not here; peek/poke are
 // the cost-free accessors used for programming-time setup and test
@@ -15,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,7 +42,7 @@ enum class MemKind { kSram, kFram };
 class MemoryRegion {
  public:
   MemoryRegion(MemKind kind, std::size_t words)
-      : kind_(kind), words_(words, 0) {}
+      : kind_(kind), words_(words, 0), fresh_words_(words) {}
 
   // Arena construction: adopt `storage` as the backing buffer (its
   // capacity is reused; contents are reset to the `words` zeros a fresh
@@ -40,14 +50,16 @@ class MemoryRegion {
   // to its next device this way, so the big word arrays are allocated
   // once per worker instead of once per device.
   MemoryRegion(MemKind kind, std::size_t words, std::vector<fx::q15_t> storage)
-      : kind_(kind), words_(std::move(storage)) {
+      : kind_(kind), words_(std::move(storage)), fresh_words_(words) {
     words_.assign(words, 0);
   }
 
   // Arena hand-off: steal the backing storage for recycling. The region
   // is left empty and must not be used afterwards (its owner is being
-  // torn down).
+  // torn down). A pending scramble is dropped unfilled: nothing can read
+  // it any more.
   std::vector<fx::q15_t> take_storage() {
+    fresh_words_ = 0;
     brk_ = 0;
     segments_.clear();
     return std::move(words_);
@@ -59,11 +71,15 @@ class MemoryRegion {
   std::size_t size_bytes() const { return words_.size() * sizeof(fx::q15_t); }
 
   fx::q15_t peek(Addr a) const {
-    check(a < words_.size(), "MemoryRegion: address out of range");
+    if (a >= fresh_words_) [[unlikely]] {
+      refresh(a < words_.size(), "MemoryRegion: address out of range");
+    }
     return words_[a];
   }
   void poke(Addr a, fx::q15_t v) {
-    check(a < words_.size(), "MemoryRegion: address out of range");
+    if (a >= fresh_words_) [[unlikely]] {
+      refresh(a < words_.size(), "MemoryRegion: address out of range");
+    }
     words_[a] = v;
   }
 
@@ -71,22 +87,35 @@ class MemoryRegion {
   // window, then raw storage access. These back the device's bulk
   // fast paths; like peek/poke they carry no cost accounting.
   std::span<const fx::q15_t> view(Addr a, std::size_t n) const {
-    check(a <= words_.size() && n <= words_.size() - a,
-          "MemoryRegion: block out of range");
+    if (a > fresh_words_ || n > fresh_words_ - a) [[unlikely]] {
+      refresh(a <= words_.size() && n <= words_.size() - a,
+              "MemoryRegion: block out of range");
+    }
     return {words_.data() + a, n};
   }
   std::span<fx::q15_t> mut_view(Addr a, std::size_t n) {
-    check(a <= words_.size() && n <= words_.size() - a,
-          "MemoryRegion: block out of range");
+    if (a > fresh_words_ || n > fresh_words_ - a) [[unlikely]] {
+      refresh(a <= words_.size() && n <= words_.size() - a,
+              "MemoryRegion: block out of range");
+    }
     return {words_.data() + a, n};
   }
 
-  // Volatile loss at reboot: scramble contents deterministically. A
-  // runtime that reads un-reinitialized SRAM after reboot will compute
-  // garbage and fail the bit-exactness tests — by design.
+  // Volatile loss at reboot. Draws one key from `rng` and marks the
+  // region stale; its contents are from then on the fill of Rng(key),
+  // four words per draw, written at the first access (see the header
+  // comment). A second scramble before any access replaces the key. A
+  // runtime that reads un-reinitialized SRAM after reboot computes
+  // garbage and fails the bit-exactness tests — by design. FRAM never
+  // loses its contents, so scrambling it is an error.
   void scramble(Rng& rng) {
-    for (auto& w : words_) w = static_cast<fx::q15_t>(rng.next_u64());
+    check(is_volatile(), "MemoryRegion: only volatile memory is scrambled");
+    fill_key_ = rng.next_u64();
+    fresh_words_ = 0;
   }
+
+  // Deferred scrambles this region has materialized so far.
+  long fills() const { return fills_; }
 
   // Image cloning: replace this region's contents AND allocator state
   // with a copy of `other`'s. Cost-free like peek/poke — this is a
@@ -97,6 +126,8 @@ class MemoryRegion {
   void clone_from(const MemoryRegion& other) {
     check(kind_ == other.kind_ && words_.size() == other.words_.size(),
           "MemoryRegion: clone_from geometry mismatch");
+    other.materialize();
+    fresh_words_ = words_.size();  // this region's pending fill is overwritten unread
     words_ = other.words_;  // copy-assign reuses existing capacity
     brk_ = other.brk_;
     segments_ = other.segments_;
@@ -130,8 +161,49 @@ class MemoryRegion {
   }
 
  private:
+  // The slow arm of every accessor: the range check, then the pending
+  // fill. A stale region has fresh_words_ == 0, so each accessor's one
+  // range comparison against fresh_words_ also catches staleness.
+  void refresh(bool in_range, const char* msg) const {
+    check(in_range, msg);
+    materialize();
+  }
+  void materialize() const {
+    if (fresh_words_ != words_.size()) fill();
+  }
+  void fill() const {
+    Rng rng(fill_key_);
+    const std::size_t n = words_.size();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const std::uint64_t r = rng.next_u64();
+      for (std::size_t k = 0; k < 4; ++k) {
+        words_[i + k] = static_cast<fx::q15_t>(r >> (16 * k));
+      }
+    }
+    if (i < n) {  // tail of a region whose size is not a multiple of 4
+      const std::uint64_t r = rng.next_u64();
+      for (std::size_t k = 0; k < 3 && i < n; ++k, ++i) {
+        words_[i] = static_cast<fx::q15_t>(r >> (16 * k));
+      }
+    }
+    fresh_words_ = n;
+    ++fills_;
+  }
+
   MemKind kind_;
-  std::vector<fx::q15_t> words_;
+  // The words and the deferred-fill state are mutable so the const
+  // accessors (peek, view, clone_from's source) can materialize a pending
+  // fill. That write is not synchronized: a stale region must never be
+  // shared across threads. Only a rebooted device's SRAM goes stale, and
+  // the regions shared between fleet workers (group template images)
+  // never reboot.
+  mutable std::vector<fx::q15_t> words_;
+  // words_.size() when every word is readable as stored; 0 while a
+  // scramble is pending.
+  mutable std::size_t fresh_words_ = 0;
+  mutable long fills_ = 0;
+  std::uint64_t fill_key_ = 0;
   Addr brk_ = 0;
   std::vector<Segment> segments_;
 };

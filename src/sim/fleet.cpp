@@ -570,6 +570,7 @@ void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
     }
     while (fd->queue->step()) {
     }
+    if (prof != nullptr) *prof->sram_fills += fd->device.sram_fills();
     const FleetDeviceResult res = distill(w, cfg, d, *fd);
     fd->device.release_slabs(slot);
     const std::lock_guard<std::mutex> lock(mu);

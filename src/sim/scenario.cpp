@@ -168,6 +168,7 @@ ScenarioCell run_cell(const std::string& rt_key, models::Task task,
   }
   auto rt = flex::make_policy_runtime(std::move(policy));
   const flex::RunStats st = rt->infer(dev, cm, inputs.at(rk.compressed), opts);
+  if (profile != nullptr) *profile->sram_fills += dev.sram_fills();
 
   ScenarioCell cell;
   cell.task = models::task_name(task);

@@ -12,7 +12,15 @@
 // Cases: the deployed MNIST model (conv2d) and HAR model (conv1d) under
 // FLEX, once on a 10 uF capacitor with a square harvest (prepaid windows
 // on, brown-outs landing inside conv output rows) and once on continuous
-// power (every charge settles as its own consume()).
+// power (every charge settles as its own consume()); plus the dense MNIST
+// model under the tile runtime on the 80 nF micro-capacitor fleet's
+// harvest, thousands of reboots most of which never touch SRAM.
+//
+// Every case also runs under a second scramble seed and must reproduce
+// the hash, the output and every RunStats field. That is the
+// crash-consistency contract seen end to end: what SRAM holds after a
+// reboot is garbage no runtime may depend on, so which garbage it is
+// cannot change a charge.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +28,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 
 #include "core/ace/compiled_model.h"
 #include "core/flex/runtime.h"
@@ -98,54 +107,103 @@ class ChargeRecorder : public dev::PowerSupply {
 struct SequenceCase {
   const char* name;
   models::Task task;
-  bool harvested;  // 10 uF square harvest; false = continuous power
+  bool tile;             // tile runtime on the dense model; false = FLEX, compressed
+  double capacitance_f;  // on the square harvest; 0 = continuous power
   std::uint64_t digest;
   long events;
 };
 
 constexpr SequenceCase kSequenceCases[] = {
-    {"mnist_flex_10uF_square", models::Task::kMnist, true, 0x61e54024703ab77cull, 27674},
-    {"mnist_flex_continuous", models::Task::kMnist, false, 0x3664a6e7ae7d62b2ull, 26668},
-    {"har_flex_10uF_square", models::Task::kHar, true, 0x2833b553645af951ull, 16330},
-    {"har_flex_continuous", models::Task::kHar, false, 0xf65cfc2e07de467aull, 15655},
+    {"mnist_flex_10uF_square", models::Task::kMnist, false, 10e-6, 0x61e54024703ab77cull,
+     27674},
+    {"mnist_flex_continuous", models::Task::kMnist, false, 0.0, 0x3664a6e7ae7d62b2ull, 26668},
+    {"har_flex_10uF_square", models::Task::kHar, false, 10e-6, 0x2833b553645af951ull, 16330},
+    {"har_flex_continuous", models::Task::kHar, false, 0.0, 0xf65cfc2e07de467aull, 15655},
+    {"mnist_tile_80nF_square", models::Task::kMnist, true, 80e-9, 0x3805720ac6cca93full,
+     1158459},
 };
 
-class ChargeSequence : public ::testing::TestWithParam<SequenceCase> {};
+struct SequenceRun {
+  std::uint64_t digest = 0;
+  long events = 0;
+  flex::RunStats stats;
+};
 
-TEST_P(ChargeSequence, MatchesPinnedHash) {
-  const SequenceCase sc = GetParam();
+SequenceRun run_sequence(const SequenceCase& sc, std::uint64_t scramble_seed) {
+  const bool compressed = !sc.tile;
   Rng rng(0x5e0);
-  const quant::QuantModel qm =
-      models::make_deployed_qmodel(sc.task, /*compressed=*/true, rng);
+  const quant::QuantModel qm = models::make_deployed_qmodel(sc.task, compressed, rng);
   nn::Tensor x(qm.layers.front().in_shape);
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = static_cast<float>(rng.uniform(-0.9, 0.9));
   }
   const auto input = quant::quantize_input(qm, x);
 
-  dev::Device dev(models::deployment_device_config(/*compressed=*/true));
+  dev::DeviceConfig dcfg = models::deployment_device_config(compressed);
+  dcfg.scramble_seed = scramble_seed;
+  dev::Device dev(dcfg);
   power::ContinuousPower cont;
   power::SquareSource square(4e-3, 0.2e-3, 0.02, 0.5);
   power::CapacitorConfig ccfg;
-  ccfg.capacitance_f = 10e-6;
+  ccfg.capacitance_f = sc.capacitance_f > 0.0 ? sc.capacitance_f : 10e-6;
   power::CapacitorSupply cap(square, ccfg);
-  ChargeRecorder rec(sc.harvested ? static_cast<dev::PowerSupply&>(cap)
-                                  : static_cast<dev::PowerSupply&>(cont));
+  ChargeRecorder rec(sc.capacitance_f > 0.0 ? static_cast<dev::PowerSupply&>(cap)
+                                            : static_cast<dev::PowerSupply&>(cont));
   dev.attach_supply(&rec);
   const auto cm = ace::compile(qm, dev);
-  const flex::RunStats st = flex::make_flex_runtime()->infer(dev, cm, input);
+  // The micro-capacitor fleet's run limits (configs/fleet_microcap.cfg).
+  flex::RunOptions opts;
+  opts.max_reboots = 400000;
+  opts.max_futile_boots = 400;
+  SequenceRun run;
+  run.stats = sc.tile ? flex::make_tile_runtime()->infer(dev, cm, input, opts)
+                      : flex::make_flex_runtime()->infer(dev, cm, input);
+  run.digest = rec.digest(dev);
+  run.events = rec.events();
+  return run;
+}
+
+void expect_same_stats(const flex::RunStats& a, const flex::RunStats& b, const char* name) {
+  EXPECT_EQ(a.outcome, b.outcome) << name;
+  EXPECT_EQ(a.output, b.output) << name;
+  EXPECT_EQ(a.on_seconds, b.on_seconds) << name;
+  EXPECT_EQ(a.off_seconds, b.off_seconds) << name;
+  EXPECT_EQ(a.energy_j, b.energy_j) << name;
+  for (std::size_t r = 0; r < std::size(a.energy_by_rail); ++r) {
+    EXPECT_EQ(a.energy_by_rail[r], b.energy_by_rail[r]) << name << " rail " << r;
+  }
+  EXPECT_EQ(a.reboots, b.reboots) << name;
+  EXPECT_EQ(a.livelock, b.livelock) << name;
+  EXPECT_EQ(a.checkpoints, b.checkpoints) << name;
+  EXPECT_EQ(a.checkpoint_energy_j, b.checkpoint_energy_j) << name;
+  EXPECT_EQ(a.progress_commits, b.progress_commits) << name;
+  EXPECT_EQ(a.units_executed, b.units_executed) << name;
+  EXPECT_EQ(a.units_total, b.units_total) << name;
+}
+
+class ChargeSequence : public ::testing::TestWithParam<SequenceCase> {};
+
+TEST_P(ChargeSequence, MatchesPinnedHash) {
+  const SequenceCase sc = GetParam();
+  const SequenceRun run = run_sequence(sc, dev::DeviceConfig{}.scramble_seed);
+  const flex::RunStats& st = run.stats;
 
   ASSERT_TRUE(st.completed()) << sc.name;
-  if (sc.harvested) {
+  if (sc.capacitance_f > 0.0) {
     EXPECT_GT(st.reboots, 0) << sc.name << ": the harvested case must brown out";
   } else {
     EXPECT_EQ(st.reboots, 0) << sc.name;
   }
-  const std::uint64_t got = rec.digest(dev);
   std::printf("%s: digest 0x%016llx over %ld events, %ld reboots\n", sc.name,
-              static_cast<unsigned long long>(got), rec.events(), st.reboots);
-  EXPECT_EQ(rec.events(), sc.events) << sc.name;
-  EXPECT_EQ(got, sc.digest) << sc.name << ": a modeled charge moved, merged or changed";
+              static_cast<unsigned long long>(run.digest), run.events, st.reboots);
+  EXPECT_EQ(run.events, sc.events) << sc.name;
+  EXPECT_EQ(run.digest, sc.digest)
+      << sc.name << ": a modeled charge moved, merged or changed";
+
+  const SequenceRun other = run_sequence(sc, 0x5eed2026);
+  EXPECT_EQ(other.events, run.events) << sc.name << ": SRAM garbage changed the charges";
+  EXPECT_EQ(other.digest, run.digest) << sc.name << ": SRAM garbage changed the charges";
+  expect_same_stats(other.stats, st, sc.name);
 }
 
 INSTANTIATE_TEST_SUITE_P(Pinned, ChargeSequence, ::testing::ValuesIn(kSequenceCases),

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "device/device.h"
 #include "dsp/fft.h"
 #include "fixed/vec.h"
@@ -40,6 +43,117 @@ TEST(MemoryRegion, ScrambleChangesContents) {
   int unchanged = 0;
   for (Addr a = 0; a < 64; ++a) unchanged += m.peek(a) == 7 ? 1 : 0;
   EXPECT_LT(unchanged, 8);
+}
+
+// The words a deferred scramble stands for: the fill of Rng(key), four
+// q15 words per draw, low half-word first.
+std::vector<q15_t> expected_fill(std::uint64_t key, std::size_t n) {
+  Rng rng(key);
+  std::vector<q15_t> w(n);
+  std::uint64_t r = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 4 == 0) r = rng.next_u64();
+    w[i] = static_cast<q15_t>(r >> (16 * (i % 4)));
+  }
+  return w;
+}
+
+std::vector<q15_t> contents(const MemoryRegion& m) {
+  std::vector<q15_t> w(m.size_words());
+  for (Addr a = 0; a < w.size(); ++a) w[a] = m.peek(a);
+  return w;
+}
+
+TEST(MemoryRegion, ScrambleIsTheSameWhicheverAccessorComesFirst) {
+  constexpr std::size_t kN = 64;
+  constexpr std::uint64_t kSeed = 0x51ab;
+  const std::uint64_t key = Rng(kSeed).next_u64();
+  const auto want = expected_fill(key, kN);
+  auto scrambled = [&] {
+    MemoryRegion m(MemKind::kSram, kN);
+    Rng rng(kSeed);
+    m.scramble(rng);
+    EXPECT_EQ(m.fills(), 0);  // nothing has looked yet
+    return m;
+  };
+
+  MemoryRegion by_peek = scrambled();
+  EXPECT_EQ(by_peek.peek(17), want[17]);
+  EXPECT_EQ(contents(by_peek), want);
+  EXPECT_EQ(by_peek.fills(), 1);
+
+  MemoryRegion by_view = scrambled();
+  const auto v = by_view.view(0, kN);
+  EXPECT_EQ(std::vector<q15_t>(v.begin(), v.end()), want);
+
+  MemoryRegion by_mut_view = scrambled();
+  const auto mv = by_mut_view.mut_view(8, 4);
+  EXPECT_EQ(std::vector<q15_t>(mv.begin(), mv.end()),
+            std::vector<q15_t>(want.begin() + 8, want.begin() + 12));
+  EXPECT_EQ(contents(by_mut_view), want);
+
+  MemoryRegion by_poke = scrambled();
+  by_poke.poke(5, 1234);
+  auto poked = want;
+  poked[5] = 1234;
+  EXPECT_EQ(contents(by_poke), poked);
+  EXPECT_EQ(by_poke.fills(), 1);
+}
+
+TEST(MemoryRegion, SecondScrambleBeforeAnyAccessReplacesTheKey) {
+  constexpr std::size_t kN = 32;
+  MemoryRegion m(MemKind::kSram, kN);
+  Rng rng(7);
+  m.scramble(rng);
+  m.scramble(rng);
+  Rng keys(7);
+  keys.next_u64();
+  EXPECT_EQ(contents(m), expected_fill(keys.next_u64(), kN));
+  EXPECT_EQ(m.fills(), 1);
+}
+
+TEST(MemoryRegion, ScrambleFillsATailShorterThanOneDraw) {
+  for (std::size_t n : {1u, 2u, 3u, 5u, 7u, 9u}) {
+    MemoryRegion m(MemKind::kSram, n);
+    for (Addr a = 0; a < n; ++a) m.poke(a, 7);
+    Rng rng(n);
+    m.scramble(rng);
+    EXPECT_EQ(contents(m), expected_fill(Rng(n).next_u64(), n)) << "n=" << n;
+  }
+}
+
+TEST(MemoryRegion, TakeStorageDropsAPendingFill) {
+  MemoryRegion m(MemKind::kSram, 16);
+  for (Addr a = 0; a < 16; ++a) m.poke(a, 7);
+  Rng rng(3);
+  m.scramble(rng);
+  const std::vector<q15_t> storage = m.take_storage();
+  EXPECT_EQ(storage, std::vector<q15_t>(16, 7));
+  EXPECT_EQ(m.fills(), 0);
+}
+
+TEST(MemoryRegion, CloneFromAStaleSourceCopiesTheFill) {
+  constexpr std::size_t kN = 24;
+  MemoryRegion src(MemKind::kSram, kN);
+  Rng rng(11);
+  src.scramble(rng);
+  MemoryRegion dst(MemKind::kSram, kN);
+  Rng other(12);
+  dst.scramble(other);  // overwritten unread: never filled
+  dst.clone_from(src);
+  const auto want = expected_fill(Rng(11).next_u64(), kN);
+  EXPECT_EQ(contents(dst), want);
+  EXPECT_EQ(contents(src), want);
+  EXPECT_EQ(src.fills(), 1);
+  EXPECT_EQ(dst.fills(), 0);
+}
+
+TEST(MemoryRegion, ScramblingFramIsAnError) {
+  MemoryRegion m(MemKind::kFram, 16);
+  m.poke(3, 1234);
+  Rng rng(1);
+  EXPECT_THROW(m.scramble(rng), Error);
+  EXPECT_EQ(m.peek(3), 1234);
 }
 
 TEST(Device, GeometryDefaults) {
@@ -174,6 +288,18 @@ TEST(Device, RebootScramblesSramKeepsFram) {
                         d.sram().peek(3) == 3333;
   EXPECT_FALSE(all_kept);
   EXPECT_EQ(d.reboots(), 2);
+}
+
+TEST(Device, RebootFillsSramOnlyWhenItIsRead) {
+  Device d;
+  d.reboot();
+  d.reboot();
+  EXPECT_EQ(d.sram_fills(), 0);
+  d.sram().peek(0);
+  d.sram().peek(1);
+  EXPECT_EQ(d.sram_fills(), 1);
+  d.reboot();
+  EXPECT_EQ(d.sram_fills(), 1);
 }
 
 TEST(Device, PowerFailurePropagatesFromSupply) {

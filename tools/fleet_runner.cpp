@@ -266,10 +266,11 @@ int main(int argc, char** argv) {
           prof.engine_s;
       std::fprintf(stderr,
                    "fleet_runner: profile (host seconds, main run): total %.3f | "
-                   "build %.3f | recharge %.3f (%ld recoveries) | boot %.3f (%ld boots) | "
-                   "kernel %.3f (%ld slices) | checkpoint %.3f (%ld writes) | engine %.3f\n",
-                   total, prof.build_s, prof.recharge_s, *prof.recoveries, prof.boot_s,
-                   *prof.boots, prof.kernel_s, *prof.slices, prof.checkpoint_s,
+                   "build %.3f | recharge %.3f (%ld recoveries, %ld SRAM fills) | "
+                   "boot %.3f (%ld boots) | kernel %.3f (%ld slices) | "
+                   "checkpoint %.3f (%ld writes) | engine %.3f\n",
+                   total, prof.build_s, prof.recharge_s, *prof.recoveries, *prof.sram_fills,
+                   prof.boot_s, *prof.boots, prof.kernel_s, *prof.slices, prof.checkpoint_s,
                    *prof.checkpoints, prof.engine_s);
     }
     if (r.jobs_skipped > 0) {

@@ -224,10 +224,11 @@ int main(int argc, char** argv) {
     if (profile) {
       std::fprintf(stderr,
                    "scenario_runner: profile (host seconds): recharge %.3f "
-                   "(%ld recoveries) | boot %.3f (%ld boots) | kernel %.3f (%ld slices) | "
-                   "checkpoint %.3f (%ld writes)\n",
-                   prof.recharge_s, *prof.recoveries, prof.boot_s, *prof.boots, prof.kernel_s,
-                   *prof.slices, prof.checkpoint_s, *prof.checkpoints);
+                   "(%ld recoveries, %ld SRAM fills) | boot %.3f (%ld boots) | "
+                   "kernel %.3f (%ld slices) | checkpoint %.3f (%ld writes)\n",
+                   prof.recharge_s, *prof.recoveries, *prof.sram_fills, prof.boot_s,
+                   *prof.boots, prof.kernel_s, *prof.slices, prof.checkpoint_s,
+                   *prof.checkpoints);
     }
 
     if (smoke) {
