@@ -8,7 +8,7 @@
 #include <string>
 
 #include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
+#include "core/flex/executor.h"
 #include "models/zoo.h"
 #include "nn/conv.h"
 #include "nn/dense.h"
@@ -16,6 +16,7 @@
 #include "power/continuous.h"
 #include "power/monitor.h"
 #include "quant/quantize.h"
+#include "sim/scenario.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -103,22 +104,24 @@ struct PowerSpec {
   double harvest_w = 1.2e-3;  // below the ~5 mW active draw: net-drain
 };
 
-inline std::unique_ptr<flex::InferenceRuntime> make_runtime(Framework f) {
+// The runtime-table key (sim/scenario.h) each framework runs as; the
+// table supplies both the policy and the model variant.
+inline const char* runtime_key(Framework f) {
   switch (f) {
-    case Framework::kSonic: return flex::make_sonic_runtime();
-    case Framework::kTails: return flex::make_tails_runtime();
-    case Framework::kAceFlex: return flex::make_flex_runtime();
-    case Framework::kBase:
-    case Framework::kAcePlain: return flex::make_ace_runtime();
+    case Framework::kBase: return "base";
+    case Framework::kSonic: return "sonic";
+    case Framework::kTails: return "tails";
+    case Framework::kAceFlex: return "flex";
+    case Framework::kAcePlain: return "ace";
   }
-  return nullptr;
+  return "?";
 }
 
 // Runs one inference of `task` under `fw`; BASE/SONIC/TAILS use the dense
 // model, ACE/ACE+FLEX the RAD-compressed one.
 inline flex::RunStats run_framework(Framework fw, models::Task task, const PowerSpec& ps,
                                     long max_reboots = 3000) {
-  const bool compressed = fw == Framework::kAceFlex || fw == Framework::kAcePlain;
+  const bool compressed = sim::runtime_uses_compressed_model(runtime_key(fw));
   Rng rng(0xb0a710ad + static_cast<std::uint64_t>(task));
   const auto qm = make_qmodel(task, compressed, rng);
 
@@ -140,8 +143,8 @@ inline flex::RunStats run_framework(Framework fw, models::Task task, const Power
     opts.flex_v_warn = power::warn_voltage_for(
         ccfg, flex::worst_checkpoint_energy(cm, dev.cost()) + 5e-6, 3.0);
   }
-  auto rt = make_runtime(fw);
-  return rt->infer(dev, cm, input, opts);
+  const auto policy = sim::make_policy(runtime_key(fw));
+  return flex::IntermittentExecutor(*policy).run(dev, cm, input, opts);
 }
 
 inline std::string ms(double seconds) { return Table::num(seconds * 1e3, 2) + " ms"; }

@@ -43,8 +43,8 @@ int main() {
     flex::RunOptions opts;
     opts.flex_v_warn = power::warn_voltage_for(
         ccfg, flex::worst_checkpoint_energy(cm, dev.cost()) + 2e-6, 3.0);
-    auto rt = make_runtime(fw);
-    const auto st = rt->infer(dev, cm, input, opts);
+    const auto policy = sim::make_policy(runtime_key(fw));
+    const auto st = flex::IntermittentExecutor(*policy).run(dev, cm, input, opts);
     outputs[row] = st.output;
     t.add_row({framework_name(fw), ms(st.on_seconds), mj(st.energy_j),
                std::to_string(st.reboots), std::to_string(st.progress_commits),
@@ -52,7 +52,8 @@ int main() {
     ++row;
   }
   t.print(std::cout);
-  std::cout << "Outputs bit-identical across runtimes: "
-            << (outputs[0] == outputs[1] ? "yes" : "NO") << "\n";
-  return 0;
+  const bool identical = outputs[0] == outputs[1];
+  std::cout << "Outputs bit-identical across runtimes: " << (identical ? "yes" : "NO")
+            << "\n";
+  return identical ? 0 : 1;
 }

@@ -42,8 +42,8 @@ Row run_with(bench::Framework fw, std::size_t block, Rng& rng) {
   const auto cm = ace::compile(qm, dev);
   std::vector<fx::q15_t> input(256);
   for (auto& v : input) v = static_cast<fx::q15_t>(rng.next_u64());
-  auto rt = bench::make_runtime(fw);
-  const auto st = rt->infer(dev, cm, input);
+  const auto policy = sim::make_policy(bench::runtime_key(fw));
+  const auto st = flex::IntermittentExecutor(*policy).run(dev, cm, input);
   return {"", st.on_seconds, st.energy_j};
 }
 

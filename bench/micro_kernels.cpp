@@ -76,10 +76,11 @@ void run_layer_bench(benchmark::State& state, const bench::LayerWorkload& w) {
   power::ContinuousPower supply;
   d.attach_supply(&supply);
   const auto cm = ace::compile(w.qm, d);
-  auto rt = flex::make_ace_runtime();
+  const auto policy = flex::make_ace_policy();
+  flex::IntermittentExecutor ex(*policy);
   const flex::RunOptions opts;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rt->infer(d, cm, w.qin, opts).completed());
+    benchmark::DoNotOptimize(ex.run(d, cm, w.qin, opts).completed());
   }
 }
 

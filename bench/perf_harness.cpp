@@ -78,7 +78,8 @@ DeviceRun run_device_workload(const quant::QuantModel& qm, const std::vector<q15
   power::ContinuousPower supply;
   dev.attach_supply(&supply);
   const auto cm = ace::compile(qm, dev);
-  auto rt = flex::make_ace_runtime();
+  const auto policy = flex::make_ace_policy();
+  flex::IntermittentExecutor ex(*policy);
   const flex::RunOptions opts;
 
   DeviceRun r;
@@ -86,13 +87,13 @@ DeviceRun run_device_workload(const quant::QuantModel& qm, const std::vector<q15
   // totals are deterministic and identical across runs).
   const double c0 = dev.trace().total_cycles();
   const double e0 = dev.trace().total_energy();
-  auto st = rt->infer(dev, cm, qin, opts);
+  auto st = ex.run(dev, cm, qin, opts);
   r.output = std::move(st.output);
   r.cycles = dev.trace().total_cycles() - c0;
   r.energy = dev.trace().total_energy() - e0;
 
   const double t0 = now_ns();
-  for (int i = 0; i < reps; ++i) rt->infer(dev, cm, qin, opts);
+  for (int i = 0; i < reps; ++i) ex.run(dev, cm, qin, opts);
   r.wall_ns = (now_ns() - t0) / static_cast<double>(reps);
   return r;
 }

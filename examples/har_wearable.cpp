@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
+#include "core/flex/executor.h"
 #include "core/rad/pipeline.h"
 #include "power/capacitor.h"
 #include "power/continuous.h"
@@ -40,7 +40,8 @@ int main() {
   flex::RunOptions opts;
   opts.flex_v_warn = power::warn_voltage_for(
       ccfg, flex::worst_checkpoint_energy(cm, device.cost()) + 5e-6, 3.0);
-  auto rt = flex::make_flex_runtime();
+  const auto policy = flex::make_flex_policy();
+  flex::IntermittentExecutor ex(*policy);
 
   int correct = 0, completed = 0;
   constexpr int kWindows = 10;
@@ -48,7 +49,7 @@ int main() {
   for (int i = 0; i < kWindows; ++i) {
     const auto& x = rad_out.data.test.x[static_cast<std::size_t>(i)];
     const auto qin = quant::quantize_input(rad_out.qmodel, x);
-    const auto st = rt->infer(device, cm, qin, opts);
+    const auto st = ex.run(device, cm, qin, opts);
     if (!st.completed()) continue;
     ++completed;
     total_on += st.on_seconds;

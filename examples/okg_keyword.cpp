@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
+#include "core/flex/executor.h"
 #include "core/rad/pipeline.h"
 #include "power/capacitor.h"
 #include "power/monitor.h"
@@ -52,8 +52,8 @@ int main() {
     const auto cm = ace::compile(rad_out.qmodel, device);
     flex::RunOptions opts;
     opts.flex_v_warn = v_warn;
-    auto rt = flex::make_flex_runtime();
-    const auto st = rt->infer(device, cm, qin, opts);
+    const auto policy = flex::make_flex_policy();
+    const auto st = flex::IntermittentExecutor(*policy).run(device, cm, qin, opts);
     std::printf("  %-10.2f %-12s %-9ld %-12ld %-14s %ld\n", v_warn,
                 st.completed() ? (Table::num(st.on_seconds * 1e3, 2) + " ms").c_str() : "DNF",
                 st.reboots, st.checkpoints,

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
+#include "core/flex/executor.h"
 #include "core/rad/pipeline.h"
 #include "power/capacitor.h"
 #include "power/continuous.h"
@@ -49,8 +49,8 @@ int main() {
   // --- continuous-power inference ----------------------------------------
   const auto& sample = rad_out.data.test.x[0];
   const auto qin = quant::quantize_input(rad_out.qmodel, sample);
-  auto ace_rt = flex::make_ace_runtime();
-  const flex::RunStats cont = ace_rt->infer(device, cm, qin);
+  const auto ace_policy = flex::make_ace_policy();
+  const flex::RunStats cont = flex::IntermittentExecutor(*ace_policy).run(device, cm, qin);
   const auto logits = std::vector<float>(cont.output.begin(), cont.output.end());
   std::printf("[ACE] continuous power: %.2f ms, %.3f mJ, predicted class %d (label %d)\n",
               cont.on_seconds * 1e3, cont.energy_j * 1e3, train::argmax(logits),
@@ -69,8 +69,9 @@ int main() {
   flex::RunOptions opts;
   opts.flex_v_warn = power::warn_voltage_for(
       ccfg, flex::worst_checkpoint_energy(cm2, eh_device.cost()) + 5e-6, 3.0);
-  auto flex_rt = flex::make_flex_runtime();
-  const flex::RunStats inter = flex_rt->infer(eh_device, cm2, qin, opts);
+  const auto flex_policy = flex::make_flex_policy();
+  const flex::RunStats inter =
+      flex::IntermittentExecutor(*flex_policy).run(eh_device, cm2, qin, opts);
   std::printf(
       "[FLEX] harvested power: completed=%s through %ld power failures,\n"
       "       on-time %.2f ms (+%.1f%% vs continuous), %ld checkpoints (%.4f mJ),\n"

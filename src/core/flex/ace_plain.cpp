@@ -13,15 +13,13 @@ namespace {
 
 class AcePolicy : public RuntimePolicy {
  public:
-  std::string name() const override { return "ACE"; }
-
   void on_boot(StepContext& ctx, bool fresh) override {
     if (fresh) {
       best_attempt_cycles_ = 0.0;
       stale_attempts_ = 0;
     }
     // No checkpoints: every power cycle restarts from scratch, which
-    // implies re-acquiring the input (cost-free, see infer() contract).
+    // implies re-acquiring the input (cost-free, see load_input).
     load_input(ctx.dev, ctx.cm, ctx.input);
     layer_ = 0;
   }
@@ -63,9 +61,5 @@ class AcePolicy : public RuntimePolicy {
 }  // namespace
 
 std::unique_ptr<RuntimePolicy> make_ace_policy() { return std::make_unique<AcePolicy>(); }
-
-std::unique_ptr<InferenceRuntime> make_ace_runtime() {
-  return make_policy_runtime(make_ace_policy());
-}
 
 }  // namespace ehdnn::flex

@@ -143,30 +143,4 @@ RunStats IntermittentExecutor::run(dev::Device& dev, const ace::CompiledModel& c
   return take_stats();
 }
 
-namespace {
-
-// The classic one-call API: an executor around a policy instance.
-class PolicyRuntime : public InferenceRuntime {
- public:
-  explicit PolicyRuntime(std::unique_ptr<RuntimePolicy> policy)
-      : policy_(std::move(policy)) {}
-
-  std::string name() const override { return policy_->name(); }
-
-  RunStats infer(dev::Device& dev, const ace::CompiledModel& cm,
-                 std::span<const fx::q15_t> input, const RunOptions& opts) override {
-    IntermittentExecutor ex(*policy_);
-    return ex.run(dev, cm, input, opts);
-  }
-
- private:
-  std::unique_ptr<RuntimePolicy> policy_;
-};
-
-}  // namespace
-
-std::unique_ptr<InferenceRuntime> make_policy_runtime(std::unique_ptr<RuntimePolicy> policy) {
-  return std::make_unique<PolicyRuntime>(std::move(policy));
-}
-
 }  // namespace ehdnn::flex

@@ -16,8 +16,8 @@
 // nothing touches the device, so a caller can act between slices — the
 // agenda queue (sched/agenda.h) parks the device between jobs, and the
 // phase profiler attributes host time per slice.
-// infer() on the classic InferenceRuntime wrapper is just start() + a
-// drain loop, so the one-call API is unchanged and bit-exact.
+// run() is start() plus a step() drain loop: the one call every caller
+// uses to execute an inference with a policy from make_*_policy().
 #pragma once
 
 #include <memory>
@@ -44,8 +44,6 @@ struct StepContext {
 class RuntimePolicy {
  public:
   virtual ~RuntimePolicy() = default;
-
-  virtual std::string name() const = 0;
 
   // Units accounted as RunStats::units_total for this policy (SONIC
   // counts element tiles; everyone else the ACE kernel units).
@@ -131,7 +129,8 @@ class IntermittentExecutor {
   const RunStats& stats() const { return st_; }
   RunStats take_stats() { return std::move(st_); }
 
-  // Convenience: start() + drain. Exactly the classic infer().
+  // One inference: start() + drain. The device must already have its
+  // supply attached; failures and reboots are handled internally.
   RunStats run(dev::Device& dev, const ace::CompiledModel& cm,
                std::span<const fx::q15_t> input, const RunOptions& opts = {});
 
@@ -162,8 +161,7 @@ class IntermittentExecutor {
   bool done_ = true;  // no run armed yet
 };
 
-// Policy factories — the five strategies as policies. make_*_runtime()
-// in runtime.h returns these wrapped via make_policy_runtime().
+// Policy factories — the five strategies as policies.
 std::unique_ptr<RuntimePolicy> make_ace_policy();  // also BASE (dense model)
 std::unique_ptr<RuntimePolicy> make_sonic_policy();
 std::unique_ptr<RuntimePolicy> make_tails_policy();
@@ -181,8 +179,5 @@ struct TileSpec {
 };
 TileSpec parse_tile_spec(const std::string& key);  // throws on malformed args
 std::unique_ptr<RuntimePolicy> make_tile_policy(TileSpec spec = {});
-
-// Wraps a policy as the classic one-call InferenceRuntime.
-std::unique_ptr<InferenceRuntime> make_policy_runtime(std::unique_ptr<RuntimePolicy> policy);
 
 }  // namespace ehdnn::flex

@@ -68,8 +68,6 @@ bool seq_newer(std::uint16_t a, std::uint16_t b) {
 
 class FlexPolicy : public RuntimePolicy {
  public:
-  std::string name() const override { return "ACE+FLEX"; }
-
   void on_boot(StepContext& ctx, bool fresh) override {
     dev::Device& dev = ctx.dev;
     const ace::CompiledModel& cm = ctx.cm;
@@ -347,10 +345,6 @@ class FlexPolicy : public RuntimePolicy {
 }  // namespace
 
 std::unique_ptr<RuntimePolicy> make_flex_policy() { return std::make_unique<FlexPolicy>(); }
-
-std::unique_ptr<InferenceRuntime> make_flex_runtime() {
-  return make_policy_runtime(make_flex_policy());
-}
 
 double worst_checkpoint_energy(const ace::CompiledModel& cm, const dev::CostModel& cost) {
   // Largest payload: BCM full state (accumulator row + both complex

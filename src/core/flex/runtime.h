@@ -4,40 +4,41 @@
 // model format on the same device model; only the checkpointing strategy
 // (and for SONIC the compute style) differs:
 //
-//   * AceRuntime  — ACE kernels, no intermittence support. Fast, but on a
-//     power failure all volatile progress is gone and the inference
-//     restarts; under harvested power it never completes (Fig. 7b "X").
-//     Run on the compressed model it is the paper's "ACE"; run on the
-//     uncompressed dense model it is the paper's "BASE".
-//   * SonicRuntime — SONIC [Gobieski et al., ASPLOS'19]: element-wise CPU
-//     inference with loop continuation: loop indices and accumulators are
-//     committed to FRAM as execution proceeds (parity slots make the
-//     read-modify-write accumulator idempotent). Dense models only.
-//   * TailsRuntime — TAILS: the same loop-continuation protocol, but inner
-//     vector work runs on the LEA with DMA staging. Progress exists only
-//     at vector-op (unit) granularity, so a failure mid-operation rolls
-//     back to the start of that operation (Fig. 6 left).
-//   * FlexRuntime — the paper's contribution: ACE kernels plus *on-demand*
-//     checkpointing. A voltage monitor warns before brown-out; only then
-//     does FLEX copy its state (block index, stage bits b0-b2, the live
-//     intermediate buffers, the accumulator row) into a two-slot FRAM
-//     checkpoint. Steady-state overhead is a cheap header write per layer
-//     transition; measured total overhead is ~1% (SSIV-A.5).
+//   * ACE (make_ace_policy) — ACE kernels, no intermittence support.
+//     Fast, but on a power failure all volatile progress is gone and the
+//     inference restarts; under harvested power it never completes
+//     (Fig. 7b "X"). Run on the compressed model it is the paper's "ACE";
+//     run on the uncompressed dense model it is the paper's "BASE".
+//   * SONIC (make_sonic_policy) — SONIC [Gobieski et al., ASPLOS'19]:
+//     element-wise CPU inference with loop continuation: loop indices and
+//     accumulators are committed to FRAM as execution proceeds (parity
+//     slots make the read-modify-write accumulator idempotent). Dense
+//     models only.
+//   * TAILS (make_tails_policy) — the same loop-continuation protocol, but
+//     inner vector work runs on the LEA with DMA staging. Progress exists
+//     only at vector-op (unit) granularity, so a failure mid-operation
+//     rolls back to the start of that operation (Fig. 6 left).
+//   * FLEX (make_flex_policy) — the paper's contribution: ACE kernels plus
+//     *on-demand* checkpointing. A voltage monitor warns before brown-out;
+//     only then does FLEX copy its state (block index, stage bits b0-b2,
+//     the live intermediate buffers, the accumulator row) into a two-slot
+//     FRAM checkpoint. Steady-state overhead is a cheap header write per
+//     layer transition; measured total overhead is ~1% (SSIV-A.5).
 //
 // The correctness contract every intermittent runtime must satisfy (and
 // tests/flex_test.cpp verifies): the final output equals the same
 // runtime's continuous-power output bit for bit, for any failure schedule.
 //
-// All five strategies execute as RuntimePolicy implementations driven by
-// the shared IntermittentExecutor (core/flex/executor.h), which owns the
-// reboot/recover/starvation/stats loop and exposes incremental
-// start()/step()/finished() so runs can be suspended and interleaved.
-// The InferenceRuntime interface below is the classic one-call wrapper.
+// All five strategies execute as RuntimePolicy implementations (built by
+// the make_*_policy() factories) driven by the shared IntermittentExecutor
+// (core/flex/executor.h), which owns the reboot/recover/starvation/stats
+// loop. One inference is IntermittentExecutor(policy).run(dev, cm, input);
+// start()/step()/finished() expose the same run incrementally so it can be
+// suspended and interleaved. This header holds what policies and executor
+// share: run options, run stats, and the cost-free I/O helpers.
 #pragma once
 
 #include <limits>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "core/ace/compiled_model.h"
@@ -175,29 +176,10 @@ double worst_checkpoint_energy(const ace::CompiledModel& cm, const dev::CostMode
 // envelopes (sched::AdaptiveSpec::ckpt_margin).
 double sonic_worst_commit_energy(const ace::CompiledModel& cm, const dev::CostModel& cost);
 
-class InferenceRuntime {
- public:
-  virtual ~InferenceRuntime() = default;
-  virtual std::string name() const = 0;
-
-  // Runs one inference. `input` is written into the first activation
-  // buffer cost-free (sensor DMA happens outside the measured window for
-  // every framework alike). The device must already have its supply
-  // attached; the runtime handles failures/reboots internally.
-  virtual RunStats infer(dev::Device& dev, const ace::CompiledModel& cm,
-                         std::span<const fx::q15_t> input, const RunOptions& opts = {}) = 0;
-};
-
-// Factories.
-std::unique_ptr<InferenceRuntime> make_ace_runtime();    // also BASE (dense model)
-std::unique_ptr<InferenceRuntime> make_sonic_runtime();
-std::unique_ptr<InferenceRuntime> make_tails_runtime();
-std::unique_ptr<InferenceRuntime> make_flex_runtime();
-std::unique_ptr<InferenceRuntime> make_tile_runtime();  // sub-layer cursors, dense models
-
 // --- shared helpers ---------------------------------------------------------
 
-// Writes the input into act_a (cost-free; see infer() contract).
+// Writes the input into act_a, cost-free: sensor DMA happens outside the
+// measured window for every framework alike.
 void load_input(dev::Device& dev, const ace::CompiledModel& cm,
                 std::span<const fx::q15_t> input);
 

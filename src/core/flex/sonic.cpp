@@ -34,8 +34,6 @@ constexpr std::size_t kCpuTile = 16;   // element layers commit granularity
 
 class SonicPolicy : public RuntimePolicy {
  public:
-  std::string name() const override { return "SONIC"; }
-
   long units_total(const ace::CompiledModel& cm) const override {
     return static_cast<long>(sonic_units(cm));
   }
@@ -270,10 +268,6 @@ class SonicPolicy : public RuntimePolicy {
 }  // namespace
 
 std::unique_ptr<RuntimePolicy> make_sonic_policy() { return std::make_unique<SonicPolicy>(); }
-
-std::unique_ptr<InferenceRuntime> make_sonic_runtime() {
-  return make_policy_runtime(make_sonic_policy());
-}
 
 double sonic_worst_commit_energy(const ace::CompiledModel& cm, const dev::CostModel& cost) {
   // Scalar FRAM word traffic (SONIC's kernels are all CPU-addressed) and

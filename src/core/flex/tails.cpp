@@ -33,8 +33,6 @@ using quant::QLayer;
 
 class TailsPolicy : public RuntimePolicy {
  public:
-  std::string name() const override { return "TAILS"; }
-
   void on_boot(StepContext& ctx, bool fresh) override {
     dev::Device& dev = ctx.dev;
     const ace::CompiledModel& cm = ctx.cm;
@@ -182,9 +180,5 @@ class TailsPolicy : public RuntimePolicy {
 }  // namespace
 
 std::unique_ptr<RuntimePolicy> make_tails_policy() { return std::make_unique<TailsPolicy>(); }
-
-std::unique_ptr<InferenceRuntime> make_tails_runtime() {
-  return make_policy_runtime(make_tails_policy());
-}
 
 }  // namespace ehdnn::flex

@@ -55,8 +55,6 @@ class TilePolicy : public RuntimePolicy {
  public:
   explicit TilePolicy(TileSpec spec) : t_(spec.tile_elems) {}
 
-  std::string name() const override { return "TILE"; }
-
   long units_total(const ace::CompiledModel& cm) const override {
     return static_cast<long>(ace::tile_total_units(cm, t_));
   }
@@ -179,20 +177,13 @@ TileSpec parse_tile_spec(const std::string& key) {
   check(key.substr(0, colon) == "tile", "tile spec must start with \"tile\": " + key);
   if (colon == std::string::npos) return spec;
   SpecArgs a(key, key.substr(colon + 1));
-  const double t = a.num("t", static_cast<double>(spec.tile_elems));
-  check(t >= 1.0 && t <= 4096.0 && t == static_cast<double>(static_cast<long>(t)),
-        "spec \"" + key + "\": t must be an integer in [1, 4096]");
-  spec.tile_elems = static_cast<std::size_t>(t);
+  spec.tile_elems = a.integer<std::size_t>("t", spec.tile_elems, 1, 4096);
   a.finish();
   return spec;
 }
 
 std::unique_ptr<RuntimePolicy> make_tile_policy(TileSpec spec) {
   return std::make_unique<TilePolicy>(spec);
-}
-
-std::unique_ptr<InferenceRuntime> make_tile_runtime() {
-  return make_policy_runtime(make_tile_policy());
 }
 
 }  // namespace ehdnn::flex

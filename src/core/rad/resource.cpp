@@ -1,7 +1,7 @@
 #include "core/rad/resource.h"
 
 #include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
+#include "core/flex/executor.h"
 #include "power/continuous.h"
 #include "quant/quantize.h"
 
@@ -40,8 +40,8 @@ ResourceReport estimate(const quant::QuantModel& qm, const dev::DeviceConfig& de
   power::ContinuousPower supply;
   dev.attach_supply(&supply);
   std::vector<fx::q15_t> input(qm.layers.front().in_size(), 0);
-  auto rt = flex::make_ace_runtime();
-  const flex::RunStats st = rt->infer(dev, cm, input);
+  const auto policy = flex::make_ace_policy();
+  const flex::RunStats st = flex::IntermittentExecutor(*policy).run(dev, cm, input);
   r.latency_s = st.on_seconds;
   r.energy_j = st.energy_j;
   return r;

@@ -4,24 +4,11 @@
 #include <map>
 #include <ostream>
 
+#include "util/format.h"
+
 namespace ehdnn::obs {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out + "\"";
-}
 
 // Fixed-width microsecond timestamp: deterministic bytes, sub-ns
 // resolution (Perfetto sorts on the numeric value either way).
@@ -44,7 +31,7 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceCapture>& trace
     const std::string pid = std::to_string(tc.id);
     emit("{\"ph\":\"M\",\"pid\":" + pid +
          ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":" +
-         json_escape(tc.label) + "}}");
+         json_str(tc.label) + "}}");
     emit("{\"ph\":\"M\",\"pid\":" + pid +
          ",\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"lifecycle\"}}");
     emit("{\"ph\":\"M\",\"pid\":" + pid +
@@ -122,14 +109,14 @@ void write_metrics_json(std::ostream& os, const MetricsRegistry& reg,
   os << indent << "  \"counters\": {";
   bool first = true;
   for (const auto& [k, v] : reg.counters()) {
-    os << (first ? "\n" : ",\n") << indent << "    " << json_escape(k) << ": " << v;
+    os << (first ? "\n" : ",\n") << indent << "    " << json_str(k) << ": " << v;
     first = false;
   }
   os << (first ? "" : "\n" + indent + "  ") << "},\n";
   os << indent << "  \"gauges\": {";
   first = true;
   for (const auto& [k, v] : reg.gauges()) {
-    os << (first ? "\n" : ",\n") << indent << "    " << json_escape(k) << ": " << v;
+    os << (first ? "\n" : ",\n") << indent << "    " << json_str(k) << ": " << v;
     first = false;
   }
   os << (first ? "" : "\n" + indent + "  ") << "}\n";

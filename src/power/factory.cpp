@@ -1,6 +1,8 @@
 #include "power/factory.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 #include "power/trace.h"
 #include "util/check.h"
@@ -31,7 +33,8 @@ std::unique_ptr<HarvestSource> make_sine(const std::string&, SpecArgs& a) {
 std::unique_ptr<HarvestSource> make_rf(const std::string&, SpecArgs& a) {
   return std::make_unique<PoissonBurstSource>(
       a.num("base", 0.2e-3), a.num("burst", 5e-3), a.num("rate", 30.0), a.num("dur", 5e-3),
-      static_cast<std::uint64_t>(a.num("seed", 1.0)), a.num("horizon", 10.0));
+      a.integer<std::uint64_t>("seed", 1, 0, std::numeric_limits<std::uint64_t>::max()),
+      a.num("horizon", 10.0));
 }
 
 std::unique_ptr<HarvestSource> make_solar(const std::string&, SpecArgs& a) {

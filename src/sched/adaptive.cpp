@@ -715,20 +715,12 @@ AdaptiveSpec parse_adaptive_spec(const std::string& spec) {
   }
   s.admit_slack_s = a.num("slack", s.admit_slack_s);
   check(s.admit_slack_s >= 0.0, "adaptive spec \"" + spec + "\": slack must be >= 0");
-  const double probe = a.num("probe", s.probe_skips);
-  check(probe >= 1.0 && probe <= 1e6 && probe == std::floor(probe),
-        "adaptive spec \"" + spec + "\": probe must be an integer in [1, 1e6]");
-  s.probe_skips = static_cast<int>(probe);
+  s.probe_skips = a.integer("probe", s.probe_skips, 1, 1'000'000);
 
   s.rich_w = a.num("rich", s.rich_w);
   s.full_w = a.num("full", s.full_w);
   s.ckpt_margin = a.num("ckpt_margin", s.ckpt_margin);
-  // Range-checked before the cast: a double outside int's range is
-  // undefined behavior at the conversion, not a garbage value.
-  const double demote = a.num("demote", s.demote_boots);
-  check(demote >= 1.0 && demote <= 1e6 && demote == std::floor(demote),
-        "adaptive spec \"" + spec + "\": demote must be an integer in [1, 1e6]");
-  s.demote_boots = static_cast<int>(demote);
+  s.demote_boots = a.integer("demote", s.demote_boots, 1, 1'000'000);
   a.finish();
   make_forecaster(s.forecaster);  // validate eagerly (throws on bad kinds/values)
   return s;

@@ -196,7 +196,6 @@ class AdaptivePolicy : public flex::RuntimePolicy {
   // forecaster's learned state survives, the ladder is rebuilt.
   void provision(const DeploymentImage& image);
 
-  std::string name() const override { return "ADAPTIVE"; }
   void on_boot(flex::StepContext& ctx, bool fresh) override;
   bool step(flex::StepContext& ctx) override;
   bool retry_after_failure(flex::StepContext& ctx, double attempt_cycles) override;

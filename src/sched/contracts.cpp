@@ -22,7 +22,9 @@
 #include "power/monitor.h"
 #include "quant/quantize.h"
 #include "util/check.h"
+#include "util/format.h"
 #include "util/parallel.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace ehdnn::sched::contract {
@@ -135,12 +137,6 @@ const Fixture& fixture() {
 
 // ---------------------------------------------------------- serialization
 
-std::string fmt_g17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 // Splits "key=value" at the FIRST '=' (values may contain '=' again:
 // source/sched specs).
 std::pair<std::string, std::string> split_kv(const std::string& tok,
@@ -152,18 +148,15 @@ std::pair<std::string, std::string> split_kv(const std::string& tok,
 }
 
 double parse_double(const std::string& v, const std::string& line) {
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  ehdnn::check(end != nullptr && *end == '\0' && !v.empty(),
-        "contract world \"" + line + "\": bad number \"" + v + "\"");
-  return d;
+  const auto d = ehdnn::parse_double(v);
+  ehdnn::check(d.has_value(), "contract world \"" + line + "\": bad number \"" + v + "\"");
+  return *d;
 }
 
 int parse_int(const std::string& v, const std::string& line) {
-  const double d = parse_double(v, line);
-  ehdnn::check(d == std::floor(d) && std::abs(d) < 1e9,
-        "contract world \"" + line + "\": bad integer \"" + v + "\"");
-  return static_cast<int>(d);
+  const auto n = ehdnn::parse_int(v, -999'999'999, 999'999'999);
+  ehdnn::check(n.has_value(), "contract world \"" + line + "\": bad integer \"" + v + "\"");
+  return *n;
 }
 
 std::vector<std::string> tokens_of(const std::string& line) {

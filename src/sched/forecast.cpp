@@ -387,12 +387,8 @@ std::unique_ptr<HarvestForecaster> make_ema_spec(SpecArgs& a) {
 }
 
 std::unique_ptr<HarvestForecaster> make_window_spec(SpecArgs& a) {
-  // Range-checked before the cast (out-of-range double-to-size_t is UB).
-  const double n = a.num("n", 8.0);
-  check(n >= 1.0 && n <= 1e6 && n == std::floor(n),
-        "window forecaster: n must be an integer in [1, 1e6]");
-  return make_window_forecaster(a.num("prior", kDefaultPriorW),
-                                static_cast<std::size_t>(n));
+  const auto n = a.integer<std::size_t>("n", 8, 1, 1'000'000);
+  return make_window_forecaster(a.num("prior", kDefaultPriorW), n);
 }
 
 std::unique_ptr<HarvestForecaster> make_const_spec(SpecArgs& a) {
@@ -400,11 +396,9 @@ std::unique_ptr<HarvestForecaster> make_const_spec(SpecArgs& a) {
 }
 
 std::unique_ptr<HarvestForecaster> make_periodic_spec(SpecArgs& a) {
-  const double bins = a.num("bins", 12.0);
-  check(bins >= 2.0 && bins <= 1024.0 && bins == std::floor(bins),
-        "periodic forecaster: bins must be an integer in [2, 1024]");
-  return make_periodic_forecaster(a.num("prior", kDefaultPriorW), a.num("alpha", 0.5),
-                                  static_cast<std::size_t>(bins), a.num("conf", 0.6));
+  const auto bins = a.integer<std::size_t>("bins", 12, 2, 1024);
+  return make_periodic_forecaster(a.num("prior", kDefaultPriorW), a.num("alpha", 0.5), bins,
+                                  a.num("conf", 0.6));
 }
 
 constexpr KindEntry kKindTable[] = {

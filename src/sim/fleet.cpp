@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +24,7 @@
 #include "sched/adaptive.h"
 #include "sim/scenario.h"
 #include "util/check.h"
+#include "util/format.h"
 #include "util/parallel.h"
 #include "util/parse.h"
 #include "util/qsketch.h"
@@ -66,31 +69,8 @@ struct FleetDevice {
   }
 };
 
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out + "\"";
-}
-
 // JSON has no infinity: an unbounded deadline is emitted as -1.
 double json_deadline(double v) { return std::isfinite(v) ? v : -1.0; }
-
-// Exact round-trip decimal form, used by the config echo and the shard
-// partial format so parsed-back doubles are bit-identical to the writer's.
-std::string g17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 void validate(const FleetConfig& cfg) {
   check(!cfg.groups.empty(), "fleet config: need at least one group");
@@ -319,10 +299,10 @@ FleetDeviceResult distill(const FleetWorld& w, const FleetConfig& cfg, int d,
   res.steps = fd.queue->steps();
   for (int k = 0; k < obs::kKindCount; ++k) res.event_counts[k] = fd.trace.counts()[k];
   if (fd.trace.capacity() > 0) {
-    res.trace_selected = true;
-    res.trace_events = fd.trace.snapshot();
-    res.trace_dropped = fd.trace.dropped();
-    res.trace_total = fd.trace.total();
+    res.trace = obs::TraceCapture{d,
+                                  "device " + std::to_string(d) + " " + res.group + " " +
+                                      res.task + "/" + res.runtime,
+                                  fd.trace.snapshot(), fd.trace.dropped(), fd.trace.total()};
   }
   for (const auto& j : res.jobs) {
     ++res.jobs_total;
@@ -389,12 +369,6 @@ DeviceRow row_of(const FleetDeviceResult& d) {
   return r;
 }
 
-// The exported track label for a captured device.
-std::string trace_label(const FleetDeviceResult& d) {
-  return "device " + std::to_string(d.device) + " " + d.group + " " + d.task + "/" +
-         d.runtime;
-}
-
 // Built-in aggregation sink: per-device scalar rows plus the streaming
 // latency/staleness sketches over completed jobs. Order-independent by
 // construction — rows sort by id at finalize, sketch merges are bin-wise
@@ -416,15 +390,7 @@ class AggregateSink final : public FleetSink {
         staleness.add(j.staleness_s);
       }
     }
-    if (d.trace_selected) {
-      obs::TraceCapture cap;
-      cap.id = d.device;
-      cap.label = trace_label(d);
-      cap.events = d.trace_events;
-      cap.dropped = d.trace_dropped;
-      cap.total = d.trace_total;
-      traces.push_back(std::move(cap));
-    }
+    if (d.trace) traces.push_back(*d.trace);
   }
   void merge(const FleetSink& other) override {
     const auto* o = dynamic_cast<const AggregateSink*>(&other);
@@ -775,16 +741,17 @@ FleetConfig parse_fleet_config(std::istream& is) {
       check(d.has_value(), where + ": bad number for " + key + ": \"" + *v + "\"");
       return d;
     };
-    // Integer-valued keys: range-checked BEFORE the cast (a double out of
-    // the target's range is undefined behavior at the conversion, not a
-    // garbage value) so malformed entries throw as documented.
-    auto take_int = [&](const char* key, double lo, double hi) -> std::optional<long long> {
-      const auto v = take_num(key);
+    // Integer-valued keys, in [0, hi]: range-checked before the cast, so
+    // malformed entries throw as documented.
+    constexpr long long kMaxCount = 1'000'000'000;
+    constexpr long long kMaxRunLimit = 1'000'000'000'000'000;
+    auto take_int = [&](const char* key, long long hi) -> std::optional<long long> {
+      const auto v = take(key);
       if (!v.has_value()) return std::nullopt;
-      check(*v >= lo && *v <= hi && *v == std::floor(*v),
-            where + ": " + key + " must be an integer in [" + std::to_string(lo) + ", " +
-                std::to_string(hi) + "]");
-      return static_cast<long long>(*v);
+      const auto n = parse_int(*v, 0LL, hi);
+      check(n.has_value(), where + ": " + key + " must be an integer in [0, " +
+                               std::to_string(hi) + "], got \"" + *v + "\"");
+      return n;
     };
 
     if (tokens[0] == "fleet") {
@@ -793,10 +760,10 @@ FleetConfig parse_fleet_config(std::istream& is) {
       if (const auto v = take("source")) cfg.source = *v;
       if (const auto v = take_num("spread")) cfg.offset_spread_s = *v;
       if (const auto v = take("seed")) {
-        const char* s = v->c_str();
-        char* end = nullptr;
-        cfg.seed = std::strtoull(s, &end, 0);
-        check(end != s && *end == '\0', where + ": bad seed \"" + *v + "\"");
+        const auto seed =
+            parse_int(*v, std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max());
+        check(seed.has_value(), where + ": bad seed \"" + *v + "\"");
+        cfg.seed = *seed;
       }
       if (const auto v = take("detail")) {
         if (*v == "full") {
@@ -811,18 +778,18 @@ FleetConfig parse_fleet_config(std::istream& is) {
       FleetGroup g;
       g.name = "group" + std::to_string(cfg.groups.size());
       if (const auto v = take("name")) g.name = *v;
-      if (const auto v = take_int("count", 0, 1e9)) g.count = static_cast<int>(*v);
+      if (const auto v = take_int("count", kMaxCount)) g.count = static_cast<int>(*v);
       if (const auto v = take("task")) g.task = models::parse_task(*v);
       if (const auto v = take("runtime")) g.agenda.runtime = *v;
       if (const auto v = take_num("cap")) g.capacitance_f = *v;
       if (const auto v = take_num("max_off")) g.max_off_s = *v;
-      if (const auto v = take_int("reboots", 0, 1e15)) g.max_reboots = static_cast<long>(*v);
-      if (const auto v = take_int("max_futile", 0, 1e15)) g.max_futile = static_cast<long>(*v);
-      if (const auto v = take_int("jobs", 0, 1e9)) g.agenda.jobs = static_cast<int>(*v);
+      if (const auto v = take_int("reboots", kMaxRunLimit)) g.max_reboots = *v;
+      if (const auto v = take_int("max_futile", kMaxRunLimit)) g.max_futile = *v;
+      if (const auto v = take_int("jobs", kMaxCount)) g.agenda.jobs = static_cast<int>(*v);
       if (const auto v = take_num("period")) g.agenda.period_s = *v;
       if (const auto v = take_num("deadline")) g.agenda.deadline_s = *v;
       if (const auto v = take("sched")) g.sched_spec = *v;
-      if (const auto v = take_int("fram", 0, 1e12)) {
+      if (const auto v = take_int("fram", 1'000'000'000'000)) {
         g.fram_words = static_cast<std::size_t>(*v);
       }
       cfg.groups.push_back(std::move(g));
@@ -854,16 +821,16 @@ static const char* task_key(models::Task t) {
 }
 
 void write_fleet_config(std::ostream& os, const FleetConfig& cfg) {
-  os << "fleet source=" << cfg.source << " spread=" << g17(cfg.offset_spread_s)
+  os << "fleet source=" << cfg.source << " spread=" << fmt_g17(cfg.offset_spread_s)
      << " seed=" << cfg.seed << " detail=" << (cfg.per_device_detail ? "full" : "aggregate")
      << "\n";
   for (const FleetGroup& g : cfg.groups) {
     os << "group name=" << g.name << " count=" << g.count
        << " task=" << task_key(g.task) << " runtime=" << g.agenda.runtime
-       << " cap=" << g17(g.capacitance_f) << " max_off=" << g17(g.max_off_s)
+       << " cap=" << fmt_g17(g.capacitance_f) << " max_off=" << fmt_g17(g.max_off_s)
        << " reboots=" << g.max_reboots << " max_futile=" << g.max_futile
-       << " jobs=" << g.agenda.jobs << " period=" << g17(g.agenda.period_s)
-       << " deadline=" << g17(g.agenda.deadline_s);
+       << " jobs=" << g.agenda.jobs << " period=" << fmt_g17(g.agenda.period_s)
+       << " deadline=" << fmt_g17(g.agenda.deadline_s);
     if (!g.sched_spec.empty()) os << " sched=" << g.sched_spec;
     if (g.fram_words != 0) os << " fram=" << g.fram_words;
     os << "\n";
@@ -992,8 +959,8 @@ void FleetEngine::run_shard(std::ostream& os, int shard, int shards,
     os << "row " << r.device << " " << r.jobs_total << " " << r.jobs_completed << " "
        << r.jobs_in_deadline << " " << r.jobs_skipped << " " << r.jobs_dnf << " "
        << r.jobs_starved << " " << r.jobs_livelock << " " << r.reboots << " "
-       << r.tier_switches << " " << r.steps << " " << g17(r.energy_j) << " "
-       << g17(r.energy_reclaimed_j);
+       << r.tier_switches << " " << r.steps << " " << fmt_g17(r.energy_j) << " "
+       << fmt_g17(r.energy_reclaimed_j);
     // v2: the per-kind event totals ride the row as one more mergeable
     // integer block.
     for (int k = 0; k < obs::kKindCount; ++k) os << " " << r.events[k];
@@ -1006,20 +973,20 @@ void FleetEngine::run_shard(std::ostream& os, int shard, int shards,
     os << "trace " << cap.id << " " << cap.events.size() << " " << cap.dropped << " "
        << cap.total << " " << cap.label << "\n";
     for (const obs::Event& e : cap.events) {
-      os << "ev " << g17(e.t_s) << " " << static_cast<int>(e.kind) << " " << e.a << " "
+      os << "ev " << fmt_g17(e.t_s) << " " << static_cast<int>(e.kind) << " " << e.a << " "
          << e.b << "\n";
     }
   }
   if (cfg_.per_device_detail) {
     for (const FleetDeviceResult& d : detail.devices) {
       for (const sched::JobRecord& j : d.jobs) {
-        os << "job " << d.device << " " << j.job << " " << g17(j.release_s) << " "
-           << g17(j.start_s) << " " << g17(j.finish_s) << " " << g17(j.latency_s) << " "
-           << g17(j.staleness_s) << " " << flex::outcome_name(j.outcome) << " "
+        os << "job " << d.device << " " << j.job << " " << fmt_g17(j.release_s) << " "
+           << fmt_g17(j.start_s) << " " << fmt_g17(j.finish_s) << " " << fmt_g17(j.latency_s)
+           << " " << fmt_g17(j.staleness_s) << " " << flex::outcome_name(j.outcome) << " "
            << (j.met_deadline ? 1 : 0) << " " << (j.livelock ? 1 : 0) << " "
            << (j.skipped_infeasible ? 1 : 0) << " " << j.runtime << " " << j.reboots << " "
            << j.checkpoints << " " << j.progress_commits << " " << j.tier_switches << " "
-           << g17(j.energy_j) << " " << g17(j.energy_reclaimed_j) << "\n";
+           << fmt_g17(j.energy_j) << " " << fmt_g17(j.energy_reclaimed_j) << "\n";
       }
     }
   }

@@ -41,6 +41,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -169,10 +170,7 @@ struct FleetDeviceResult {
   // collected) — what the report's `metrics` block sums.
   long event_counts[obs::kKindCount] = {};
   // Retained ring, only for devices named in trace_devices.
-  bool trace_selected = false;
-  std::vector<obs::Event> trace_events;
-  long trace_dropped = 0;
-  long trace_total = 0;
+  std::optional<obs::TraceCapture> trace;
 };
 
 // A fixed-runtime rerun of the same population (FleetRunOptions::

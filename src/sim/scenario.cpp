@@ -17,6 +17,7 @@
 #include "power/monitor.h"
 #include "sched/adaptive.h"
 #include "util/check.h"
+#include "util/format.h"
 #include "util/parallel.h"
 #include "util/parse.h"
 #include "util/rng.h"
@@ -93,20 +94,13 @@ double parse_num(const std::string& arg, const std::string& key, const std::stri
   return *v;
 }
 
-// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out + "\"";
+// A run-limit count (reboots, max_futile): an integer in [0, 1e15], the
+// fleet config's bounds for the same keys.
+long parse_count(const std::string& arg, const std::string& key, const std::string& val) {
+  const auto v = parse_int(val, 0L, 1'000'000'000'000'000L);
+  check(v.has_value(), "scenario \"" + arg + "\": " + key +
+                           " must be an integer in [0, 1e15], got \"" + val + "\"");
+  return *v;
 }
 
 // `src` is the scenario's shared (immutable) harvest source, or nullptr
@@ -119,8 +113,8 @@ ScenarioCell run_cell(const std::string& rt_key, models::Task task,
                       const std::map<bool, quant::QuantModel>& qms,
                       const std::map<bool, std::vector<fx::q15_t>>& inputs,
                       const ScenarioSpec& sc, const power::HarvestSource* src,
-                      std::uint64_t scramble_seed,
-                      flex::PhaseProfile* profile, long trace_capacity) {
+                      std::uint64_t scramble_seed, flex::PhaseProfile* profile,
+                      int cell_index, long trace_capacity) {
   const RuntimeEntry& rk = runtime_entry(rt_key);
   // Adaptive devices carry the dense twin too, so they get the enlarged
   // baseline FRAM geometry.
@@ -166,8 +160,8 @@ ScenarioCell run_cell(const std::string& rt_key, models::Task task,
   if (!continuous) {
     opts.flex_v_warn = power::warn_voltage_for(cap->config(), worst_ck + 5e-6, 3.0);
   }
-  auto rt = flex::make_policy_runtime(std::move(policy));
-  const flex::RunStats st = rt->infer(dev, cm, inputs.at(rk.compressed), opts);
+  const flex::RunStats st =
+      flex::IntermittentExecutor(*policy).run(dev, cm, inputs.at(rk.compressed), opts);
   if (profile != nullptr) *profile->sram_fills += dev.sram_fills();
 
   ScenarioCell cell;
@@ -188,10 +182,10 @@ ScenarioCell run_cell(const std::string& rt_key, models::Task task,
   cell.units_total = st.units_total;
   for (int k = 0; k < obs::kKindCount; ++k) cell.event_counts[k] = trace.counts()[k];
   if (trace.capacity() > 0) {
-    cell.trace_selected = true;
-    cell.trace_events = trace.snapshot();
-    cell.trace_dropped = trace.dropped();
-    cell.trace_total = trace.total();
+    cell.trace = obs::TraceCapture{
+        cell_index,
+        "cell " + std::to_string(cell_index) + " " + cell.task + "/" + sc.name + "/" + rt_key,
+        trace.snapshot(), trace.dropped(), trace.total()};
   }
   return cell;
 }
@@ -204,10 +198,6 @@ std::unique_ptr<flex::RuntimePolicy> make_policy(const std::string& key) {
   // policy (validated by runtime_entry above).
   if (std::string(e.key) == "tile") return flex::make_tile_policy(flex::parse_tile_spec(key));
   return e.make_policy();
-}
-
-std::unique_ptr<flex::InferenceRuntime> make_runtime(const std::string& key) {
-  return flex::make_policy_runtime(make_policy(key));
 }
 
 bool runtime_uses_compressed_model(const std::string& key) {
@@ -253,10 +243,9 @@ ScenarioSpec parse_scenario_arg(const std::string& arg) {
     } else if (key == "max_off") {
       sc.max_off_s = parse_num(arg, key, val);
     } else if (key == "reboots") {
-      sc.max_reboots = static_cast<long>(parse_num(arg, key, val));
+      sc.max_reboots = parse_count(arg, key, val);
     } else if (key == "max_futile") {
-      sc.max_futile = static_cast<long>(parse_num(arg, key, val));
-      check(sc.max_futile >= 0, "scenario \"" + arg + "\": max_futile must be >= 0");
+      sc.max_futile = parse_count(arg, key, val);
     } else {
       fail("scenario \"" + arg + "\": unknown option \"" + key + "\"");
     }
@@ -345,7 +334,7 @@ ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
     }
     ScenarioCell cell = run_cell(rt, tasks[ti], qms[ti], inputs[ti], sc,
                                  sources[si].get(), cell_seed, opts.profile,
-                                 trace_cap);
+                                 static_cast<int>(i), trace_cap);
     if (opts.verbose) {
       const std::lock_guard<std::mutex> lock(log_mu);
       std::fprintf(stderr, "scenario %s/%s/%s: %s (on %.3fs, off %.3fs, %ld reboots)\n",
@@ -365,20 +354,12 @@ ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
   }
   long* trace_dropped = m.metrics.counter("trace.dropped_events");
   long* max_reboots = m.metrics.gauge("sweep.max_cell_reboots");
-  for (std::size_t i = 0; i < m.cells.size(); ++i) {
-    const ScenarioCell& c = m.cells[i];
+  for (const ScenarioCell& c : m.cells) {
     for (int k = 0; k < obs::kKindCount; ++k) *ev_cells[k] += c.event_counts[k];
     if (c.reboots > *max_reboots) *max_reboots = c.reboots;
-    if (c.trace_selected) {
-      obs::TraceCapture cap;
-      cap.id = static_cast<int>(i);
-      cap.label = "cell " + std::to_string(i) + " " + c.task + "/" + c.scenario + "/" +
-                  c.runtime;
-      cap.events = c.trace_events;
-      cap.dropped = c.trace_dropped;
-      cap.total = c.trace_total;
-      *trace_dropped += cap.dropped;
-      m.traces.push_back(std::move(cap));
+    if (c.trace) {
+      *trace_dropped += c.trace->dropped;
+      m.traces.push_back(*c.trace);
     }
   }
   return m;

@@ -7,6 +7,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,10 +62,7 @@ struct ScenarioCell {
   // to every cell) — summed into the matrix `metrics` block.
   long event_counts[obs::kKindCount] = {};
   // Retained event ring, only for cells named in SweepOptions::trace_cells.
-  bool trace_selected = false;
-  std::vector<obs::Event> trace_events;
-  long trace_dropped = 0;
-  long trace_total = 0;
+  std::optional<obs::TraceCapture> trace;
 };
 
 struct ScenarioMatrix {
@@ -109,18 +107,17 @@ struct SweepOptions {
 // adaptive keys ship both variants co-resident and pick runtime + variant
 // per boot (sched::AdaptivePolicy) — `adaptive` via the PR-4 income
 // ladder, `adaptive-deadline` via predicted-completion tier selection
-// over the periodic forecaster. Keys, model variants, and the runtime/policy
+// over the periodic forecaster. Keys, model variants, and the policy
 // factories all come from ONE static table, so adding a runtime cannot
 // desynchronize the sweep, the fuzzer, the fleet harness, and the CLIs'
 // --list-runtimes output.
 const std::vector<std::string>& all_runtime_keys();
 
-// Runtime factory for those keys (the one name-to-runtime mapping, also
-// used by the crash-consistency fuzzer); throws on an unknown key.
-std::unique_ptr<flex::InferenceRuntime> make_runtime(const std::string& key);
-
-// Policy factory for the same keys — for callers that drive the
-// step-based flex::IntermittentExecutor directly (the fleet harness).
+// Policy factory for those keys — the one name-to-runtime mapping, used
+// by the sweep, the fleet harness, the paper benches and the
+// crash-consistency fuzzer. Run one inference with
+// flex::IntermittentExecutor(*policy).run(...). Throws on an unknown key
+// or a malformed spec suffix.
 std::unique_ptr<flex::RuntimePolicy> make_policy(const std::string& key);
 
 // Whether a runtime key executes the RAD-compressed deployment model

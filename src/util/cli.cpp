@@ -1,8 +1,8 @@
 #include "util/cli.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <ostream>
 
 #include "power/factory.h"
@@ -11,18 +11,6 @@
 #include "util/parse.h"
 
 namespace ehdnn {
-
-namespace {
-
-long long parse_int_field(const std::string& flag, const std::string& v) {
-  const char* s = v.c_str();
-  char* end = nullptr;
-  const long long n = std::strtoll(s, &end, 10);
-  check(end != s && *end == '\0', flag + " needs an integer, got \"" + v + "\"");
-  return n;
-}
-
-}  // namespace
 
 CliParser::CliParser(std::string prog, std::string summary)
     : prog_(std::move(prog)), summary_(std::move(summary)) {}
@@ -56,9 +44,10 @@ CliParser& CliParser::int_min(std::string flag, std::string metavar, std::string
   const std::string f = flag;
   return value(std::move(flag), std::move(metavar), std::move(help),
                [out, min, f](const std::string& v) {
-                 const long long n = parse_int_field(f, v);
-                 check(n >= min, f + " needs an integer >= " + std::to_string(min));
-                 *out = static_cast<int>(n);
+                 const auto n = parse_int(v, min, std::numeric_limits<int>::max());
+                 check(n.has_value(), f + " needs an integer >= " + std::to_string(min) +
+                                          " that fits an int, got \"" + v + "\"");
+                 *out = *n;
                });
 }
 
@@ -78,12 +67,11 @@ CliParser& CliParser::seed(std::string flag, std::string metavar, std::string he
   const std::string f = flag;
   return value(std::move(flag), std::move(metavar), std::move(help),
                [out, f](const std::string& v) {
-                 const char* s = v.c_str();
-                 char* end = nullptr;
-                 const unsigned long long n = std::strtoull(s, &end, 0);
-                 check(end != s && *end == '\0',
-                       f + " needs an integer, got \"" + v + "\"");
-                 *out = n;
+                 constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+                 const auto n = parse_int(v, std::uint64_t{0}, kMax);
+                 check(n.has_value(),
+                       f + " needs an unsigned 64-bit integer, got \"" + v + "\"");
+                 *out = *n;
                });
 }
 

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/format.h"
 #include "util/parse.h"
 
 namespace ehdnn {
@@ -15,14 +16,6 @@ namespace {
 // energies this small are indistinguishable from zero at any accuracy the
 // sketch offers, and ln(x) would otherwise produce extreme bin indices.
 constexpr double kZeroThreshold = 1e-12;
-
-// Shortest decimal form that round-trips a double exactly (%.17g), used for
-// rel_err / min / max so deserialize(serialize()) is lossless.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -112,9 +105,8 @@ double QuantileSketch::quantile(double q) const {
 }
 
 void QuantileSketch::serialize(std::ostream& os) const {
-  os << "qsketch-v1 rel_err=" << fmt_double(rel_err_) << " " << count_ << " " << zero_count_
-     << " " << fmt_double(count_ == 0 ? 0.0 : min_) << " "
-     << fmt_double(count_ == 0 ? 0.0 : max_);
+  os << "qsketch-v1 rel_err=" << fmt_g17(rel_err_) << " " << count_ << " " << zero_count_
+     << " " << fmt_g17(count_ == 0 ? 0.0 : min_) << " " << fmt_g17(count_ == 0 ? 0.0 : max_);
   for (const auto& [index, c] : bins_) os << " " << index << ":" << c;
 }
 

@@ -46,6 +46,20 @@ class SpecArgs {
     return *v;
   }
 
+  // An integer key in [lo, hi] (parse_int's grammar); `fallback` when
+  // the key is absent.
+  template <class Int>
+  Int integer(const std::string& key, Int fallback, Int lo, Int hi) {
+    const auto it = kv_.find(key);
+    if (it == kv_.end()) return fallback;
+    used_.push_back(key);
+    const auto v = parse_int(it->second, lo, hi);
+    check(v.has_value(), "spec \"" + spec_ + "\": " + key + " must be an integer in [" +
+                             std::to_string(lo) + ", " + std::to_string(hi) + "], got \"" +
+                             it->second + "\"");
+    return *v;
+  }
+
   std::string str(const std::string& key, const std::string& fallback = "") {
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;

@@ -2,7 +2,7 @@
 
 #include "core/ace/compiled_model.h"
 #include "core/ace/kernels.h"
-#include "core/flex/runtime.h"
+#include "core/flex/executor.h"
 #include "models/zoo.h"
 #include "nn/bcm_dense.h"
 #include "nn/conv.h"
@@ -12,20 +12,14 @@
 #include "power/continuous.h"
 #include "quant/qexec.h"
 #include "quant/quantize.h"
+#include "tiny_models.h"
 #include "util/rng.h"
 
 namespace ehdnn::ace {
 namespace {
 
 using fx::q15_t;
-
-nn::Tensor random_tensor(std::vector<std::size_t> shape, Rng& rng) {
-  nn::Tensor t(std::move(shape));
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    t[i] = static_cast<float>(rng.uniform(-0.9, 0.9));
-  }
-  return t;
-}
+using testutil::random_tensor;
 
 quant::QuantModel quantize_model(nn::Model& m, const std::vector<std::size_t>& shape,
                                  Rng& rng) {
@@ -48,10 +42,10 @@ void expect_bit_exact(const quant::QuantModel& qm, const nn::Tensor& x,
   power::ContinuousPower supply;
   dev.attach_supply(&supply);
   const CompiledModel cm = compile(qm, dev);
-  auto rt = flex::make_ace_runtime();
+  const auto policy = flex::make_ace_policy();
   flex::RunOptions ropts;
   ropts.scaling = scaling;
-  const auto st = rt->infer(dev, cm, qin, ropts);
+  const auto st = flex::IntermittentExecutor(*policy).run(dev, cm, qin, ropts);
   ASSERT_TRUE(st.completed());
   ASSERT_EQ(st.output.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {

@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
+#include "core/flex/executor.h"
 #include "device/device.h"
 #include "dsp/fft.h"
 #include "fixed/vec.h"
@@ -210,8 +210,8 @@ TEST(BulkAccess, FullModelBitExactAndCostIdentical) {
     power::ContinuousPower supply;
     d.attach_supply(&supply);
     const auto cm = ace::compile(qm, d);
-    auto rt = flex::make_ace_runtime();
-    auto st = rt->infer(d, cm, qin, {});
+    const auto policy = flex::make_ace_policy();
+    auto st = flex::IntermittentExecutor(*policy).run(d, cm, qin);
     EXPECT_TRUE(st.completed());
     return std::tuple<std::vector<q15_t>, double, double>(
         st.output, d.trace().total_cycles(), d.trace().total_energy());

@@ -31,7 +31,7 @@
 #include <iterator>
 
 #include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
+#include "core/flex/executor.h"
 #include "models/zoo.h"
 #include "power/capacitor.h"
 #include "power/continuous.h"
@@ -151,13 +151,16 @@ SequenceRun run_sequence(const SequenceCase& sc, std::uint64_t scramble_seed) {
                                             : static_cast<dev::PowerSupply&>(cont));
   dev.attach_supply(&rec);
   const auto cm = ace::compile(qm, dev);
-  // The micro-capacitor fleet's run limits (configs/fleet_microcap.cfg).
+  // Tile runs under the micro-capacitor fleet's run limits
+  // (configs/fleet_microcap.cfg); FLEX under the defaults.
   flex::RunOptions opts;
-  opts.max_reboots = 400000;
-  opts.max_futile_boots = 400;
+  if (sc.tile) {
+    opts.max_reboots = 400000;
+    opts.max_futile_boots = 400;
+  }
+  const auto policy = sc.tile ? flex::make_tile_policy() : flex::make_flex_policy();
   SequenceRun run;
-  run.stats = sc.tile ? flex::make_tile_runtime()->infer(dev, cm, input, opts)
-                      : flex::make_flex_runtime()->infer(dev, cm, input);
+  run.stats = flex::IntermittentExecutor(*policy).run(dev, cm, input, opts);
   run.digest = rec.digest(dev);
   run.events = rec.events();
   return run;

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -51,18 +53,22 @@ TEST(Cli, BareArgumentWithoutPositionalsExits2) {
   EXPECT_EQ(run(p, {"stray"}), 2);
 }
 
+// int_min and seed parse through parse_int (util/parse.h): junk, non-finite,
+// fractional and out-of-range values exit 2 without writing through.
 TEST(Cli, IntMinRejectsGarbageAndBelowMin) {
-  int jobs = 7;
-  CliParser p("t", "s");
-  p.int_min("--jobs", "N", "workers", &jobs, 1);
-  EXPECT_EQ(run(p, {"--jobs", "zap"}), 2);
-  EXPECT_EQ(jobs, 7);  // a rejected value never writes through
-  EXPECT_EQ(run(p, {"--jobs", "0"}), 2);
-  EXPECT_EQ(jobs, 7);
-  EXPECT_EQ(run(p, {"--jobs", "4x"}), 2);  // trailing junk is not an integer
-  EXPECT_EQ(jobs, 7);
-  EXPECT_EQ(run(p, {"--jobs", "4"}), -1);
-  EXPECT_EQ(jobs, 4);
+  const std::pair<const char*, std::optional<int>> rows[] = {
+      {"zap", {}},        {"4x", {}},          {"nan", {}}, {"inf", {}},
+      {"2.5", {}},        {"1e30", {}},        {"-1", {}},  {"0", {}},
+      {"1", 1},           {"4", 4},            {"2147483647", 2147483647},
+      {"2147483648", {}}, {"4294967297", {}},
+  };
+  for (const auto& [arg, want] : rows) {
+    int jobs = 7;
+    CliParser p("t", "s");
+    p.int_min("--jobs", "N", "workers", &jobs, 1);
+    EXPECT_EQ(run(p, {"--jobs", arg}), want ? -1 : 2) << arg;
+    EXPECT_EQ(jobs, want.value_or(7)) << arg;
+  }
 }
 
 TEST(Cli, NumRejectsGarbage) {
@@ -76,13 +82,25 @@ TEST(Cli, NumRejectsGarbage) {
 }
 
 TEST(Cli, SeedAcceptsHexRejectsGarbage) {
-  std::uint64_t s = 1;
-  CliParser p("t", "s");
-  p.seed("--seed", "S", "rng seed", &s);
-  EXPECT_EQ(run(p, {"--seed", "0x5eed"}), -1);
-  EXPECT_EQ(s, 0x5eedu);
-  EXPECT_EQ(run(p, {"--seed", "12ab"}), 2);  // decimal with junk, not 0x-hex
-  EXPECT_EQ(s, 0x5eedu);
+  const std::pair<const char*, std::optional<std::uint64_t>> rows[] = {
+      {"0x5eed", 0x5eed},
+      {"12ab", {}},  // decimal with junk, not 0x-hex
+      {"abc", {}},
+      {"nan", {}},
+      {"2.5", {}},
+      {"-1", {}},  // no wrap to 2^64 - 1
+      {"1e30", {}},
+      {"0", 0},
+      {"18446744073709551615", 18446744073709551615u},
+      {"18446744073709551616", {}},
+  };
+  for (const auto& [arg, want] : rows) {
+    std::uint64_t s = 1;
+    CliParser p("t", "s");
+    p.seed("--seed", "S", "rng seed", &s);
+    EXPECT_EQ(run(p, {"--seed", arg}), want ? -1 : 2) << arg;
+    EXPECT_EQ(s, want.value_or(1)) << arg;
+  }
 }
 
 TEST(Cli, DuplicateOptionLastWins) {

@@ -4,7 +4,7 @@
 //
 // The golden table was captured from the monolithic pre-refactor runtimes
 // (the run-to-completion loops each runtime carried before the
-// IntermittentExecutor split) on the flex_test models, continuous power
+// IntermittentExecutor split) on the tiny_models.h models, continuous power
 // and a 0.68 uF / 1 mW constant-harvest schedule. Any drift in outputs,
 // modeled time/energy, reboot counts, or commit/checkpoint counts means
 // the executor changed the device-operation sequence — exactly what the
@@ -14,58 +14,20 @@
 
 #include "core/ace/compiled_model.h"
 #include "core/flex/executor.h"
-#include "nn/bcm_dense.h"
-#include "nn/conv.h"
-#include "nn/dense.h"
-#include "nn/model.h"
-#include "nn/simple_layers.h"
 #include "power/capacitor.h"
 #include "power/continuous.h"
 #include "quant/quantize.h"
 #include "sim/scenario.h"
+#include "tiny_models.h"
 #include "util/rng.h"
 
 namespace ehdnn::flex {
 namespace {
 
 using fx::q15_t;
-
-nn::Tensor random_tensor(std::vector<std::size_t> shape, Rng& rng) {
-  nn::Tensor t(std::move(shape));
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    t[i] = static_cast<float>(rng.uniform(-0.9, 0.9));
-  }
-  return t;
-}
-
-// Same miniature models as flex_test (every kernel kind represented).
-quant::QuantModel mixed_model(Rng& rng) {
-  nn::Model m;
-  m.add<nn::Conv2D>(1, 2, 3, 3)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::MaxPool2D>();
-  m.add<nn::Flatten>();
-  m.add<nn::BcmDense>(2 * 4 * 4, 16, 16)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::Dense>(16, 4)->init(rng);
-  std::vector<nn::Tensor> calib;
-  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor({1, 10, 10}, rng));
-  return quant::quantize(m, calib, {1, 10, 10});
-}
-
-quant::QuantModel dense_model(Rng& rng) {
-  nn::Model m;
-  m.add<nn::Conv2D>(1, 2, 3, 3)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::MaxPool2D>();
-  m.add<nn::Flatten>();
-  m.add<nn::Dense>(2 * 4 * 4, 16)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::Dense>(16, 4)->init(rng);
-  std::vector<nn::Tensor> calib;
-  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor({1, 10, 10}, rng));
-  return quant::quantize(m, calib, {1, 10, 10});
-}
+using testutil::dense_model;
+using testutil::mixed_model;
+using testutil::random_tensor;
 
 struct GoldenCase {
   const char* runtime;
@@ -108,7 +70,7 @@ RunStats run_case(const GoldenCase& gc) {
   const auto qm = gc.bcm_model ? mixed_model(rng) : dense_model(rng);
   const auto input = quant::quantize_input(
       qm, random_tensor(qm.layers.front().in_shape, rng));
-  auto rt = sim::make_runtime(gc.runtime);
+  const auto policy = sim::make_policy(gc.runtime);
 
   dev::Device dev;
   power::ContinuousPower cont;
@@ -118,7 +80,7 @@ RunStats run_case(const GoldenCase& gc) {
   power::CapacitorSupply cap(src, cfg);
   dev.attach_supply(gc.intermittent ? static_cast<dev::PowerSupply*>(&cap) : &cont);
   const auto cm = ace::compile(qm, dev);
-  return rt->infer(dev, cm, input);
+  return IntermittentExecutor(*policy).run(dev, cm, input);
 }
 
 class PolicyEquivalence : public ::testing::TestWithParam<GoldenCase> {};
@@ -145,7 +107,7 @@ INSTANTIATE_TEST_SUITE_P(Golden, PolicyEquivalence, ::testing::ValuesIn(kGolden)
                            return name;
                          });
 
-// The one-call infer() and a manual start()/step() drain — with the run
+// The one-call run() and a manual start()/step() drain — with the run
 // suspended between every slice — must agree exactly: stats, outputs,
 // and the device-side trace totals.
 TEST(Executor, IncrementalDrainMatchesInfer) {
@@ -167,7 +129,8 @@ TEST(Executor, IncrementalDrainMatchesInfer) {
       power::CapacitorSupply cap(src, cfg);
       dev.attach_supply(&cap);
       const auto cm = ace::compile(qm, dev);
-      return sim::make_runtime(key)->infer(dev, cm, input);
+      const auto policy = sim::make_policy(key);
+      return IntermittentExecutor(*policy).run(dev, cm, input);
     };
     auto run_steps = [&](long* steps_out) {
       dev::Device dev;

@@ -342,14 +342,10 @@ TEST(Sweep, JobsCountDoesNotChangeTheMatrix) {
 }
 
 TEST(Sweep, RuntimeTableIsConsistent) {
-  // One table builds keys, runtimes, and policies: every key must resolve
-  // through all three accessors without desync.
+  // One table builds keys, model variants, and policies: every key must
+  // resolve through every accessor without desync.
   for (const auto& key : all_runtime_keys()) {
-    auto rt = make_runtime(key);
-    auto policy = make_policy(key);
-    ASSERT_NE(rt, nullptr);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(rt->name(), policy->name()) << key;
+    ASSERT_NE(make_policy(key), nullptr) << key;
     (void)runtime_uses_compressed_model(key);  // must not throw
     (void)runtime_is_adaptive(key);
   }
@@ -360,7 +356,6 @@ TEST(Sweep, RuntimeTableIsConsistent) {
   EXPECT_EQ(adaptive_keys, 2);
   EXPECT_TRUE(runtime_is_adaptive("adaptive"));
   EXPECT_TRUE(runtime_is_adaptive("adaptive-deadline"));
-  EXPECT_THROW(make_runtime("nope"), Error);
   EXPECT_THROW(make_policy("nope"), Error);
   EXPECT_THROW(runtime_uses_compressed_model("nope"), Error);
 }

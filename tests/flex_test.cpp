@@ -11,74 +11,37 @@
 #include <gtest/gtest.h>
 
 #include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
-#include "nn/bcm_dense.h"
-#include "nn/conv.h"
-#include "nn/dense.h"
-#include "nn/model.h"
-#include "nn/simple_layers.h"
+#include "core/flex/executor.h"
 #include "power/capacitor.h"
 #include "power/continuous.h"
 #include "quant/quantize.h"
+#include "sim/scenario.h"
+#include "tiny_models.h"
 #include "util/rng.h"
 
 namespace ehdnn::flex {
 namespace {
 
 using fx::q15_t;
-
-nn::Tensor random_tensor(std::vector<std::size_t> shape, Rng& rng) {
-  nn::Tensor t(std::move(shape));
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    t[i] = static_cast<float>(rng.uniform(-0.9, 0.9));
-  }
-  return t;
-}
-
-// Small models that still exercise every kernel kind.
-quant::QuantModel mixed_model(Rng& rng) {
-  nn::Model m;
-  m.add<nn::Conv2D>(1, 2, 3, 3)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::MaxPool2D>();
-  m.add<nn::Flatten>();
-  m.add<nn::BcmDense>(2 * 4 * 4, 16, 16)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::Dense>(16, 4)->init(rng);
-  std::vector<nn::Tensor> calib;
-  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor({1, 10, 10}, rng));
-  return quant::quantize(m, calib, {1, 10, 10});
-}
-
-quant::QuantModel dense_model(Rng& rng) {
-  nn::Model m;
-  m.add<nn::Conv2D>(1, 2, 3, 3)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::MaxPool2D>();
-  m.add<nn::Flatten>();
-  m.add<nn::Dense>(2 * 4 * 4, 16)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::Dense>(16, 4)->init(rng);
-  std::vector<nn::Tensor> calib;
-  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor({1, 10, 10}, rng));
-  return quant::quantize(m, calib, {1, 10, 10});
-}
+using testutil::dense_model;
+using testutil::mixed_model;
+using testutil::random_tensor;
 
 std::vector<q15_t> quant_input(const quant::QuantModel& qm, Rng& rng) {
   std::vector<std::size_t> shape = qm.layers.front().in_shape;
   return quant::quantize_input(qm, random_tensor(shape, rng));
 }
 
-RunStats run_continuous(InferenceRuntime& rt, const quant::QuantModel& qm,
+RunStats run_continuous(RuntimePolicy& policy, const quant::QuantModel& qm,
                         std::span<const q15_t> input, const RunOptions& opts = {}) {
   dev::Device dev;
   power::ContinuousPower supply;
   dev.attach_supply(&supply);
   const auto cm = ace::compile(qm, dev);
-  return rt.infer(dev, cm, input, opts);
+  return IntermittentExecutor(policy).run(dev, cm, input, opts);
 }
 
-RunStats run_intermittent(InferenceRuntime& rt, const quant::QuantModel& qm,
+RunStats run_intermittent(RuntimePolicy& policy, const quant::QuantModel& qm,
                           std::span<const q15_t> input, double cap_f, double harvest_w,
                           RunOptions opts = {}) {
   dev::Device dev;
@@ -88,7 +51,7 @@ RunStats run_intermittent(InferenceRuntime& rt, const quant::QuantModel& qm,
   power::CapacitorSupply supply(src, cfg);
   dev.attach_supply(&supply);
   const auto cm = ace::compile(qm, dev);
-  return rt.infer(dev, cm, input, opts);
+  return IntermittentExecutor(policy).run(dev, cm, input, opts);
 }
 
 struct Scenario {
@@ -98,13 +61,6 @@ struct Scenario {
   double harvest_w;
 };
 
-std::unique_ptr<InferenceRuntime> make_runtime(const std::string& name) {
-  if (name == "sonic") return make_sonic_runtime();
-  if (name == "tails") return make_tails_runtime();
-  if (name == "flex") return make_flex_runtime();
-  return make_ace_runtime();
-}
-
 class IntermittentProperty : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(IntermittentProperty, OutputBitExactUnderFailures) {
@@ -112,13 +68,13 @@ TEST_P(IntermittentProperty, OutputBitExactUnderFailures) {
   Rng rng(1234);
   const auto qm = sc.bcm_model ? mixed_model(rng) : dense_model(rng);
   const auto input = quant_input(qm, rng);
-  auto rt = make_runtime(sc.runtime);
+  const auto policy = sim::make_policy(sc.runtime);
 
-  const RunStats cont = run_continuous(*rt, qm, input);
+  const RunStats cont = run_continuous(*policy, qm, input);
   ASSERT_TRUE(cont.completed());
   ASSERT_EQ(cont.reboots, 0);
 
-  const RunStats inter = run_intermittent(*rt, qm, input, sc.cap_f, sc.harvest_w);
+  const RunStats inter = run_intermittent(*policy, qm, input, sc.cap_f, sc.harvest_w);
   ASSERT_TRUE(inter.completed()) << sc.runtime;
   EXPECT_GT(inter.reboots, 0) << "scenario did not produce any power failure";
   EXPECT_EQ(inter.output, cont.output) << sc.runtime << " diverged under failures";
@@ -145,10 +101,10 @@ TEST(Flex, ContinuousMatchesPlainAce) {
   Rng rng(5);
   const auto qm = mixed_model(rng);
   const auto input = quant_input(qm, rng);
-  auto ace_rt = make_ace_runtime();
-  auto flex_rt = make_flex_runtime();
-  const auto a = run_continuous(*ace_rt, qm, input);
-  const auto f = run_continuous(*flex_rt, qm, input);
+  const auto ace_policy = make_ace_policy();
+  const auto flex_policy = make_flex_policy();
+  const auto a = run_continuous(*ace_policy, qm, input);
+  const auto f = run_continuous(*flex_policy, qm, input);
   EXPECT_EQ(a.output, f.output);
   // FLEX's continuous overhead is the per-layer header checkpoints only.
   EXPECT_LT(f.on_seconds, a.on_seconds * 1.05);
@@ -161,11 +117,11 @@ TEST(Flex, UnwarnedFailureStillCorrect) {
   Rng rng(6);
   const auto qm = mixed_model(rng);
   const auto input = quant_input(qm, rng);
-  auto rt = make_flex_runtime();
+  const auto policy = make_flex_policy();
   RunOptions opts;
   opts.flex_v_warn = 2.2001;  // essentially no margin
-  const auto cont = run_continuous(*rt, qm, input, opts);
-  const auto inter = run_intermittent(*rt, qm, input, 0.68e-6, 1.0e-3, opts);
+  const auto cont = run_continuous(*policy, qm, input, opts);
+  const auto inter = run_intermittent(*policy, qm, input, 0.68e-6, 1.0e-3, opts);
   ASSERT_TRUE(inter.completed());
   EXPECT_GT(inter.reboots, 0);
   EXPECT_EQ(inter.output, cont.output);
@@ -178,11 +134,11 @@ TEST(Flex, EagerWarningStillCorrect) {
   Rng rng(7);
   const auto qm = mixed_model(rng);
   const auto input = quant_input(qm, rng);
-  auto rt = make_flex_runtime();
+  const auto policy = make_flex_policy();
   RunOptions opts;
   opts.flex_v_warn = 3.5;
-  const auto cont = run_continuous(*rt, qm, input, opts);
-  const auto inter = run_intermittent(*rt, qm, input, 0.68e-6, 1.0e-3, opts);
+  const auto cont = run_continuous(*policy, qm, input, opts);
+  const auto inter = run_intermittent(*policy, qm, input, 0.68e-6, 1.0e-3, opts);
   ASSERT_TRUE(inter.completed());
   EXPECT_GT(inter.checkpoints, 0);
   EXPECT_EQ(inter.output, cont.output);
@@ -202,8 +158,8 @@ TEST(Flex, CheckpointCostWithinBudget) {
   const auto cm = ace::compile(qm, dev);
   const double budget = worst_checkpoint_energy(cm, dev.cost());
 
-  auto rt = make_flex_runtime();
-  const auto st = rt->infer(dev, cm, input);
+  const auto policy = make_flex_policy();
+  const auto st = IntermittentExecutor(*policy).run(dev, cm, input);
   ASSERT_TRUE(st.completed());
   ASSERT_GT(st.checkpoints, 0);
   EXPECT_LE(st.checkpoint_energy_j / static_cast<double>(st.checkpoints), budget * 1.05);
@@ -217,8 +173,8 @@ TEST(Flex, OnDemandBeatsTailsOnSteadyCommits) {
   Rng rng(9);
   const auto qm = mixed_model(rng);
   const auto input = quant_input(qm, rng);
-  auto tails = make_tails_runtime();
-  auto flex = make_flex_runtime();
+  const auto tails = make_tails_policy();
+  const auto flex = make_flex_policy();
   const auto t = run_intermittent(*tails, qm, input, 1.0e-6, 1.0e-3);
   const auto f = run_intermittent(*flex, qm, input, 1.0e-6, 1.0e-3);
   ASSERT_TRUE(t.completed());
@@ -238,9 +194,9 @@ TEST(Flex, FasterThanSonicAndTailsOnSameModel) {
   Rng irng(77);
   const auto input = quant_input(qdense, irng);
 
-  auto sonic = make_sonic_runtime();
-  auto tails = make_tails_runtime();
-  auto flex = make_flex_runtime();
+  const auto sonic = make_sonic_policy();
+  const auto tails = make_tails_policy();
+  const auto flex = make_flex_policy();
   const auto s = run_intermittent(*sonic, qdense, input, 1.0e-6, 2.0e-3);
   const auto t = run_intermittent(*tails, qdense, input, 1.0e-6, 2.0e-3);
   const auto f = run_intermittent(*flex, qdense, input, 1.0e-6, 2.0e-3);
@@ -260,10 +216,10 @@ TEST(Base, CannotCompleteUnderSmallCapacitor) {
   Rng rng(11);
   const auto qm = dense_model(rng);
   const auto input = quant_input(qm, rng);
-  auto rt = make_ace_runtime();
+  const auto policy = make_ace_policy();
   RunOptions opts;
   opts.max_reboots = 3000;
-  const auto st = run_intermittent(*rt, qm, input, 1.0e-6, 0.5e-3, opts);
+  const auto st = run_intermittent(*policy, qm, input, 1.0e-6, 0.5e-3, opts);
   EXPECT_FALSE(st.completed());
   EXPECT_GT(st.reboots, 0);
 }
@@ -272,9 +228,9 @@ TEST(Base, CompletesWhenBurstIsBigEnough) {
   Rng rng(12);
   const auto qm = dense_model(rng);
   const auto input = quant_input(qm, rng);
-  auto rt = make_ace_runtime();
+  const auto policy = make_ace_policy();
   // A large capacitor funds the whole inference in one burst.
-  const auto st = run_intermittent(*rt, qm, input, 1.0e-3, 1.0e-3);
+  const auto st = run_intermittent(*policy, qm, input, 1.0e-3, 1.0e-3);
   EXPECT_TRUE(st.completed());
 }
 
@@ -282,8 +238,8 @@ TEST(Sonic, ProgressCommitsAreFrequent) {
   Rng rng(13);
   const auto qm = dense_model(rng);
   const auto input = quant_input(qm, rng);
-  auto rt = make_sonic_runtime();
-  const auto st = run_continuous(*rt, qm, input);
+  const auto policy = make_sonic_policy();
+  const auto st = run_continuous(*policy, qm, input);
   ASSERT_TRUE(st.completed());
   // Loop continuation: at least one commit per output element.
   EXPECT_GT(st.progress_commits, static_cast<long>(qm.layers.front().out_size()));
@@ -293,20 +249,20 @@ TEST(Sonic, RejectsBcmModel) {
   Rng rng(14);
   const auto qm = mixed_model(rng);
   const auto input = quant_input(qm, rng);
-  auto rt = make_sonic_runtime();
+  const auto policy = make_sonic_policy();
   dev::Device dev;
   power::ContinuousPower supply;
   dev.attach_supply(&supply);
   const auto cm = ace::compile(qm, dev);
-  EXPECT_THROW(rt->infer(dev, cm, input), Error);
+  EXPECT_THROW(IntermittentExecutor(*policy).run(dev, cm, input), Error);
 }
 
 TEST(Runtimes, StatsAreCoherent) {
   Rng rng(15);
   const auto qm = mixed_model(rng);
   const auto input = quant_input(qm, rng);
-  auto rt = make_flex_runtime();
-  const auto st = run_intermittent(*rt, qm, input, 2.2e-6, 1.0e-3);
+  const auto policy = make_flex_policy();
+  const auto st = run_intermittent(*policy, qm, input, 2.2e-6, 1.0e-3);
   ASSERT_TRUE(st.completed());
   EXPECT_GT(st.energy_j, 0.0);
   EXPECT_GT(st.on_seconds, 0.0);
@@ -320,16 +276,16 @@ TEST(Runtimes, RepeatedInferencesOnOneDevice) {
   // FRAM persistence across inferences must not leak state between runs.
   Rng rng(16);
   const auto qm = mixed_model(rng);
-  auto rt = make_flex_runtime();
+  const auto policy = make_flex_policy();
   dev::Device dev;
   power::ContinuousPower supply;
   dev.attach_supply(&supply);
   const auto cm = ace::compile(qm, dev);
   const auto in1 = quant_input(qm, rng);
   const auto in2 = quant_input(qm, rng);
-  const auto a1 = rt->infer(dev, cm, in1);
-  const auto b = rt->infer(dev, cm, in2);
-  const auto a2 = rt->infer(dev, cm, in1);
+  const auto a1 = IntermittentExecutor(*policy).run(dev, cm, in1);
+  const auto b = IntermittentExecutor(*policy).run(dev, cm, in2);
+  const auto a2 = IntermittentExecutor(*policy).run(dev, cm, in1);
   EXPECT_EQ(a1.output, a2.output);
   EXPECT_NE(a1.output, b.output);  // different inputs -> different logits
 }

@@ -14,7 +14,6 @@
 #include "core/ace/compiled_model.h"
 #include "core/flex/executor.h"
 #include "core/flex/runtime.h"
-#include "nn/bcm_dense.h"
 #include "nn/conv.h"
 #include "nn/dense.h"
 #include "nn/model.h"
@@ -26,51 +25,16 @@
 #include "quant/quantize.h"
 #include "sched/adaptive.h"
 #include "sim/scenario.h"
+#include "tiny_models.h"
 #include "util/rng.h"
 
 namespace ehdnn::flex {
 namespace {
 
 using fx::q15_t;
-
-nn::Tensor random_tensor(std::vector<std::size_t> shape, Rng& rng) {
-  nn::Tensor t(std::move(shape));
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    t[i] = static_cast<float>(rng.uniform(-0.9, 0.9));
-  }
-  return t;
-}
-
-// Tiny models that still exercise every kernel kind (conv, pool, BCM/FFT,
-// dense) — small enough that a thousand schedules stay fast, big enough
-// that every commit protocol and checkpoint payload kind is hit.
-quant::QuantModel mixed_model(Rng& rng) {
-  nn::Model m;
-  m.add<nn::Conv2D>(1, 2, 3, 3)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::MaxPool2D>();
-  m.add<nn::Flatten>();
-  m.add<nn::BcmDense>(2 * 4 * 4, 16, 16)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::Dense>(16, 4)->init(rng);
-  std::vector<nn::Tensor> calib;
-  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor({1, 10, 10}, rng));
-  return quant::quantize(m, calib, {1, 10, 10});
-}
-
-quant::QuantModel dense_model(Rng& rng) {
-  nn::Model m;
-  m.add<nn::Conv2D>(1, 2, 3, 3)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::MaxPool2D>();
-  m.add<nn::Flatten>();
-  m.add<nn::Dense>(2 * 4 * 4, 16)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::Dense>(16, 4)->init(rng);
-  std::vector<nn::Tensor> calib;
-  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor({1, 10, 10}, rng));
-  return quant::quantize(m, calib, {1, 10, 10});
-}
+using testutil::dense_model;
+using testutil::mixed_model;
+using testutil::random_tensor;
 
 // A conv1d front end (the HAR shape, shrunk): the only model whose conv
 // layer is a Conv1D, so brown-outs land inside conv1d output rows.
@@ -177,7 +141,7 @@ TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
                                         : dense_model(model_rng);
   const auto input = quant::quantize_input(
       qm, random_tensor(qm.layers.front().in_shape, model_rng));
-  auto rt = flex::make_policy_runtime(make_case_policy(fc));
+  const auto run_policy = make_case_policy(fc);
 
   RunOptions opts;
   opts.flex_v_warn = fc.flex_v_warn;
@@ -188,15 +152,15 @@ TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
     power::ContinuousPower supply;
     dev.attach_supply(&supply);
     const auto cm = ace::compile(qm, dev);
-    const RunStats cont = rt->infer(dev, cm, input, opts);
+    const RunStats cont = IntermittentExecutor(*run_policy).run(dev, cm, input, opts);
     ASSERT_TRUE(cont.completed());
     ASSERT_EQ(cont.reboots, 0);
     oracle = cont.output;
   }
 
-  // Every schedule runs twice: once through the classic one-call infer()
-  // and once through an explicit IntermittentExecutor start()/step()
-  // drain — the incremental path the fleet harness uses, with the run
+  // Every schedule runs twice: once through the one-call run() and once
+  // through an explicit start()/step() drain on a second policy instance
+  // — the incremental path the fleet harness uses, with the run
   // suspended between every slice. Both must match the continuous oracle
   // bit for bit and each other on every stat.
   auto policy = make_case_policy(fc);
@@ -242,7 +206,7 @@ TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
     dev.attach_supply(&supply);
     const auto cm = ace::compile(qm, dev);
     trace.clear();
-    const RunStats st = rt->infer(dev, cm, input, opts);
+    const RunStats st = IntermittentExecutor(*run_policy).run(dev, cm, input, opts);
 
     ASSERT_TRUE(st.completed()) << fc.runtime << " seed " << seed;
     ASSERT_EQ(st.outcome, Outcome::kCompleted) << fc.runtime << " seed " << seed;
@@ -251,7 +215,7 @@ TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
         << " (" << supply.failures() << " injected failures)";
     EXPECT_EQ(st.reboots, supply.failures()) << fc.runtime << " seed " << seed;
     total_failures += supply.failures();
-    check_trace_invariants(st.reboots, seed, "infer");
+    check_trace_invariants(st.reboots, seed, "run");
 
     dev::Device dev2;
     power::FailureScheduleSupply supply2(seed, scfg);
@@ -336,8 +300,8 @@ TEST(FuzzIntermittent, AdaptiveVariantSwitchesStayBitExact) {
     power::ContinuousPower supply;
     dev.attach_supply(&supply);
     const auto cm = ace::compile(dense ? qm_d : qm_c, dev);
-    auto rt = make_flex_runtime();
-    const RunStats st = rt->infer(dev, cm, input);
+    const auto policy = make_flex_policy();
+    const RunStats st = IntermittentExecutor(*policy).run(dev, cm, input);
     ASSERT_TRUE(st.completed());
     oracle[dense] = st.output;
   }
@@ -389,14 +353,14 @@ TEST(FuzzIntermittent, ScheduleSupplyIsDeterministic) {
   const auto qm = mixed_model(rng);
   const auto input =
       quant::quantize_input(qm, random_tensor(qm.layers.front().in_shape, rng));
-  auto rt = make_flex_runtime();
+  const auto policy = make_flex_policy();
 
   auto run_once = [&](std::uint64_t seed) {
     dev::Device dev;
     power::FailureScheduleSupply supply(seed);
     dev.attach_supply(&supply);
     const auto cm = ace::compile(qm, dev);
-    const RunStats st = rt->infer(dev, cm, input);
+    const RunStats st = IntermittentExecutor(*policy).run(dev, cm, input);
     return std::pair<long, double>(supply.failures(), st.on_seconds);
   };
   const auto a = run_once(7);
@@ -415,7 +379,7 @@ TEST(FuzzIntermittent, StarvedScenarioSurfacesAsOutcome) {
   const auto qm = mixed_model(rng);
   const auto input =
       quant::quantize_input(qm, random_tensor(qm.layers.front().in_shape, rng));
-  auto rt = make_flex_runtime();
+  const auto policy = make_flex_policy();
 
   dev::Device dev;
   power::ConstantSource dead(0.0);
@@ -425,7 +389,7 @@ TEST(FuzzIntermittent, StarvedScenarioSurfacesAsOutcome) {
   power::CapacitorSupply supply(dead, cfg);
   dev.attach_supply(&supply);
   const auto cm = ace::compile(qm, dev);
-  const RunStats st = rt->infer(dev, cm, input);
+  const RunStats st = IntermittentExecutor(*policy).run(dev, cm, input);
 
   EXPECT_FALSE(st.completed());
   EXPECT_EQ(st.outcome, Outcome::kStarved);

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
+#include "core/flex/executor.h"
 #include "core/rad/pipeline.h"
 #include "power/capacitor.h"
 #include "power/continuous.h"
@@ -53,12 +53,13 @@ TEST_F(FullStack, DeviceAgreesWithSoftwareExecutor) {
   power::ContinuousPower supply;
   dev.attach_supply(&supply);
   const auto cm = ace::compile(result_->qmodel, dev);
-  auto rt = flex::make_ace_runtime();
+  const auto policy = flex::make_ace_policy();
+  flex::IntermittentExecutor ex(*policy);
   for (int i = 0; i < 3; ++i) {
     const auto qin =
         quant::quantize_input(result_->qmodel, result_->data.test.x[static_cast<std::size_t>(i)]);
     const auto ref = quant::qforward(result_->qmodel, qin);
-    const auto st = rt->infer(dev, cm, qin);
+    const auto st = ex.run(dev, cm, qin);
     ASSERT_TRUE(st.completed());
     EXPECT_EQ(st.output, ref);
   }
@@ -72,8 +73,9 @@ TEST_F(FullStack, FlexCompletesUnderHarvestedPowerBitExact) {
   power::ContinuousPower cs;
   dc.attach_supply(&cs);
   const auto cmc = ace::compile(result_->qmodel, dc);
-  auto rt = flex::make_flex_runtime();
-  const auto cont = rt->infer(dc, cmc, qin);
+  const auto policy = flex::make_flex_policy();
+  flex::IntermittentExecutor ex(*policy);
+  const auto cont = ex.run(dc, cmc, qin);
   ASSERT_TRUE(cont.completed());
 
   // Harvested: the paper's 100 uF capacitor, square-wave source.
@@ -86,7 +88,7 @@ TEST_F(FullStack, FlexCompletesUnderHarvestedPowerBitExact) {
   flex::RunOptions opts;
   opts.flex_v_warn =
       power::warn_voltage_for(ccfg, flex::worst_checkpoint_energy(cmi, di.cost()) + 5e-6, 3.0);
-  const auto inter = rt->infer(di, cmi, qin, opts);
+  const auto inter = ex.run(di, cmi, qin, opts);
   ASSERT_TRUE(inter.completed());
   EXPECT_EQ(inter.output, cont.output);
 }
@@ -97,14 +99,15 @@ TEST_F(FullStack, PredictionsSurviveTheWholeStack) {
   power::ContinuousPower supply;
   dev.attach_supply(&supply);
   const auto cm = ace::compile(result_->qmodel, dev);
-  auto rt = flex::make_ace_runtime();
+  const auto policy = flex::make_ace_policy();
+  flex::IntermittentExecutor ex(*policy);
   int agree = 0;
   constexpr int kN = 20;
   for (int i = 0; i < kN; ++i) {
     const auto& x = result_->data.test.x[static_cast<std::size_t>(i)];
     const nn::Tensor fy = result_->model.forward(x);
     const auto qin = quant::quantize_input(result_->qmodel, x);
-    const auto st = rt->infer(dev, cm, qin);
+    const auto st = ex.run(dev, cm, qin);
     const auto out16 = std::vector<float>(st.output.begin(), st.output.end());
     if (train::argmax(fy.data()) == train::argmax(out16)) ++agree;
   }
@@ -119,11 +122,12 @@ TEST_F(FullStack, CheckpointOverheadIsSmallFraction) {
   power::CapacitorSupply supply(src, ccfg);
   di.attach_supply(&supply);
   const auto cm = ace::compile(result_->qmodel, di);
-  auto rt = flex::make_flex_runtime();
+  const auto policy = flex::make_flex_policy();
+  flex::IntermittentExecutor ex(*policy);
   flex::RunOptions opts;
   opts.flex_v_warn =
       power::warn_voltage_for(ccfg, flex::worst_checkpoint_energy(cm, di.cost()) + 5e-6, 3.0);
-  const auto st = rt->infer(di, cm, qin, opts);
+  const auto st = ex.run(di, cm, qin, opts);
   ASSERT_TRUE(st.completed());
   // SSIV-A.5: total checkpoint overhead is ~1% of inference energy.
   EXPECT_LT(st.checkpoint_energy_j, 0.05 * st.energy_j);

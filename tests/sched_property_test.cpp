@@ -179,8 +179,8 @@ TEST(PeriodicProperty, DoesNotLockNoise) {
 
 TEST(CompletionModelProperty, PredictedOrderingMatchesMeasuredOnContinuousPower) {
   Rng rng(0x9d);
-  const auto qm_c = testutil::tiny_compressed(rng);
-  const auto qm_d = testutil::tiny_dense(rng);
+  const auto qm_c = testutil::mixed_model(rng);
+  const auto qm_d = testutil::dense_model(rng);
   const auto input =
       quant::quantize_input(qm_c, testutil::random_tensor(qm_c.layers.front().in_shape, rng));
 
@@ -248,8 +248,8 @@ TEST(CompletionModelProperty, PredictedOrderingMatchesMeasuredOnContinuousPower)
 
 TEST(CompletionModelProperty, PredictionsDegradeMonotonicallyWithIncome) {
   Rng rng(0x9e);
-  const auto qm_c = testutil::tiny_compressed(rng);
-  const auto qm_d = testutil::tiny_dense(rng);
+  const auto qm_c = testutil::mixed_model(rng);
+  const auto qm_d = testutil::dense_model(rng);
   dev::Device dev;
   const auto cm_c = ace::compile(qm_c, dev);
   const auto cm_d = ace::compile(qm_d, dev, /*co_resident=*/true);

@@ -33,12 +33,12 @@ namespace {
 
 using fx::q15_t;
 using testutil::continuous_oracle;
+using testutil::dense_model;
 using testutil::income_samples;
+using testutil::mixed_model;
 using testutil::random_tensor;
 using testutil::record_n;
 using testutil::record_samples;
-using testutil::tiny_compressed;
-using testutil::tiny_dense;
 
 // ---------------------------------------------------------------- forecast
 
@@ -158,7 +158,7 @@ TEST(Forecast, AdaptiveSpecParsesSchedulingV2Keys) {
 
 TEST(Adaptive, LeanPriorPicksFlexUnderContinuousPower) {
   Rng rng(42);
-  const auto qm = tiny_compressed(rng);
+  const auto qm = mixed_model(rng);
   const auto input =
       quant::quantize_input(qm, random_tensor(qm.layers.front().in_shape, rng));
   const auto oracle = continuous_oracle(qm, input);
@@ -182,7 +182,7 @@ TEST(Adaptive, LeanPriorPicksFlexUnderContinuousPower) {
 
 TEST(Adaptive, RichForecastPromotesToAce) {
   Rng rng(43);
-  const auto qm = tiny_compressed(rng);
+  const auto qm = mixed_model(rng);
   const auto input =
       quant::quantize_input(qm, random_tensor(qm.layers.front().in_shape, rng));
 
@@ -266,8 +266,8 @@ TEST(Adaptive, MicroBurstForcesTileBelowSonicsCommitGrain) {
   // ladder to the tile floor: sub-layer cursors are the only strategy
   // whose commit grain still fits.
   Rng rng(44);
-  const auto qm_c = tiny_compressed(rng);
-  const auto qm_d = tiny_dense(rng);
+  const auto qm_c = mixed_model(rng);
+  const auto qm_d = dense_model(rng);
   const auto input =
       quant::quantize_input(qm_c, random_tensor(qm_c.layers.front().in_shape, rng));
   const auto oracle_dense = continuous_oracle(qm_d, input);
@@ -308,8 +308,8 @@ TEST(Adaptive, MisforecastDemotesAceToFlexAndCompletes) {
 
   auto fixed_flex_run = [&](dev::Device& dev, const ace::CompiledModel& cm,
                             const flex::RunOptions& opts) {
-    auto rt = flex::make_flex_runtime();
-    return rt->infer(dev, cm, input, opts);
+    const auto policy = flex::make_flex_policy();
+    return flex::IntermittentExecutor(*policy).run(dev, cm, input, opts);
   };
 
   const auto run_supply = [&](flex::RuntimePolicy* policy, bool* completed,
@@ -358,8 +358,8 @@ TEST(Adaptive, ObservedIncomeFeedsTheForecaster) {
   // Under an intermittent capacitor supply the recharge gaps are income
   // samples; the forecaster must have folded some in by completion.
   Rng rng(45);
-  const auto qm_c = tiny_compressed(rng);
-  const auto qm_d = tiny_dense(rng);
+  const auto qm_c = mixed_model(rng);
+  const auto qm_d = dense_model(rng);
   const auto input =
       quant::quantize_input(qm_c, random_tensor(qm_c.layers.front().in_shape, rng));
 
@@ -396,7 +396,7 @@ TEST(Adaptive, ObservedIncomeFeedsTheForecaster) {
 
 TEST(JobQueue, RunsTheAgendaAndScoresDeadlines) {
   Rng rng(46);
-  const auto qm = tiny_compressed(rng);
+  const auto qm = mixed_model(rng);
   power::ContinuousPower supply;
   dev::Device dev;
   dev.attach_supply(&supply);
@@ -442,7 +442,7 @@ TEST(JobQueue, RunsTheAgendaAndScoresDeadlines) {
 
 TEST(JobQueue, RejectsMalformedAgendas) {
   Rng rng(47);
-  const auto qm = tiny_compressed(rng);
+  const auto qm = mixed_model(rng);
   power::ContinuousPower supply;
   dev::Device dev;
   dev.attach_supply(&supply);

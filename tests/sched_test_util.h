@@ -1,7 +1,8 @@
 // Shared fixtures for the scheduling tests (sched_test.cpp and
-// sched_property_test.cpp): tiny co-resident model pairs, continuous
-// oracles, and income-sample synthesis for the forecaster tests — so the
-// unit suite and the property suite construct their inputs one way.
+// sched_property_test.cpp): the tiny co-resident model pair
+// (tiny_models.h), continuous oracles, and income-sample synthesis for
+// the forecaster tests — so the unit suite and the property suite
+// construct their inputs one way.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,59 +10,19 @@
 #include <vector>
 
 #include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
+#include "core/flex/executor.h"
 #include "device/device.h"
-#include "nn/bcm_dense.h"
-#include "nn/conv.h"
-#include "nn/dense.h"
-#include "nn/model.h"
-#include "nn/simple_layers.h"
 #include "power/continuous.h"
 #include "power/harvest.h"
 #include "quant/quantize.h"
 #include "sched/forecast.h"
-#include "util/rng.h"
+#include "tiny_models.h"
 
 namespace ehdnn::sched::testutil {
 
-inline nn::Tensor random_tensor(std::vector<std::size_t> shape, Rng& rng) {
-  nn::Tensor t(std::move(shape));
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    t[i] = static_cast<float>(rng.uniform(-0.9, 0.9));
-  }
-  return t;
-}
-
-// Tiny "deployment" pair sharing one input shape: a BCM-compressed model
-// and its dense twin — the two variants an adaptive device ships. Small
-// enough for thousands of runs, big enough to hit every kernel kind.
-inline quant::QuantModel tiny_compressed(Rng& rng) {
-  nn::Model m;
-  m.add<nn::Conv2D>(1, 2, 3, 3)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::MaxPool2D>();
-  m.add<nn::Flatten>();
-  m.add<nn::BcmDense>(2 * 4 * 4, 16, 16)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::Dense>(16, 4)->init(rng);
-  std::vector<nn::Tensor> calib;
-  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor({1, 10, 10}, rng));
-  return quant::quantize(m, calib, {1, 10, 10});
-}
-
-inline quant::QuantModel tiny_dense(Rng& rng) {
-  nn::Model m;
-  m.add<nn::Conv2D>(1, 2, 3, 3)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::MaxPool2D>();
-  m.add<nn::Flatten>();
-  m.add<nn::Dense>(2 * 4 * 4, 16)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::Dense>(16, 4)->init(rng);
-  std::vector<nn::Tensor> calib;
-  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor({1, 10, 10}, rng));
-  return quant::quantize(m, calib, {1, 10, 10});
-}
+using ehdnn::testutil::dense_model;
+using ehdnn::testutil::mixed_model;
+using ehdnn::testutil::random_tensor;
 
 // Continuous-power reference output for one model (any runtime: the
 // bit-exactness contract makes them all agree per model). Flags a
@@ -73,8 +34,8 @@ inline std::vector<fx::q15_t> continuous_oracle(const quant::QuantModel& qm,
   power::ContinuousPower supply;
   dev.attach_supply(&supply);
   const auto cm = ace::compile(qm, dev);
-  auto rt = flex::make_flex_runtime();
-  const flex::RunStats st = rt->infer(dev, cm, input);
+  const auto policy = flex::make_flex_policy();
+  const flex::RunStats st = flex::IntermittentExecutor(*policy).run(dev, cm, input);
   EXPECT_TRUE(st.completed()) << "continuous oracle run did not complete";
   return st.output;
 }

@@ -151,6 +151,9 @@ TEST(Factory, RejectsBadSpecs) {
   EXPECT_THROW(make_harvest_source("trace"), Error);             // missing path
   EXPECT_THROW(make_harvest_source("trace:path=/no/such.csv"), Error);
   EXPECT_THROW(make_harvest_source("trace:path=/no/such.csv,interp=cubic"), Error);
+  EXPECT_THROW(make_harvest_source("rf:seed=-1"), Error);  // integer keys: range-checked
+  EXPECT_THROW(make_harvest_source("rf:seed=1e30"), Error);
+  EXPECT_THROW(make_harvest_source("rf:seed=2.5"), Error);
 }
 
 TEST(ScenarioArg, ParsesNameSourceAndOptions) {
@@ -168,6 +171,9 @@ TEST(ScenarioArg, RejectsMalformed) {
   EXPECT_THROW(sim::parse_scenario_arg("name="), Error);
   EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;volts=3"), Error);  // unknown option
   EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;cap=tiny"), Error);
+  EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;reboots=-1"), Error);
+  EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;reboots=2.5"), Error);
+  EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;max_futile=1e30"), Error);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -8,6 +11,7 @@
 #include "util/check.h"
 #include "util/math.h"
 #include "util/parallel.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -148,6 +152,44 @@ TEST(Math, DivCeil) {
   EXPECT_EQ(div_ceil(10, 5), 2u);
   EXPECT_EQ(div_ceil(11, 5), 3u);
   EXPECT_EQ(div_ceil(1, 5), 1u);
+}
+
+// parse_int rejects junk, non-finite, fractional and out-of-range fields
+// and accepts lo and hi themselves. Bounds [1, 4096]: the tile spec's t.
+TEST(ParseInt, TableAgainstBounds) {
+  struct Row {
+    const char* field;
+    std::optional<int> want;
+  };
+  const Row rows[] = {
+      {"nan", std::nullopt},  {"inf", std::nullopt},   {"-inf", std::nullopt},
+      {"2.5", std::nullopt},  {"1e30", std::nullopt}, {"-1", std::nullopt},
+      {"0", std::nullopt},    {"1", 1},               {"4096", 4096},
+      {"4097", std::nullopt}, {"1e3", 1000},          {"0x10", 16},
+      {" 7 ", 7},             {"7x", std::nullopt},   {"", std::nullopt},
+      {"-", std::nullopt},    {"+3", 3},              {"abc", std::nullopt},
+  };
+  for (const Row& r : rows) {
+    EXPECT_EQ(parse_int(r.field, 1, 4096), r.want) << "\"" << r.field << "\"";
+  }
+}
+
+TEST(ParseInt, FullWidthBoundsAreExact) {
+  constexpr auto kU64 = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(parse_int("18446744073709551615", std::uint64_t{0}, kU64), kU64);
+  EXPECT_EQ(parse_int("0xffffffffffffffff", std::uint64_t{0}, kU64), kU64);
+  EXPECT_EQ(parse_int("18446744073709551616", std::uint64_t{0}, kU64), std::nullopt);
+  EXPECT_EQ(parse_int("-1", std::uint64_t{0}, kU64), std::nullopt);  // no wrap
+  constexpr int kI = std::numeric_limits<int>::max();
+  EXPECT_EQ(parse_int("2147483647", 1, kI), kI);
+  EXPECT_EQ(parse_int("2147483648", 1, kI), std::nullopt);
+  EXPECT_EQ(parse_int("4294967297", 1, kI), std::nullopt);  // no truncation to 1
+  constexpr long long kMin = std::numeric_limits<long long>::min();
+  EXPECT_EQ(parse_int("-9223372036854775808", kMin, 0LL), kMin);
+  EXPECT_EQ(parse_int("-9223372036854775809", kMin, 0LL), std::nullopt);
+  // Reals must be exactly representable: past 2^53, write the integer.
+  EXPECT_EQ(parse_int("9007199254740992.0", 0LL, 1LL << 60), 9007199254740992LL);
+  EXPECT_EQ(parse_int("1.8e16", 0LL, 1LL << 60), std::nullopt);
 }
 
 TEST(Table, AlignsColumns) {

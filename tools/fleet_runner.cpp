@@ -23,9 +23,11 @@
 //   ...                                             --shard 3 --out s3.part
 //   ./build/fleet_runner --merge --out FLEET.json s0.part s1.part s2.part s3.part
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -88,10 +90,15 @@ int main(int argc, char** argv) {
     check(d.has_value(), std::string(flag) + " needs a number, got \"" + v + "\"");
     return *d;
   };
+  auto to_int = []<class Int>(const char* flag, const std::string& v, Int lo, Int hi) {
+    const auto n = parse_int(v, lo, hi);
+    check(n.has_value(), std::string(flag) + " needs an integer in [" + std::to_string(lo) +
+                             ", " + std::to_string(hi) + "], got \"" + v + "\"");
+    return *n;
+  };
   p.value("--devices", "N", "population size (flag-built fleets)",
           pop("--devices", [&](const std::string& v) {
-            flag_group.count = static_cast<int>(to_num("--devices", v));
-            check(flag_group.count >= 1, "--devices needs a positive integer");
+            flag_group.count = to_int("--devices", v, 1, 1'000'000'000);
           }));
   p.value("--task", "mnist|har|okg", "inference task",
           pop("--task",
@@ -108,7 +115,7 @@ int main(int argc, char** argv) {
               [&](const std::string& v) { flag_group.max_off_s = to_num("--max-off", v); }));
   p.value("--njobs", "N", "jobs per device agenda",
           pop("--njobs", [&](const std::string& v) {
-            flag_group.agenda.jobs = static_cast<int>(to_num("--njobs", v));
+            flag_group.agenda.jobs = to_int("--njobs", v, 1, 1'000'000'000);
           }));
   p.value("--period", "S", "agenda release period",
           pop("--period",
@@ -122,7 +129,8 @@ int main(int argc, char** argv) {
               [&](const std::string& v) { flag_cfg.offset_spread_s = to_num("--spread", v); }));
   p.value("--seed", "N", "population seed",
           pop("--seed", [&](const std::string& v) {
-            flag_cfg.seed = std::strtoull(v.c_str(), nullptr, 0);
+            flag_cfg.seed = to_int("--seed", v, std::uint64_t{0},
+                                   std::numeric_limits<std::uint64_t>::max());
           }));
   p.toggle("--quiet", "suppress the per-device progress lines", &ropts.verbose, false);
   bool profile = false;
@@ -137,8 +145,8 @@ int main(int argc, char** argv) {
         "write the retained rings as the deterministic text dump", &trace_text_out);
   p.value("--trace-capacity", "N", "events retained per traced device",
           [&](const std::string& v) {
-            ropts.trace_capacity = static_cast<long>(to_num("--trace-capacity", v));
-            check(ropts.trace_capacity >= 1, "--trace-capacity needs a positive integer");
+            ropts.trace_capacity =
+                to_int("--trace-capacity", v, 1L, std::numeric_limits<long>::max());
           });
   add_listing_flags(p);
   p.positionals("PARTIAL", "shard partial files to --merge",
@@ -154,15 +162,15 @@ int main(int argc, char** argv) {
       if (comma == std::string::npos) comma = trace_devices_arg.size();
       const std::string item = trace_devices_arg.substr(pos, comma - pos);
       pos = comma + 1;
-      const auto d = parse_double(item);
-      if (!d.has_value() || *d < 0 || *d != static_cast<double>(static_cast<int>(*d))) {
+      const auto d = parse_int(item, 0, std::numeric_limits<int>::max());
+      if (!d.has_value()) {
         std::fprintf(stderr,
                      "fleet_runner: --trace-devices needs comma-separated device ids, "
                      "got \"%s\"\n",
                      item.c_str());
         return 2;
       }
-      ropts.trace_devices.push_back(static_cast<int>(*d));
+      ropts.trace_devices.push_back(*d);
     }
   }
 

@@ -16,8 +16,10 @@
 // Poisson RF, a solar-day ramp, and the committed traces/*.csv files.
 // --smoke runs a two-scenario ace/flex MNIST sweep (the ctest entry).
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -142,25 +144,25 @@ int main(int argc, char** argv) {
         "write the retained rings as the deterministic text dump", &trace_text_out);
   p.value("--trace-capacity", "N", "events retained per traced cell",
           [&](const std::string& v) {
-            const auto d = parse_double(v);
-            check(d.has_value() && *d >= 1,
+            const auto n = parse_int(v, 1L, std::numeric_limits<long>::max());
+            check(n.has_value(),
                   "--trace-capacity needs a positive integer, got \"" + v + "\"");
-            opts.trace_capacity = static_cast<long>(*d);
+            opts.trace_capacity = *n;
           });
   add_listing_flags(p);
   if (const int rc = p.parse(argc, argv); rc >= 0) return rc;
 
   if (!trace_cells_arg.empty()) {
     for (const auto& item : split_csv(trace_cells_arg)) {
-      const auto d = parse_double(item);
-      if (!d.has_value() || *d < 0 || *d != static_cast<double>(static_cast<int>(*d))) {
+      const auto d = parse_int(item, 0, std::numeric_limits<int>::max());
+      if (!d.has_value()) {
         std::fprintf(stderr,
                      "scenario_runner: --trace-cells needs comma-separated cell "
                      "indices, got \"%s\"\n",
                      item.c_str());
         return 2;
       }
-      opts.trace_cells.push_back(static_cast<int>(*d));
+      opts.trace_cells.push_back(*d);
     }
   }
 
