@@ -112,10 +112,11 @@ class WindowRow {
     const bool rd = cpu && dv_.charge_read(MemKind::kSram, g_);
     const bool wr = rd && dv_.charge_write(MemKind::kSram, g_);
     if (wr) {
-      dv_.charge_mac(g_);
       // A row that exits normally leaves its last window in win_vec, as
       // the per-op loop does.
-      if (p + 1 == n_) gather_window(win, dv_.sram().mut_view(sp_.win_vec, g_));
+      if (dv_.charge_mac(g_) && p + 1 == n_) {
+        gather_window(win, dv_.sram().mut_view(sp_.win_vec, g_));
+      }
       return acc_[p];
     }
     if (!cpu) dv_.cpu_ops(ops);
@@ -127,7 +128,7 @@ class WindowRow {
     }
     dv_.write_block(MemKind::kSram, sp_.win_vec, gbuf_);
     const std::int64_t acc = dv_.lea_mac(sp_.win_vec, sp_.kern_vec, g_);
-    assert(!batched_ || acc == acc_[p]);
+    assert(!batched_ || dv_.browned_out() || acc == acc_[p]);
     return acc;
   }
 
@@ -176,6 +177,7 @@ void run_conv2d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
   q15_t bias_f = 0;
   const std::size_t units = q.out_ch * oh;
   for (std::size_t unit = start_unit; unit < units; ++unit) {
+    if (dv.browned_out()) return;  // in the staging DMA or the last commit hook
     if (hooks.boundary) hooks.boundary(unit);
     const std::size_t f = unit / oh;
     const std::size_t i = unit % oh;
@@ -190,12 +192,14 @@ void run_conv2d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
       bias_f = q.bias.empty() ? q15_t{0} : dv.read(MemKind::kFram, ctx.img().b_base + f);
       cur_f = f;
     }
+    if (dv.browned_out()) return;
 
     // Window gather (SRAM -> SRAM, pruned positions skipped) + LEA MAC
     // per output pixel.
     row.compute(sp.input_stage + i * iw, ow);
     for (std::size_t j = 0; j < ow; ++j) {
       const std::int64_t acc = row.pixel(j);
+      if (dv.browned_out()) return;  // before ctx.stats sees a dead pixel
       q15_t v = fx::narrow_q30(acc, rshift, ctx.stats);
       if (!q.bias.empty()) v = fx::add_sat(v, bias_f, ctx.stats);
       rowbuf[j] = v;
@@ -206,6 +210,7 @@ void run_conv2d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
     // Bulk-commit the finished output row.
     move_words(dv, MemKind::kSram, sp.row_stage, MemKind::kFram,
                ctx.out_addr + (f * oh + i) * ow, ow);
+    if (dv.browned_out()) return;
     if (hooks.committed) hooks.committed(unit);
   }
 }
@@ -229,16 +234,19 @@ void run_conv1d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
   WindowRow row(ctx, ar.ar, gbuf);
 
   for (std::size_t f = start_unit; f < q.out_ch; ++f) {
+    if (dv.browned_out()) return;  // in the staging DMA or the last commit hook
     if (hooks.boundary) hooks.boundary(f);
     // Filter weights are contiguous in FRAM: a straight block read.
     dv.cpu_ops(2.0 * static_cast<double>(gather));
     dv.read_block(MemKind::kFram, ctx.img().w_base + f * gather, gbuf);
     dv.write_block(MemKind::kSram, sp.kern_vec, gbuf);
     const q15_t bias_f = q.bias.empty() ? q15_t{0} : dv.read(MemKind::kFram, ctx.img().b_base + f);
+    if (dv.browned_out()) return;
 
     row.compute(sp.input_stage, ol);
     for (std::size_t i = 0; i < ol; ++i) {
       const std::int64_t acc = row.pixel(i);
+      if (dv.browned_out()) return;
       q15_t v = fx::narrow_q30(acc, rshift, ctx.stats);
       if (!q.bias.empty()) v = fx::add_sat(v, bias_f, ctx.stats);
       rowbuf[i] = v;
@@ -246,6 +254,7 @@ void run_conv1d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
     dv.cpu_ops(4.0 * static_cast<double>(ol));
     dv.write_block(MemKind::kSram, sp.row_stage, rowbuf);
     move_words(dv, MemKind::kSram, sp.row_stage, MemKind::kFram, ctx.out_addr + f * ol, ol);
+    if (dv.browned_out()) return;
     if (hooks.committed) hooks.committed(f);
   }
 }
@@ -280,6 +289,7 @@ void run_dense(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
     move_words(dv, MemKind::kFram, ctx.in_addr + base, MemKind::kSram, sp.input_stage, len);
     const std::size_t nb0 = c == c0 ? start_unit % nblocks : 0;
     for (std::size_t nb = nb0; nb < nblocks; ++nb) {
+      if (dv.browned_out()) return;  // in the staging DMA or the last commit hook
       const std::size_t unit = c * nblocks + nb;
       if (hooks.boundary) hooks.boundary(unit);
       const std::size_t o_lo = nb * kDenseNeuronBlock;
@@ -294,6 +304,7 @@ void run_dense(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
             (chunk >> guard);  // fits 32 bits by guard construction
         write_acc32(dv, MemKind::kSram, sp.acc32, o, static_cast<std::int32_t>(folded));
       }
+      if (dv.browned_out()) return;
       if (hooks.committed) hooks.committed(unit);
     }
   }
@@ -309,6 +320,7 @@ void run_dense(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
     biasbuf = bb;
   }
   dv.cpu_ops(4.0 * static_cast<double>(out));
+  if (dv.browned_out()) return;  // before ctx.stats sees the narrowing
   for (std::size_t o = 0; o < out; ++o) {
     q15_t v = fx::narrow_q30(static_cast<std::int64_t>(unpack_acc32(accbuf, o)), rshift,
                              ctx.stats);
@@ -329,6 +341,7 @@ void run_cpu_layer(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks)
   ArenaRef ar(ctx);
 
   for (std::size_t u = start_unit; u < units; ++u) {
+    if (dv.browned_out()) return;  // in the last commit hook
     if (hooks.boundary) hooks.boundary(u);
     const std::size_t lo = u * kCpuUnit;
     const std::size_t hi = std::min(lo + kCpuUnit, n);
@@ -367,6 +380,7 @@ void run_cpu_layer(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks)
       default:
         fail("run_cpu_layer: not a CPU layer");
     }
+    if (dv.browned_out()) return;
     if (hooks.committed) hooks.committed(u);
   }
 }
@@ -389,6 +403,9 @@ void run_bcm(ExecCtx& ctx, BcmState st, BcmObserver* obs) {
   BcmObserver null_obs;
   if (obs == nullptr) obs = &null_obs;
 
+  // Every observer call is a unit boundary: the kernel tests the
+  // brown-out latch before each one and returns, so no observer runs on
+  // a dead device.
   const std::size_t start_bi = st.block / q.bq;
   for (std::size_t bi = start_bi; bi < q.bp; ++bi) {
     const bool resumed_row = (bi == start_bi);
@@ -444,16 +461,19 @@ void run_bcm(ExecCtx& ctx, BcmState st, BcmObserver* obs) {
         }
         dv.write_block(MemKind::kSram, sp.fft_w, inter);
         stage = BcmStage::kFftX;
+        if (dv.browned_out()) return;
         obs->on_stage(ctx, {block, stage, exp_x, exp_w, exp_p});
       }
       if (stage == BcmStage::kFftX) {
         exp_x = dv.lea_fft(sp.fft_x, k, ctx.scaling, ctx.stats);
         stage = BcmStage::kFftW;
+        if (dv.browned_out()) return;
         obs->on_stage(ctx, {block, stage, exp_x, exp_w, exp_p});
       }
       if (stage == BcmStage::kFftW) {
         exp_w = dv.lea_fft(sp.fft_w, k, ctx.scaling, ctx.stats);
         stage = BcmStage::kMpy;
+        if (dv.browned_out()) return;
         obs->on_stage(ctx, {block, stage, exp_x, exp_w, exp_p});
       }
       if (stage == BcmStage::kMpy) {
@@ -479,11 +499,13 @@ void run_bcm(ExecCtx& ctx, BcmState st, BcmObserver* obs) {
         }
         dv.lea_cmul(sp.fft_x, sp.fft_w, sp.fft_w, k, ctx.stats);  // product -> fft_w
         stage = BcmStage::kIfft;
+        if (dv.browned_out()) return;
         obs->on_stage(ctx, {block, stage, exp_x, exp_w, exp_p});
       }
       if (stage == BcmStage::kIfft) {
         exp_p = dv.lea_ifft(sp.fft_w, k, ctx.scaling, ctx.stats);
         stage = BcmStage::kAcc;
+        if (dv.browned_out()) return;
         obs->on_stage(ctx, {block, stage, exp_x, exp_w, exp_p});
       }
       // kAcc: REAL extraction + fold into the row accumulator.
@@ -501,6 +523,7 @@ void run_bcm(ExecCtx& ctx, BcmState st, BcmObserver* obs) {
                      unpack_acc64(accbuf, t) + (static_cast<std::int64_t>(re[t]) << shift));
         }
         dv.write_block(MemKind::kSram, sp.acc32, accbuf);
+        if (dv.browned_out()) return;
         obs->on_block_done(ctx, block);
       }
     }
@@ -517,6 +540,7 @@ void run_bcm(ExecCtx& ctx, BcmState st, BcmObserver* obs) {
         biasbuf = bb;
       }
       dv.cpu_ops(4.0 * static_cast<double>(k));
+      if (dv.browned_out()) return;  // before ctx.stats sees the narrowing
       for (std::size_t t = 0; t < k; ++t) {
         q15_t v = fx::narrow_q30(unpack_acc64(accbuf, t), row_rshift, ctx.stats);
         if (!biasbuf.empty()) v = fx::add_sat(v, biasbuf[t], ctx.stats);
@@ -525,6 +549,7 @@ void run_bcm(ExecCtx& ctx, BcmState st, BcmObserver* obs) {
       dv.write_block(MemKind::kSram, sp.row_stage, rowbuf);
     }
     move_words(dv, MemKind::kSram, sp.row_stage, MemKind::kFram, ctx.out_addr + bi * k, k);
+    if (dv.browned_out()) return;
     obs->on_row_committed(ctx, bi);
 
     // Next row starts fresh.
@@ -675,8 +700,9 @@ bool run_tile(ExecCtx& ctx, TileCursor& cur, std::size_t tile_elems) {
         q15_t v = fx::narrow_q30(static_cast<std::int64_t>(acc), rshift);
         if (!q.bias.empty()) v = fx::add_sat(v, dv.read(MemKind::kFram, bb + o));
         dv.write(MemKind::kFram, out + o, v);
-        return tile_advance_outer(cur, q.out_ch);
+        return !dv.browned_out() && tile_advance_outer(cur, q.out_ch);
       }
+      if (dv.browned_out()) return false;
       ++cur.tile;
       cur.acc = acc;
       return false;
@@ -727,8 +753,9 @@ bool run_tile(ExecCtx& ctx, TileCursor& cur, std::size_t tile_elems) {
         q15_t v = fx::narrow_q30(acc, rshift);
         if (!q.bias.empty()) v = fx::add_sat(v, dv.read(MemKind::kFram, bb + f));
         dv.write(MemKind::kFram, out + px, v);
-        return tile_advance_outer(cur, q.out_size());
+        return !dv.browned_out() && tile_advance_outer(cur, q.out_size());
       }
+      if (dv.browned_out()) return false;
       ++cur.tile;
       cur.acc = acc;
       return false;
@@ -767,7 +794,7 @@ bool run_tile(ExecCtx& ctx, TileCursor& cur, std::size_t tile_elems) {
         }
         dv.write(MemKind::kFram, out + e, v);
       }
-      return tile_advance_outer(cur, blocks);
+      return !dv.browned_out() && tile_advance_outer(cur, blocks);
     }
 
     case QKind::kBcmDense:

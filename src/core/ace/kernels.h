@@ -85,6 +85,11 @@ inline std::size_t dense_neuron_blocks(const quant::QLayer& l) {
   return div_ceil(l.out_ch, kDenseNeuronBlock);
 }
 
+// Every kernel below tests the device's brown-out latch at its unit
+// boundaries (dev::Device::browned_out) and returns early: no hook or
+// observer runs, and ExecCtx::stats sees nothing, once the device is
+// latched.
+
 // Runs a layer from `start_unit` to completion. Preconditions for
 // start_unit > 0: the output buffer holds the committed results of units
 // < start_unit (guaranteed, it is FRAM) and — for Dense — the caller has
@@ -157,7 +162,8 @@ std::size_t tile_total_units(const CompiledModel& cm, std::size_t tile_elems);
 
 // Executes exactly one reduction tile at `cur` and advances the cursor —
 // to the next tile, the next outer element, or (when the layer's last
-// element finishes) to (layer+1, 0, 0). Output-word writes happen only on
+// element finishes) to (layer+1, 0, 0). A tile that browns out leaves the
+// cursor where it was and returns false. Output-word writes happen only on
 // an element's final tile and are idempotent (the activation ping-pong
 // guarantees the input words survive re-execution), so replaying a tile
 // whose cursor commit tore reproduces bit-identical state. Returns true

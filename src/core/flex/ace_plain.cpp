@@ -31,6 +31,7 @@ class AcePolicy : public RuntimePolicy {
     ace::UnitHooks hooks;
     hooks.committed = [&](std::size_t u) { on_commit(ctx, u); };
     ace::run_layer(ectx, 0, hooks);
+    if (ctx.dev.browned_out()) return false;
     return ++layer_ == ctx.cm.model.layers.size();
   }
 

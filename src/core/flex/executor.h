@@ -2,13 +2,13 @@
 //
 // Every execution strategy the paper evaluates (BASE/ACE, SONIC, TAILS,
 // FLEX) shares one loop: boot, restore whatever progress cursor the
-// strategy persists, execute resumable chunks until a brown-out throws
-// PowerFailure, recharge, reboot, repeat — while accounting time, energy,
-// reboots and starvation. Historically each runtime re-implemented that
-// loop around a monolithic run-to-completion body; here the loop lives
-// once in IntermittentExecutor and the strategies are RuntimePolicy
-// implementations (the same policy-vs-engine split SONIC/TAILS made at
-// the kernel level).
+// strategy persists, execute resumable chunks until a brown-out latches
+// the device (dev::Device::browned_out), recharge, reboot, repeat — while
+// accounting time, energy, reboots and starvation. Historically each
+// runtime re-implemented that loop around a monolithic run-to-completion
+// body; here the loop lives once in IntermittentExecutor and the
+// strategies are RuntimePolicy implementations (the same
+// policy-vs-engine split SONIC/TAILS made at the kernel level).
 //
 // The executor is *incremental*: start() arms a run, each step() executes
 // at most one bounded slice (a policy chunk, a boot, or a post-failure
@@ -49,15 +49,22 @@ class RuntimePolicy {
   // counts element tiles; everyone else the ACE kernel units).
   virtual long units_total(const ace::CompiledModel& cm) const { return total_units(cm); }
 
+  // The brown-out contract for on_boot, step and every hook below: a
+  // costed op may brown out and latch the device, after which every op
+  // is inert. Code must test ctx.dev.browned_out() at its next unit
+  // boundary and return, and between the failing op and that return it
+  // must change nothing the run can observe — no RunStats counter, no
+  // obs event, no commit hook, no cursor that outlives the reboot. The
+  // executor tests the latch after on_boot and step.
+
   // Called at the start of every power cycle: once with fresh=true when
   // the run starts (load the input, reset persistent cursors in FRAM) and
   // with fresh=false after every reboot (restore the cursor from FRAM).
-  // Costed FRAM traffic here may throw PowerFailure; the executor treats
-  // that like any mid-step brown-out.
   virtual void on_boot(StepContext& ctx, bool fresh) = 0;
 
   // Executes one resumable chunk — one layer, in every shipped policy.
-  // Returns true when the inference has fully committed its output.
+  // Returns true when the inference has fully committed its output; a
+  // slice that browned out returns false.
   virtual bool step(StepContext& ctx) = 0;
 
   // Unit-commit bookkeeping hook. Policies that wire ace::UnitHooks call
@@ -136,6 +143,9 @@ class IntermittentExecutor {
 
  private:
   void finish();
+  // The brown-out handler: watchdog, retry policy, reboot cap. Returns
+  // step()'s value.
+  bool on_brown_out();
   // The slice body behind step(). When profiling, `phase` receives which
   // PhaseProfile slot the slice's wall-clock belongs to (0 = kernel,
   // 1 = recharge, 2 = boot); null when not profiling.

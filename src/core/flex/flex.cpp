@@ -78,13 +78,17 @@ class FlexPolicy : public RuntimePolicy {
       // Invalidate both slots: fresh inference, fresh progress.
       dev.write(MemKind::kFram, cm.ckpt_base + kSeq, 0);
       dev.write(MemKind::kFram, cm.ckpt_base + cm.ckpt_slot_words + kSeq, 0);
+      if (dev.browned_out()) return;
       seq_ = 0;
       warned_ = false;
       armed_ = false;
       degraded_ = false;
       have_prev_ = false;
     }
-    rp_ = read_resume_point(dev, cm);
+    const ResumePoint rp = read_resume_point(dev, cm);
+    if (dev.browned_out()) return;
+    rp_ = rp;
+    seq_ = rp_.seq;  // continue the sequence monotonically
     // Progress guard: a power cycle that resumes exactly where the
     // previous one did made no forward progress (e.g. the voltage
     // monitor is mis-thresholded and the warning checkpoint lands on
@@ -129,11 +133,13 @@ class FlexPolicy : public RuntimePolicy {
       }
       ace::run_layer(ectx, start, hooks);
     }
+    if (dev.browned_out()) return false;
 
     // Mandatory layer-transition checkpoint (header-only): resume never
     // reaches back past a completed layer.
     write_checkpoint(dev, cm, /*layer=*/l + 1, /*unit=*/0, /*kind=*/0, nullptr, nullptr,
                      ctx.st);
+    if (dev.browned_out()) return false;
     resume_pending_ = false;
     return ++layer_ == cm.model.layers.size();
   }
@@ -200,7 +206,6 @@ class FlexPolicy : public RuntimePolicy {
         best.bcm.exp_p = dev.read(MemKind::kFram, b + kExpP);
       }
     }
-    seq_ = best.seq;  // continue the sequence monotonically
     return best;
   }
 
@@ -225,6 +230,7 @@ class FlexPolicy : public RuntimePolicy {
                            const ace::BcmState* bcm = nullptr) {
     if (warned_) return;
     const double v = ctx.dev.sample_voltage();
+    if (ctx.dev.browned_out()) return;
     if (v >= ctx.opts.flex_v_warn) {
       armed_ = true;
       return;
@@ -247,7 +253,7 @@ class FlexPolicy : public RuntimePolicy {
     const auto host_t0 = prof_ != nullptr ? std::chrono::steady_clock::now()
                                           : std::chrono::steady_clock::time_point{};
     obs::record(trace_, obs_now_s(dev), obs::EventKind::kCheckpointBegin);
-    notify_supply(dev, dev::SupplyEvent::kCheckpointBegin);
+    dev.notify_supply(dev::SupplyEvent::kCheckpointBegin);
     const std::size_t next_seq = seq_ + 1;
     const Addr b = slot_addr(cm, next_seq & 1);
 
@@ -274,7 +280,8 @@ class FlexPolicy : public RuntimePolicy {
       dev.write(MemKind::kFram, b + kExpP, static_cast<q15_t>(bcm->exp_p));
     }
     dev.write(MemKind::kFram, b + kSeq, static_cast<q15_t>(next_seq));
-    notify_supply(dev, dev::SupplyEvent::kCheckpointEnd);
+    if (dev.browned_out()) return;  // torn: the previous slot stays current
+    dev.notify_supply(dev::SupplyEvent::kCheckpointEnd);
     obs::record(trace_, obs_now_s(dev), obs::EventKind::kCheckpointEnd,
                 static_cast<std::int32_t>(next_seq));
     seq_ = next_seq;
@@ -308,6 +315,7 @@ class FlexPolicy : public RuntimePolicy {
       const ace::BcmState next{block + 1, ace::BcmStage::kLoad, 0, 0, 0};
       if ((block + 1) % ectx.q().bq != 0) {
         p_.poll_and_checkpoint(ctx_, block + 1, &next);
+        if (ectx.dev.browned_out()) return;
         if (p_.degraded_ || p_.warned_) {
           p_.write_checkpoint(ectx.dev, ectx.cm, p_.layer_, block + 1, /*kind=*/2, &next,
                               &ectx.q(), ctx_.st);

@@ -21,10 +21,6 @@ bool recover_from_failure(dev::Device& dev, RunStats& st) {
   return true;
 }
 
-void notify_supply(dev::Device& dev, dev::SupplyEvent e) {
-  if (dev.supply() != nullptr) dev.supply()->notify(e);
-}
-
 void load_input(dev::Device& dev, const ace::CompiledModel& cm,
                 std::span<const fx::q15_t> input) {
   check(input.size() == cm.model.layers.front().in_size(), "load_input: size mismatch");

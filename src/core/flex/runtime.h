@@ -34,8 +34,11 @@
 // (core/flex/executor.h), which owns the reboot/recover/starvation/stats
 // loop. One inference is IntermittentExecutor(policy).run(dev, cm, input);
 // start()/step()/finished() expose the same run incrementally so it can be
-// suspended and interleaved. This header holds what policies and executor
-// share: run options, run stats, and the cost-free I/O helpers.
+// suspended and interleaved. A brown-out is not an exception: it latches
+// the device (dev::Device::browned_out), the policy returns at its next
+// unit boundary, and the executor recharges and reboots. This header
+// holds what policies and executor share: run options, run stats, and
+// the cost-free I/O helpers.
 #pragma once
 
 #include <limits>
@@ -190,13 +193,10 @@ std::vector<fx::q15_t> read_output(dev::Device& dev, const ace::CompiledModel& c
 // Shared post-failure step: recharge the supply, detect starvation,
 // reboot the device. Returns false when the run must stop because the
 // harvester starved (outcome already recorded on `st`); the caller breaks
-// its retry loop. Off-time is accumulated on `st`.
+// its retry loop. Off-time is accumulated on `st`. The reboot's boot
+// sequence is costed and can brown out again: the device is then
+// latched on return.
 bool recover_from_failure(dev::Device& dev, RunStats& st);
-
-// Announces an execution landmark to the attached supply (no-op without
-// one). Runtimes call this at progress-commit and checkpoint boundaries so
-// schedule-driven supplies can inject failures at adversarial instants.
-void notify_supply(dev::Device& dev, dev::SupplyEvent e);
 
 // Simulated-time stamp for obs events: the supply clock when attached
 // (device-local, monotone, invariant under --jobs/--shards), else the

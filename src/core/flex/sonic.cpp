@@ -58,14 +58,16 @@ class SonicPolicy : public RuntimePolicy {
     dev::Device& dev = ctx.dev;
     const ace::CompiledModel& cm = ctx.cm;
     run_sonic_layer(ctx, layer_, outer_, tile_);
+    if (dev.browned_out()) return false;
     outer_ = 0;
     tile_ = 0;
     // Layer transition (inner-first commit order).
-    notify_supply(dev, dev::SupplyEvent::kCommitBegin);
+    dev.notify_supply(dev::SupplyEvent::kCommitBegin);
     dev.write(MemKind::kFram, cm.ctrl_base + 2, 0);
     dev.write(MemKind::kFram, cm.ctrl_base + 1, 0);
     dev.write(MemKind::kFram, cm.ctrl_base + 0, static_cast<q15_t>(layer_ + 1));
-    notify_supply(dev, dev::SupplyEvent::kCommitEnd);
+    if (dev.browned_out()) return false;
+    dev.notify_supply(dev::SupplyEvent::kCommitEnd);
     return ++layer_ == cm.model.layers.size();
   }
 
@@ -95,28 +97,36 @@ class SonicPolicy : public RuntimePolicy {
     return n;
   }
 
-  void commit_inner(StepContext& ctx, std::size_t tile) {
+  // The commits are SONIC's unit boundaries. Each returns false, having
+  // counted nothing, when the device browned out in the unit or in the
+  // commit itself; the layer loops then return.
+  bool commit_inner(StepContext& ctx, std::size_t tile) {
     dev::Device& dev = ctx.dev;
-    notify_supply(dev, dev::SupplyEvent::kCommitBegin);
+    dev.notify_supply(dev::SupplyEvent::kCommitBegin);
     dev.write(MemKind::kFram, ctx.cm.ctrl_base + 2, static_cast<q15_t>(tile));
-    notify_supply(dev, dev::SupplyEvent::kCommitEnd);
+    if (dev.browned_out()) return false;
+    dev.notify_supply(dev::SupplyEvent::kCommitEnd);
     on_commit(ctx, tile);
+    return true;
   }
 
-  void commit_outer(StepContext& ctx, std::size_t outer) {
+  // Also counts the finished unit (an output element or element tile).
+  bool commit_outer(StepContext& ctx, std::size_t outer) {
     dev::Device& dev = ctx.dev;
-    notify_supply(dev, dev::SupplyEvent::kCommitBegin);
+    dev.notify_supply(dev::SupplyEvent::kCommitBegin);
     dev.write(MemKind::kFram, ctx.cm.ctrl_base + 2, 0);
     dev.write(MemKind::kFram, ctx.cm.ctrl_base + 1, static_cast<q15_t>(outer));
-    notify_supply(dev, dev::SupplyEvent::kCommitEnd);
+    if (dev.browned_out()) return false;
+    dev.notify_supply(dev::SupplyEvent::kCommitEnd);
     ++ctx.st.progress_commits;
+    ++ctx.st.units_executed;
+    return true;
   }
 
   void run_sonic_layer(StepContext& ctx, std::size_t l, std::size_t outer0,
                        std::size_t tile0) {
     dev::Device& dev = ctx.dev;
     const ace::CompiledModel& cm = ctx.cm;
-    RunStats& st = ctx.st;
     const QLayer& q = cm.model.layers[l];
     const Addr in = cm.act_in(l);
     const Addr out = cm.act_out(l);
@@ -150,10 +160,9 @@ class SonicPolicy : public RuntimePolicy {
               q15_t v = fx::narrow_q30(static_cast<std::int64_t>(acc), rshift);
               if (!q.bias.empty()) v = fx::add_sat(v, dev.read(MemKind::kFram, bb + o));
               dev.write(MemKind::kFram, out + o, v);
-              commit_outer(ctx, o + 1);
-              ++st.units_executed;
-            } else {
-              commit_inner(ctx, t + 1);
+              if (!commit_outer(ctx, o + 1)) return;
+            } else if (!commit_inner(ctx, t + 1)) {
+              return;
             }
           }
         }
@@ -185,8 +194,7 @@ class SonicPolicy : public RuntimePolicy {
           q15_t v = fx::narrow_q30(acc, rshift);
           if (!q.bias.empty()) v = fx::add_sat(v, dev.read(MemKind::kFram, bb + f));
           dev.write(MemKind::kFram, out + px, v);
-          commit_outer(ctx, px + 1);
-          ++st.units_executed;
+          if (!commit_outer(ctx, px + 1)) return;
         }
         break;
       }
@@ -212,8 +220,7 @@ class SonicPolicy : public RuntimePolicy {
           q15_t v = fx::narrow_q30(acc, rshift);
           if (!q.bias.empty()) v = fx::add_sat(v, dev.read(MemKind::kFram, bb + f));
           dev.write(MemKind::kFram, out + px, v);
-          commit_outer(ctx, px + 1);
-          ++st.units_executed;
+          if (!commit_outer(ctx, px + 1)) return;
         }
         break;
       }
@@ -249,8 +256,7 @@ class SonicPolicy : public RuntimePolicy {
             }
             dev.write(MemKind::kFram, out + e, v);
           }
-          commit_outer(ctx, t + 1);
-          ++st.units_executed;
+          if (!commit_outer(ctx, t + 1)) return;
         }
         break;
       }

@@ -88,12 +88,14 @@ class TailsPolicy : public RuntimePolicy {
     } else {
       ace::run_layer(ectx, unit_, hooks);
     }
+    if (dev.browned_out()) return false;
 
     unit_ = 0;
-    notify_supply(dev, dev::SupplyEvent::kCommitBegin);
+    dev.notify_supply(dev::SupplyEvent::kCommitBegin);
     dev.write(MemKind::kFram, cm.ctrl_base + 1, 0);
     dev.write(MemKind::kFram, cm.ctrl_base + 0, static_cast<q15_t>(l + 1));
-    notify_supply(dev, dev::SupplyEvent::kCommitEnd);
+    if (dev.browned_out()) return false;
+    dev.notify_supply(dev::SupplyEvent::kCommitEnd);
     return ++layer_ == cm.model.layers.size();
   }
 
@@ -103,7 +105,7 @@ class TailsPolicy : public RuntimePolicy {
     dev::Device& dev = ctx.dev;
     const ace::CompiledModel& cm = ctx.cm;
     const QLayer& q = cm.model.layers[layer_];
-    notify_supply(dev, dev::SupplyEvent::kCommitBegin);
+    dev.notify_supply(dev::SupplyEvent::kCommitBegin);
     if (q.kind == QKind::kDense) {
       const std::size_t nblocks = ace::dense_neuron_blocks(q);
       const std::size_t c = unit / nblocks;
@@ -115,7 +117,8 @@ class TailsPolicy : public RuntimePolicy {
                       slot + 2 * o_lo, 2 * (o_hi - o_lo));
     }
     dev.write(MemKind::kFram, cm.ctrl_base + 1, static_cast<q15_t>(unit + 1));
-    notify_supply(dev, dev::SupplyEvent::kCommitEnd);
+    if (dev.browned_out()) return;
+    dev.notify_supply(dev::SupplyEvent::kCommitEnd);
     ++ctx.st.progress_commits;
     ++ctx.st.units_executed;
   }
@@ -151,19 +154,21 @@ class TailsPolicy : public RuntimePolicy {
       void on_block_done(ace::ExecCtx& c, std::size_t block) override {
         const std::size_t kk = c.q().k;
         if ((block + 1) % c.q().bq == 0) return;  // deferred to the row commit
-        notify_supply(c.dev, dev::SupplyEvent::kCommitBegin);
+        c.dev.notify_supply(dev::SupplyEvent::kCommitBegin);
         const Addr slot = c.cm.nv_acc_base + ((block + 1) & 1) * c.cm.nv_acc_slot_words;
         ace::move_words(c.dev, MemKind::kSram, c.cm.sram.acc32, MemKind::kFram, slot, 4 * kk);
         c.dev.write(MemKind::kFram, c.cm.ctrl_base + 1, static_cast<q15_t>(block + 1));
-        notify_supply(c.dev, dev::SupplyEvent::kCommitEnd);
+        if (c.dev.browned_out()) return;
+        c.dev.notify_supply(dev::SupplyEvent::kCommitEnd);
         ++st.progress_commits;
         ++st.units_executed;
       }
       void on_row_committed(ace::ExecCtx& c, std::size_t bi) override {
-        notify_supply(c.dev, dev::SupplyEvent::kCommitBegin);
+        c.dev.notify_supply(dev::SupplyEvent::kCommitBegin);
         c.dev.write(MemKind::kFram, c.cm.ctrl_base + 1,
                     static_cast<q15_t>((bi + 1) * c.q().bq));
-        notify_supply(c.dev, dev::SupplyEvent::kCommitEnd);
+        if (c.dev.browned_out()) return;
+        c.dev.notify_supply(dev::SupplyEvent::kCommitEnd);
         ++st.progress_commits;
         ++st.units_executed;
       }

@@ -120,7 +120,7 @@ class TilePolicy : public RuntimePolicy {
     bool layer_done = false;
     while (!layer_done) {
       layer_done = ace::run_tile(ectx, cur_, t_);
-      commit_cursor(ctx);
+      if (ctx.dev.browned_out() || !commit_cursor(ctx)) return false;
       on_commit(ctx, cur_.tile);
     }
     return cur_.layer == cm.model.layers.size();
@@ -140,7 +140,8 @@ class TilePolicy : public RuntimePolicy {
     return static_cast<std::uint16_t>(dev.read(MemKind::kFram, a));
   }
 
-  void commit_cursor(StepContext& ctx) {
+  // False when the commit browned out (the epoch was not published).
+  bool commit_cursor(StepContext& ctx) {
     dev::Device& dev = ctx.dev;
     auto next = static_cast<std::uint16_t>(epoch_ + 1);
     // Skip the invalid epoch 0 on wrap; skipping TWO values keeps the
@@ -148,7 +149,7 @@ class TilePolicy : public RuntimePolicy {
     // slot the previous record does NOT occupy.
     if (next == 0) next = 2;
     const Addr b = slot_base(ctx.cm, next & 1);
-    notify_supply(dev, dev::SupplyEvent::kCommitBegin);
+    dev.notify_supply(dev::SupplyEvent::kCommitBegin);
     // Payload first; the single-word epoch publish is what makes the
     // slot valid, so a tear anywhere before it is harmless.
     dev.write(MemKind::kFram, b + 1, static_cast<q15_t>(cur_.layer));
@@ -156,11 +157,13 @@ class TilePolicy : public RuntimePolicy {
     dev.write(MemKind::kFram, b + 3, static_cast<q15_t>(cur_.tile));
     ace::write_acc64(dev, MemKind::kFram, b + 4, 0, cur_.acc);
     dev.write(MemKind::kFram, b + 0, static_cast<q15_t>(next));
-    notify_supply(dev, dev::SupplyEvent::kCommitEnd);
+    if (dev.browned_out()) return false;
+    dev.notify_supply(dev::SupplyEvent::kCommitEnd);
     obs::record(ctx.opts.trace, obs_now_s(dev), obs::EventKind::kTileCursorWrite,
                 static_cast<std::int32_t>(cur_.layer),
                 static_cast<std::int32_t>(cur_.tile));
     epoch_ = next;
+    return true;
   }
 
   std::size_t t_;

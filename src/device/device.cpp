@@ -29,9 +29,14 @@ Device::Device(DeviceConfig cfg, DeviceSlabs* slabs)
       scramble_rng_(cfg.scramble_seed) {}
 
 // The inline fast path in device.h already buffered the draw when the
-// open window could take it; this tail sees only window-refused draws:
-// settle, then either arm a fresh window or fall back to per-op consume.
-void Device::spend_slow(double joules, double dt) {
+// open window could take it; this tail sees only window-refused draws.
+// A latched device has no window open, so every op lands here and the
+// latch is tested first. Otherwise: charge the trace, settle, then either
+// arm a fresh window or fall back to per-op consume.
+bool Device::spend_slow(Rail rail, double cycles, double joules, double dt) {
+  if (browned_out_) return false;
+  trace_.add(rail, joules, cycles);
+  if (supply_ == nullptr) return true;
   if (prepaid_open_) {
     settle_supply();
   }
@@ -41,14 +46,14 @@ void Device::spend_slow(double joules, double dt) {
       prepaid_open_ = true;
       prepaid_budget_ = budget - joules;
       prepaid_.push_back({joules, dt});
-      return;
+      return true;
     }
   }
   // Near brown-out (or against a supply that opted out): per-op
   // settlement, so the failure lands on exactly the op it would have.
-  if (!supply_->consume(joules, dt)) {
-    throw PowerFailure{};
-  }
+  // That op's charge stays on the trace; its effect does not apply.
+  browned_out_ = !supply_->consume(joules, dt);
+  return !browned_out_;
 }
 
 void Device::settle_supply() {
@@ -73,7 +78,7 @@ void Device::cpu_ops(double n_ops) {
   if (charge_cpu_ops(n_ops)) return;
   const CostModel& cm = cfg_.cost;
   double remaining = n_ops;
-  while (remaining > 0.0) {
+  while (remaining > 0.0 && !browned_out_) {
     const double step = std::min(1.0, remaining);
     spend(Rail::kCpu, step * cm.cycles_cpu_op, 0.0, cm.p_cpu_active);
     remaining -= step;
@@ -82,28 +87,28 @@ void Device::cpu_ops(double n_ops) {
 
 void Device::cpu_mac_cycles() { spend_fixed(Rail::kCpu, c_cpu_mac_); }
 
+// An unpaid read returns 0 without touching the region (a pending SRAM
+// scramble stays unfilled).
 fx::q15_t Device::read(MemKind mem, Addr a) {
   if (mem == MemKind::kSram) {
-    spend_fixed(Rail::kSramRead, c_sram_rd_);
-    return sram_.peek(a);
+    return spend_fixed(Rail::kSramRead, c_sram_rd_) ? sram_.peek(a) : fx::q15_t{0};
   }
-  spend_fixed(Rail::kFramRead, c_fram_rd_);
-  return fram_.peek(a);
+  return spend_fixed(Rail::kFramRead, c_fram_rd_) ? fram_.peek(a) : fx::q15_t{0};
 }
 
 void Device::write(MemKind mem, Addr a, fx::q15_t v) {
   if (mem == MemKind::kSram) {
-    spend_fixed(Rail::kSramWrite, c_sram_wr_);
-    sram_.poke(a, v);
+    if (spend_fixed(Rail::kSramWrite, c_sram_wr_)) sram_.poke(a, v);
     return;
   }
-  spend_fixed(Rail::kFramWrite, c_fram_wr_);
-  fram_.poke(a, v);
+  if (spend_fixed(Rail::kFramWrite, c_fram_wr_)) fram_.poke(a, v);
 }
 
 bool Device::can_bulk_spend_slow(double joules) {
-  // Past the open window's budget the decision needs the true, settled
-  // headroom.
+  // A latched device takes the word-granular arms, whose first draw is
+  // inert. Past the open window's budget the decision needs the true,
+  // settled headroom.
+  if (browned_out_) return false;
   if (prepaid_open_) settle_supply();
   return joules <= supply_->headroom();
 }
@@ -125,7 +130,7 @@ void Device::read_block(MemKind mem, Addr a, std::span<fx::q15_t> out) {
   // Near brown-out, replay the scalar sequence so the dying burst's trace
   // and supply drain stop at exactly the word the scalar path reaches.
   if (!charge_read(mem, n)) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = read(mem, a + i);
+    for (std::size_t i = 0; i < n && !browned_out_; ++i) out[i] = read(mem, a + i);
     return;
   }
   const auto src = region(mem).view(a, n);
@@ -139,7 +144,7 @@ void Device::write_block(MemKind mem, Addr a, std::span<const fx::q15_t> v) {
   // same word-granular clean prefix (the FRAM intermittency contract) and
   // the same prefix-only trace/supply accounting.
   if (!charge_write(mem, n)) {
-    for (std::size_t i = 0; i < n; ++i) write(mem, a + i, v[i]);
+    for (std::size_t i = 0; i < n && !browned_out_; ++i) write(mem, a + i, v[i]);
     return;
   }
   auto dst = region(mem).mut_view(a, n);
@@ -153,7 +158,9 @@ void Device::read_gather(MemKind mem, Addr base, std::span<const std::uint32_t> 
   check(out.size() == n, "read_gather: offsets/out size mismatch");
   if (n == 0) return;
   if (!charge_read(mem, n)) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = read(mem, base + offsets[i]);
+    for (std::size_t i = 0; i < n && !browned_out_; ++i) {
+      out[i] = read(mem, base + offsets[i]);
+    }
     return;
   }
   const auto src = region(mem).view(base, span_words);
@@ -194,7 +201,7 @@ void Device::cpu_copy(MemKind src_mem, Addr src, MemKind dst_mem, Addr dst,
       !bulk_enabled_ || (src_mem == dst_mem && ranges_overlap(src, dst, words)) ||
       !can_bulk_spend(total_joules);
   if (word_granular) {
-    for (std::size_t i = 0; i < words; ++i) {
+    for (std::size_t i = 0; i < words && !browned_out_; ++i) {
       cpu_ops(2);  // address update + loop check
       write(dst_mem, dst + i, read(src_mem, src + i));
     }
@@ -212,7 +219,7 @@ void Device::cpu_copy(MemKind src_mem, Addr src, MemKind dst_mem, Addr dst,
 
 void Device::dma_copy(MemKind src_mem, Addr src, MemKind dst_mem, Addr dst,
                       std::size_t words) {
-  spend(Rail::kDma, cfg_.cost.cycles_dma_setup, 0.0, cfg_.cost.p_dma_active);
+  if (!spend(Rail::kDma, cfg_.cost.cycles_dma_setup, 0.0, cfg_.cost.p_dma_active)) return;
   MemoryRegion& s = region(src_mem);
   MemoryRegion& d = region(dst_mem);
   const CostModel& cm = cfg_.cost;
@@ -236,7 +243,7 @@ void Device::dma_copy(MemKind src_mem, Addr src, MemKind dst_mem, Addr dst,
   for (std::size_t i = 0; i < words; ++i) {
     // Word effect applied only after its energy is paid: a brown-out mid
     // transfer leaves a clean prefix.
-    spend(Rail::kDma, cm.cycles_dma_word, e_rd + e_wr, cm.p_dma_active);
+    if (!spend(Rail::kDma, cm.cycles_dma_word, e_rd + e_wr, cm.p_dma_active)) return;
     d.poke(dst + i, s.peek(src + i));
   }
 }
@@ -246,7 +253,7 @@ std::int64_t Device::lea_mac(Addr a, Addr b, std::size_t n, bool* overflow) {
 }
 
 std::int64_t Device::mac_block(Addr a, Addr b, std::size_t n, bool* overflow) {
-  charge_mac(n);
+  if (!charge_mac(n)) return 0;
   std::int64_t acc = 0;
   if (!bulk_enabled_) {
     bool ovf = false;
@@ -289,9 +296,12 @@ std::int64_t Device::mac_block(Addr a, Addr b, std::size_t n, bool* overflow) {
 // must preserve the original per-word access pattern.
 void Device::lea_add(Addr a, Addr b, Addr out, std::size_t n, fx::SatStats* stats) {
   const CostModel& cm = cfg_.cost;
-  spend(Rail::kLea, cm.lea_setup + cm.lea_add_per_elem * static_cast<double>(n),
-        static_cast<double>(2 * n) * cm.e_sram_read + static_cast<double>(n) * cm.e_sram_write,
-        cm.p_lea_active);
+  if (!spend(Rail::kLea, cm.lea_setup + cm.lea_add_per_elem * static_cast<double>(n),
+             static_cast<double>(2 * n) * cm.e_sram_read +
+                 static_cast<double>(n) * cm.e_sram_write,
+             cm.p_lea_active)) {
+    return;
+  }
   if (bulk_enabled_) {
     const auto va = sram_.view(a, n);
     const auto vb = sram_.view(b, n);
@@ -306,9 +316,12 @@ void Device::lea_add(Addr a, Addr b, Addr out, std::size_t n, fx::SatStats* stat
 
 void Device::lea_mpy(Addr a, Addr b, Addr out, std::size_t n, fx::SatStats* stats) {
   const CostModel& cm = cfg_.cost;
-  spend(Rail::kLea, cm.lea_setup + cm.lea_mpy_per_elem * static_cast<double>(n),
-        static_cast<double>(2 * n) * cm.e_sram_read + static_cast<double>(n) * cm.e_sram_write,
-        cm.p_lea_active);
+  if (!spend(Rail::kLea, cm.lea_setup + cm.lea_mpy_per_elem * static_cast<double>(n),
+             static_cast<double>(2 * n) * cm.e_sram_read +
+                 static_cast<double>(n) * cm.e_sram_write,
+             cm.p_lea_active)) {
+    return;
+  }
   if (bulk_enabled_) {
     const auto va = sram_.view(a, n);
     const auto vb = sram_.view(b, n);
@@ -323,8 +336,10 @@ void Device::lea_mpy(Addr a, Addr b, Addr out, std::size_t n, fx::SatStats* stat
 
 void Device::lea_shift(Addr a, Addr out, std::size_t n, int left_shift, fx::SatStats* stats) {
   const CostModel& cm = cfg_.cost;
-  spend(Rail::kLea, cm.lea_setup + cm.lea_shift_per_elem * static_cast<double>(n),
-        static_cast<double>(n) * (cm.e_sram_read + cm.e_sram_write), cm.p_lea_active);
+  if (!spend(Rail::kLea, cm.lea_setup + cm.lea_shift_per_elem * static_cast<double>(n),
+             static_cast<double>(n) * (cm.e_sram_read + cm.e_sram_write), cm.p_lea_active)) {
+    return;
+  }
   if (bulk_enabled_) {
     const auto va = sram_.view(a, n);
     auto vo = sram_.mut_view(out, n);
@@ -338,10 +353,12 @@ void Device::lea_shift(Addr a, Addr out, std::size_t n, int left_shift, fx::SatS
 
 void Device::lea_cmul(Addr a, Addr b, Addr out, std::size_t n, fx::SatStats* stats) {
   const CostModel& cm = cfg_.cost;
-  spend(Rail::kLea, cm.lea_setup + cm.lea_cmul_per_elem * static_cast<double>(n),
-        static_cast<double>(4 * n) * cm.e_sram_read +
-            static_cast<double>(2 * n) * cm.e_sram_write,
-        cm.p_lea_active);
+  if (!spend(Rail::kLea, cm.lea_setup + cm.lea_cmul_per_elem * static_cast<double>(n),
+             static_cast<double>(4 * n) * cm.e_sram_read +
+             static_cast<double>(2 * n) * cm.e_sram_write,
+             cm.p_lea_active)) {
+    return;
+  }
   if (bulk_enabled_) {
     const auto va = sram_.view(a, 2 * n);
     const auto vb = sram_.view(b, 2 * n);
@@ -376,9 +393,11 @@ int Device::lea_fft(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats
   // The LEA streams the working set through its local SRAM bank; model
   // one read + one write per word per pass over log2(n) stages.
   const double passes = static_cast<double>(ilog2(n));
-  spend(Rail::kLea, fft_cycles(cm, n),
-        static_cast<double>(2 * n) * passes * (cm.e_sram_read + cm.e_sram_write),
-        cm.p_lea_active);
+  if (!spend(Rail::kLea, fft_cycles(cm, n),
+             static_cast<double>(2 * n) * passes * (cm.e_sram_read + cm.e_sram_write),
+             cm.p_lea_active)) {
+    return 0;
+  }
   if (bulk_enabled_) {
     if (fft_scratch_.size() < n) fft_scratch_.resize(n);
     const std::span<fx::cq15> buf(fft_scratch_.data(), n);
@@ -403,9 +422,11 @@ int Device::lea_fft(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats
 int Device::lea_ifft(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats* stats) {
   const CostModel& cm = cfg_.cost;
   const double passes = static_cast<double>(ilog2(n));
-  spend(Rail::kLea, fft_cycles(cm, n),
-        static_cast<double>(2 * n) * passes * (cm.e_sram_read + cm.e_sram_write),
-        cm.p_lea_active);
+  if (!spend(Rail::kLea, fft_cycles(cm, n),
+             static_cast<double>(2 * n) * passes * (cm.e_sram_read + cm.e_sram_write),
+             cm.p_lea_active)) {
+    return 0;
+  }
   if (bulk_enabled_) {
     if (fft_scratch_.size() < n) fft_scratch_.resize(n);
     const std::span<fx::cq15> buf(fft_scratch_.data(), n);
@@ -428,12 +449,13 @@ int Device::lea_ifft(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStat
 }
 
 void Device::reboot() {
+  browned_out_ = false;
   ++reboots_;
   sram_.scramble(scramble_rng_);
   // Boot sequence: clock/FRAM controller init, reset vector dispatch.
   // Charged to the CPU rail once back on.
   spend(Rail::kCpu, 400.0, 0.0, cfg_.cost.p_cpu_active);
-  if (supply_ != nullptr) supply_->notify(SupplyEvent::kReboot);
+  notify_supply(SupplyEvent::kReboot);
 }
 
 double Device::sample_voltage() {

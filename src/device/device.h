@@ -2,11 +2,18 @@
 // costed by CostModel, powered through PowerSupply.
 //
 // Every method that represents on-device work (1) computes its cycle and
-// energy cost, (2) draws that energy from the supply, throwing
-// PowerFailure on brown-out, and (3) applies its architectural effect to
-// the real memory contents. Mutating operations that touch non-volatile
-// FRAM are word-granular so a power failure can leave a partially written
-// FRAM region — exactly the hazard the intermittent runtimes must handle.
+// energy cost, (2) draws that energy from the supply, and (3) applies its
+// architectural effect to the real memory contents — unless the draw
+// browned out. A brown-out is a latched device state, as on the real
+// part, where it is a reset: the failing op's trace charge lands but its
+// effect does not, and from then until reboot() every costed op is
+// inert — no trace charge, no supply draw, no memory effect, no supply
+// notification. Code running on the device tests browned_out() at its
+// next unit boundary and returns; the intermittent executor
+// (core/flex/executor.h) then recharges and reboots. Mutating operations
+// that touch non-volatile FRAM are word-granular so a power failure can
+// leave a partially written FRAM region — exactly the hazard the
+// intermittent runtimes must handle.
 // LEA operations read and write SRAM only, so their all-or-nothing
 // modelling is unobservable (SRAM is scrambled at reboot anyway). The
 // same argument covers the row-batched conv kernels (core/ace/kernels.cpp),
@@ -14,7 +21,7 @@
 // charges through the cost-only charge_* primitives below: the charges
 // and their order are the per-pixel ops' exactly, and the SRAM window
 // buffer they skip writing is rewritten before the row exits normally.
-// After a PowerFailure mid-row that buffer may differ from the per-op
+// After a brown-out mid-row that buffer may differ from the per-op
 // path's, but only until reboot() scrambles it.
 //
 // Default geometry matches the evaluation board: 8 KB SRAM (4 K words),
@@ -74,6 +81,21 @@ class Device {
   }
   PowerSupply* supply() { return supply_; }
   const PowerSupply* supply() const { return supply_; }
+
+  // True from the op whose draw browned out until reboot(). While it is
+  // set every costed op is inert (see the file comment).
+  bool browned_out() const { return browned_out_; }
+  // Drops the latch without a reboot. A run abandoned on a browned-out
+  // device (DNF, starvation) leaves it latched; the next run armed on it
+  // (IntermittentExecutor::start) draws again from whatever the supply
+  // holds by then, so its first op decides whether the device is still
+  // dead. reboot() is the power-on reset.
+  void clear_brown_out() { browned_out_ = false; }
+  // Announces an execution landmark to the attached supply; nothing
+  // without one, and nothing while browned out.
+  void notify_supply(SupplyEvent e) {
+    if (supply_ != nullptr && !browned_out_) supply_->notify(e);
+  }
 
   MemoryRegion& sram() { return sram_; }
   MemoryRegion& fram() { return fram_; }
@@ -159,18 +181,19 @@ class Device {
   // host replays an op's charge through them and stays charge-for-charge
   // identical to calling the op. charge_cpu_ops/read/write return false,
   // charging nothing, when the op would not take its bulk arm (bulk
-  // disabled, or the supply cannot provably cover the draw); the caller
-  // then runs the op itself, which decides the same way and takes its
-  // word-granular arm. (cpu_ops has no scalar reference mode, so
-  // charge_cpu_ops ignores set_bulk_enabled.)
+  // disabled, browned out, or the supply cannot provably cover the draw);
+  // the caller then runs the op itself, which decides the same way and
+  // takes its word-granular arm. They also return false when their own
+  // draw browned out; the op the caller then runs is inert. (cpu_ops has
+  // no scalar reference mode, so charge_cpu_ops ignores
+  // set_bulk_enabled.)
   bool charge_cpu_ops(double n_ops) {
     const CostModel& cm = cfg_.cost;
     const double cycles = n_ops * cm.cycles_cpu_op;
     if (n_ops > 1.0 && !can_bulk_spend(spend_joules(cycles, 0.0, cm.p_cpu_active))) {
       return false;
     }
-    spend(Rail::kCpu, cycles, 0.0, cm.p_cpu_active);
-    return true;
+    return spend(Rail::kCpu, cycles, 0.0, cm.p_cpu_active);
   }
   // read_block / read_gather
   bool charge_read(MemKind mem, std::size_t n) {
@@ -188,11 +211,12 @@ class Device {
                         sram ? cm.cycles_sram_word : cm.cycles_fram_word,
                         sram ? cm.e_sram_write : cm.e_fram_write, n);
   }
-  // mac_block's charge: one LEA spend, no word-granular arm.
-  void charge_mac(std::size_t n) {
+  // mac_block's charge: one LEA spend, no word-granular arm. False when
+  // the draw browned out (or the device already had).
+  bool charge_mac(std::size_t n) {
     const CostModel& cm = cfg_.cost;
-    spend(Rail::kLea, cm.lea_setup + cm.lea_mac_per_elem * static_cast<double>(n),
-          static_cast<double>(2 * n) * cm.e_sram_read, cm.p_lea_active);
+    return spend(Rail::kLea, cm.lea_setup + cm.lea_mac_per_elem * static_cast<double>(n),
+                 static_cast<double>(2 * n) * cm.e_sram_read, cm.p_lea_active);
   }
 
   // ---- DMA ------------------------------------------------------------
@@ -220,8 +244,9 @@ class Device {
   int lea_ifft(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats* stats = nullptr);
 
   // ---- power ------------------------------------------------------------
-  // Reboot after a power failure: SRAM scrambled, FRAM retained.
-  // (The runtime decides what to do next; boot-time cost is charged.)
+  // Reboot after a power failure: clears the brown-out latch, SRAM
+  // scrambled, FRAM retained. (The runtime decides what to do next;
+  // boot-time cost is charged, and can brown out again.)
   // The scramble draws one key from the device's scramble seed stream;
   // the SRAM words are filled from it only when something next accesses
   // SRAM, so a reboot that nothing observes costs no fill.
@@ -229,7 +254,8 @@ class Device {
 
   // Sample the supply voltage (the FLEX voltage-monitor read; costs a few
   // CPU cycles for the comparator/ADC poll). Settles any open prepaid
-  // window first — the comparator reads the true, settled store.
+  // window first — the comparator reads the true, settled store. While
+  // browned out the read is free and the store unchanged.
   double sample_voltage();
 
   // ---- prepaid-headroom settlement --------------------------------------
@@ -242,6 +268,7 @@ class Device {
   // income sampling, and failure instants are bit-identical to per-op
   // settlement. Draws the budget cannot cover settle per-op, which is
   // what keeps brown-out instants (and the fuzzer's schedules) exact.
+  // A latched device never has a window open.
   void settle_supply();
   bool prepaid_window_open() const { return prepaid_open_; }
 
@@ -253,23 +280,26 @@ class Device {
   // Every costed op funnels through here, ~10M times per fleet-bench
   // device-second — so the common case (an open prepaid window with
   // budget to spare) is inline: cost arithmetic, trace bookkeeping, and
-  // one buffered event. Everything else (settlement, arming a new
-  // window, per-op consume near brown-out) is the out-of-line tail.
-  void spend(Rail rail, double cycles, double extra_energy_joules,
+  // one buffered event. Everything else (the brown-out latch, settlement,
+  // arming a new window, per-op consume near brown-out, bench power) is
+  // the out-of-line tail. Returns false when the op must not apply its
+  // effect: its own draw browned out, or the device already had. The
+  // inline arm returns a constant true, so an op's `if (spend(...))`
+  // folds away on the fast path.
+  bool spend(Rail rail, double cycles, double extra_energy_joules,
              double active_power_watts) {
     const double dt = cfg_.cost.seconds(cycles);
     const double joules = active_power_watts * dt + extra_energy_joules;
-    trace_.add(rail, joules, cycles);
-    if (supply_ == nullptr) return;
     if (prepaid_open_ && joules <= prepaid_budget_ &&
         prepaid_.size() < kPrepaidMaxEvents) {
+      trace_.add(rail, joules, cycles);
       prepaid_budget_ -= joules;
       prepaid_.push_back({joules, dt});
-      return;
+      return true;
     }
-    spend_slow(joules, dt);
+    return spend_slow(rail, cycles, joules, dt);
   }
-  void spend_slow(double joules, double dt);
+  bool spend_slow(Rail rail, double cycles, double joules, double dt);
 
   // Construction-time image of what spend() computes for a fixed-cycle
   // op — the scalar word accesses and the MPY32 MAC run millions of
@@ -284,16 +314,15 @@ class Device {
     const double dt = cfg_.cost.seconds(cycles);
     return {cycles, dt, active_power_watts * dt + extra_energy_joules};
   }
-  void spend_fixed(Rail rail, const FixedOpCost& c) {
-    trace_.add(rail, c.joules, c.cycles);
-    if (supply_ == nullptr) return;
+  bool spend_fixed(Rail rail, const FixedOpCost& c) {
     if (prepaid_open_ && c.joules <= prepaid_budget_ &&
         prepaid_.size() < kPrepaidMaxEvents) {
+      trace_.add(rail, c.joules, c.cycles);
       prepaid_budget_ -= c.joules;
       prepaid_.push_back({c.joules, c.dt});
-      return;
+      return true;
     }
-    spend_slow(c.joules, c.dt);
+    return spend_slow(rail, c.cycles, c.joules, c.dt);
   }
 
   // True when an aggregated draw of `joules` provably cannot brown out,
@@ -317,8 +346,7 @@ class Device {
     if (!bulk_enabled_ || !can_bulk_spend(spend_joules(cycles, extra, cm.p_cpu_active))) {
       return false;
     }
-    spend(rail, cycles, extra, cm.p_cpu_active);
-    return true;
+    return spend(rail, cycles, extra, cm.p_cpu_active);
   }
   // Total joules spend() would draw for `cycles` at `watts` plus extras.
   double spend_joules(double cycles, double extra_energy_joules, double watts) const {
@@ -333,6 +361,7 @@ class Device {
   PowerSupply* supply_ = nullptr;
   Rng scramble_rng_;
   long reboots_ = 0;
+  bool browned_out_ = false;
   bool bulk_enabled_ = true;
   bool prepay_supported_ = false;  // cached supply->prepay_safe()
   bool prepaid_open_ = false;

@@ -1,16 +1,15 @@
-// The power-supply interface the device draws from, and the power-failure
-// signal that drives intermittent execution.
+// The power-supply interface the device draws from.
 //
 // Implementations live in src/power (capacitor + harvest source,
 // continuous bench supply). The device calls consume() for every costed
 // operation; a false return means the storage capacitor fell below the
-// brown-out threshold mid-operation, and the device throws PowerFailure,
-// which the intermittent runtimes in src/core/flex catch to simulate an
-// off period + reboot.
+// brown-out threshold mid-operation. The device then latches its
+// brown-out state (Device::browned_out), the running code returns at its
+// next unit boundary, and the intermittent executor in src/core/flex
+// simulates the off period and the reboot.
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <limits>
 
 namespace ehdnn::dev {
@@ -20,11 +19,6 @@ namespace ehdnn::dev {
 struct SpendEvent {
   double joules = 0.0;
   double dt = 0.0;
-};
-
-class PowerFailure : public std::exception {
- public:
-  const char* what() const noexcept override { return "power failure (brown-out)"; }
 };
 
 // Execution landmarks the intermittent runtimes announce to the supply.

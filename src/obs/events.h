@@ -38,7 +38,7 @@ namespace ehdnn::obs {
 // AND to kEventNames below — the static_assert keeps them in lockstep.
 enum class EventKind : std::int32_t {
   kBoot = 0,          // executor boot slice (a = fresh ? 1 : 0)
-  kBrownOut,          // PowerFailure caught by the executor
+  kBrownOut,          // a slice ended with the device browned out
   kRecovery,          // recharge + reboot succeeded (one per RunStats reboot)
   kCommit,            // a unit committed (RuntimePolicy::on_commit)
   kCheckpointBegin,   // FLEX on-demand checkpoint write started

@@ -12,34 +12,47 @@ namespace ehdnn::power {
 
 namespace {
 
-std::unique_ptr<HarvestSource> make_const(const std::string& spec, SpecArgs& a) {
-  // Harvested income only adds energy; the device's prepaid-energy budget
-  // relies on that, so a negative income is a spec error, not a drain.
-  const double w = a.num("w", 1e-3);
-  check(w >= 0.0, "harvest spec \"" + spec + "\": const w must be >= 0");
-  return std::make_unique<ConstantSource>(w);
+// Field ranges. Harvested income only adds energy — the device's
+// prepaid-energy budget and the capacitor's settlement invariant rely on
+// that — so every power field is >= 0; periods, durations and rates are
+// > 0; fractions of a period lie in [0, 1].
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+double watts(SpecArgs& a, const char* key, double fallback) {
+  return a.num(key, fallback, 0.0, kInf);
+}
+double positive(SpecArgs& a, const char* key, double fallback) {
+  return a.num(key, fallback, SpecArgs::kPositive, kInf);
+}
+
+std::unique_ptr<HarvestSource> make_const(const std::string&, SpecArgs& a) {
+  return std::make_unique<ConstantSource>(watts(a, "w", 1e-3));
 }
 
 std::unique_ptr<HarvestSource> make_square(const std::string&, SpecArgs& a) {
-  return std::make_unique<SquareSource>(a.num("hi", 4e-3), a.num("lo", 0.0),
-                                        a.num("period", 0.02), a.num("duty", 0.5));
+  return std::make_unique<SquareSource>(watts(a, "hi", 4e-3), watts(a, "lo", 0.0),
+                                        positive(a, "period", 0.02),
+                                        a.num("duty", 0.5, 0.0, 1.0));
 }
 
 std::unique_ptr<HarvestSource> make_sine(const std::string&, SpecArgs& a) {
-  return std::make_unique<SineSource>(a.num("mean", 2e-3), a.num("amp", 2e-3),
-                                      a.num("period", 0.02));
+  return std::make_unique<SineSource>(watts(a, "mean", 2e-3), watts(a, "amp", 2e-3),
+                                      positive(a, "period", 0.02));
 }
 
 std::unique_ptr<HarvestSource> make_rf(const std::string&, SpecArgs& a) {
   return std::make_unique<PoissonBurstSource>(
-      a.num("base", 0.2e-3), a.num("burst", 5e-3), a.num("rate", 30.0), a.num("dur", 5e-3),
+      watts(a, "base", 0.2e-3), watts(a, "burst", 5e-3), positive(a, "rate", 30.0),
+      positive(a, "dur", 5e-3),
       a.integer<std::uint64_t>("seed", 1, 0, std::numeric_limits<std::uint64_t>::max()),
-      a.num("horizon", 10.0));
+      positive(a, "horizon", 10.0));
 }
 
 std::unique_ptr<HarvestSource> make_solar(const std::string&, SpecArgs& a) {
-  return std::make_unique<SolarDaySource>(a.num("peak", 5e-3), a.num("day", 1.0),
-                                          a.num("daylight", 0.5), a.num("floor", 0.0));
+  // The arch divides by the lit span, so daylight must be > 0.
+  return std::make_unique<SolarDaySource>(watts(a, "peak", 5e-3), positive(a, "day", 1.0),
+                                          a.num("daylight", 0.5, SpecArgs::kPositive, 1.0),
+                                          watts(a, "floor", 0.0));
 }
 
 std::unique_ptr<HarvestSource> make_trace(const std::string& spec, SpecArgs& a) {
@@ -55,7 +68,8 @@ std::unique_ptr<HarvestSource> make_trace(const std::string& spec, SpecArgs& a) 
     fail("harvest spec \"" + spec + "\": interp must be linear or zoh");
   }
   return std::make_unique<TraceHarvestSource>(load_trace_csv(path), interp,
-                                              a.num("loop", 1.0) != 0.0, a.num("scale", 1.0));
+                                              a.num("loop", 1.0) != 0.0,
+                                              watts(a, "scale", 1.0));
 }
 
 // THE source-kind table: the factory dispatch and harvest_source_kinds()

@@ -420,6 +420,7 @@ struct AdaptivePolicy::Impl {
     ctx.st.units_total = t.policy->units_total(cm);
     flex::StepContext sub{ctx.dev, cm, ctx.input, ctx.opts, ctx.st};
     t.policy->on_boot(sub, true);
+    if (ctx.dev.browned_out()) return;
     inner_fresh_pending = false;
   }
 };

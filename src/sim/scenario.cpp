@@ -1,5 +1,6 @@
 #include "sim/scenario.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -238,10 +239,14 @@ ScenarioSpec parse_scenario_arg(const std::string& arg) {
           "scenario \"" + arg + "\": expected key=value, got \"" + item + "\"");
     const std::string key = item.substr(0, ieq);
     const std::string val = item.substr(ieq + 1);
+    // cap and max_off take the fleet config's bounds.
     if (key == "cap") {
       sc.capacitance_f = parse_num(arg, key, val);
+      check(std::isfinite(sc.capacitance_f) && sc.capacitance_f > 0.0,
+            "scenario \"" + arg + "\": cap must be finite and > 0");
     } else if (key == "max_off") {
       sc.max_off_s = parse_num(arg, key, val);
+      check(sc.max_off_s > 0.0, "scenario \"" + arg + "\": max_off must be > 0");
     } else if (key == "reboots") {
       sc.max_reboots = parse_count(arg, key, val);
     } else if (key == "max_futile") {

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -34,6 +36,10 @@ class SpecArgs {
     }
   }
 
+  // Lower bound for a strictly positive num() field (a period, a
+  // duration): the smallest positive normal double.
+  static constexpr double kPositive = std::numeric_limits<double>::min();
+
   double num(const std::string& key, double fallback) {
     const auto it = kv_.find(key);
     if (it == kv_.end()) return fallback;
@@ -44,6 +50,21 @@ class SpecArgs {
     check(v.has_value() && std::isfinite(*v),
           "spec \"" + spec_ + "\": bad number for " + key + ": \"" + it->second + "\"");
     return *v;
+  }
+
+  // A finite number key in [lo, hi] (lo = kPositive for "> 0");
+  // `fallback` when the key is absent.
+  double num(const std::string& key, double fallback, double lo, double hi) {
+    const double v = num(key, fallback);
+    if (v >= lo && v <= hi) return v;
+    const auto text = [](double x) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%g", x);
+      return std::string(buf);
+    };
+    const std::string range = (lo == kPositive ? "(0" : "[" + text(lo)) + ", " +
+                              (std::isinf(hi) ? "inf)" : text(hi) + "]");
+    fail("spec \"" + spec_ + "\": " + key + " must be in " + range + ", got " + text(v));
   }
 
   // An integer key in [lo, hi] (parse_int's grammar); `fallback` when

@@ -302,7 +302,7 @@ TEST(Device, RebootFillsSramOnlyWhenItIsRead) {
   EXPECT_EQ(d.sram_fills(), 1);
 }
 
-TEST(Device, PowerFailurePropagatesFromSupply) {
+TEST(Device, BrownOutLatchesFromSupply) {
   // A capacitor too small to fund the requested work browns out.
   power::ConstantSource src(0.0);  // no harvest
   power::CapacitorConfig cfg;
@@ -310,15 +310,13 @@ TEST(Device, PowerFailurePropagatesFromSupply) {
   power::CapacitorSupply supply(src, cfg);
   Device d;
   d.attach_supply(&supply);
-  EXPECT_THROW(
-      {
-        for (int i = 0; i < 100000; ++i) d.cpu_ops(100);
-      },
-      PowerFailure);
+  EXPECT_FALSE(d.browned_out());
+  for (int i = 0; i < 100000 && !d.browned_out(); ++i) d.cpu_ops(100);
+  EXPECT_TRUE(d.browned_out());
   EXPECT_FALSE(supply.on());
 }
 
-TEST(Device, DmaTornByPowerFailureLeavesPrefix) {
+TEST(Device, DmaTornByBrownOutLeavesPrefix) {
   power::ConstantSource src(0.0);
   power::CapacitorConfig cfg;
   cfg.capacitance_f = 1e-7;
@@ -327,18 +325,112 @@ TEST(Device, DmaTornByPowerFailureLeavesPrefix) {
   for (Addr i = 0; i < 512; ++i) d.sram().poke(i, 77);
   for (Addr i = 0; i < 512; ++i) d.fram().poke(1000 + i, 0);
   d.attach_supply(&supply);
-  bool failed = false;
-  std::size_t copied = 0;
-  try {
-    // Repeat transfers until the capacitor dies mid-copy.
-    for (int rep = 0; rep < 100000; ++rep) d.dma_copy(MemKind::kSram, 0, MemKind::kFram, 1000, 512);
-  } catch (const PowerFailure&) {
-    failed = true;
-    for (Addr i = 0; i < 512; ++i) copied += d.fram().peek(1000 + i) == 77 ? 1u : 0u;
+  // Repeat transfers until the capacitor dies mid-copy.
+  for (int rep = 0; rep < 100000 && !d.browned_out(); ++rep) {
+    d.dma_copy(MemKind::kSram, 0, MemKind::kFram, 1000, 512);
   }
-  EXPECT_TRUE(failed);
+  EXPECT_TRUE(d.browned_out());
+  std::size_t copied = 0;
+  for (Addr i = 0; i < 512; ++i) copied += d.fram().peek(1000 + i) == 77 ? 1u : 0u;
   // Some prefix landed; word-granular effects mean no garbage values.
   EXPECT_GT(copied, 0u);
+}
+
+// Every costed op on a latched device is inert: no trace charge, no
+// supply draw, no memory effect. reboot() clears the latch.
+TEST(Device, LatchedOpsAreInert) {
+  power::ConstantSource src(1e-3);  // enough income to recharge
+  power::CapacitorConfig cfg;
+  cfg.capacitance_f = 1e-7;
+  power::CapacitorSupply supply(src, cfg);
+  Device d;
+  for (Addr i = 0; i < 512; ++i) d.sram().poke(i, static_cast<q15_t>(i % 97 + 1));
+  for (Addr i = 0; i < 512; ++i) d.fram().poke(i, static_cast<q15_t>(i % 89 + 1));
+  d.attach_supply(&supply);
+  for (int i = 0; i < 100000 && !d.browned_out(); ++i) d.cpu_ops(100);
+  ASSERT_TRUE(d.browned_out());
+
+  const double energy = d.trace().total_energy();
+  const double cycles = d.trace().total_cycles();
+  const double volts = supply.voltage();
+  const double now = supply.now();
+  const long fills = d.sram_fills();
+  std::vector<q15_t> sram(512), fram(512);
+  for (Addr i = 0; i < 512; ++i) {
+    sram[i] = d.sram().peek(i);
+    fram[i] = d.fram().peek(i);
+  }
+  const auto expect_inert = [&](const char* op) {
+    EXPECT_TRUE(d.browned_out()) << op;
+    EXPECT_EQ(d.trace().total_energy(), energy) << op;
+    EXPECT_EQ(d.trace().total_cycles(), cycles) << op;
+    EXPECT_EQ(supply.voltage(), volts) << op;
+    EXPECT_EQ(supply.now(), now) << op;
+    EXPECT_EQ(d.sram_fills(), fills) << op;
+    for (Addr i = 0; i < 512; ++i) {
+      ASSERT_EQ(d.sram().peek(i), sram[i]) << op << " SRAM word " << i;
+      ASSERT_EQ(d.fram().peek(i), fram[i]) << op << " FRAM word " << i;
+    }
+  };
+
+  std::vector<q15_t> buf(32, 5);
+  const std::vector<std::uint32_t> offsets{0, 3, 7, 9};
+  std::vector<q15_t> gathered(offsets.size());
+  for (const MemKind mem : {MemKind::kSram, MemKind::kFram}) {
+    d.read(mem, 10);
+    expect_inert("read");
+    d.write(mem, 10, -3);
+    expect_inert("write");
+    d.read_block(mem, 20, buf);
+    expect_inert("read_block");
+    d.write_block(mem, 20, buf);
+    expect_inert("write_block");
+    d.read_gather(mem, 40, offsets, 10, gathered);
+    expect_inert("read_gather");
+    d.cpu_copy(mem, 0, MemKind::kFram, 100, 64);
+    expect_inert("cpu_copy");
+    d.dma_copy(mem, 0, MemKind::kSram, 200, 64);
+    expect_inert("dma_copy");
+    EXPECT_FALSE(d.charge_read(mem, 8));
+    expect_inert("charge_read");
+    EXPECT_FALSE(d.charge_write(mem, 8));
+    expect_inert("charge_write");
+  }
+  d.mac_block(0, 64, 32);
+  expect_inert("mac_block");
+  d.lea_mac(0, 64, 32);
+  expect_inert("lea_mac");
+  d.cpu_ops(1000);
+  expect_inert("cpu_ops");
+  d.cpu_mac_cycles();
+  expect_inert("cpu_mac_cycles");
+  d.lea_add(0, 64, 128, 32);
+  expect_inert("lea_add");
+  d.lea_mpy(0, 64, 128, 32);
+  expect_inert("lea_mpy");
+  d.lea_shift(0, 128, 32, 1);
+  expect_inert("lea_shift");
+  d.lea_cmul(0, 64, 128, 16);
+  expect_inert("lea_cmul");
+  d.lea_fft(256, 32, dsp::FftScaling::kBlockFloat);
+  expect_inert("lea_fft");
+  d.lea_ifft(256, 32, dsp::FftScaling::kBlockFloat);
+  expect_inert("lea_ifft");
+  EXPECT_FALSE(d.charge_cpu_ops(50));
+  expect_inert("charge_cpu_ops");
+  EXPECT_FALSE(d.charge_mac(32));
+  expect_inert("charge_mac");
+  d.sample_voltage();
+  expect_inert("sample_voltage");
+  d.settle_supply();
+  expect_inert("settle_supply");
+
+  supply.recharge_to_on();
+  d.reboot();
+  EXPECT_FALSE(d.browned_out());
+  EXPECT_GT(d.trace().total_cycles(), cycles);  // the boot sequence is charged
+  d.write(MemKind::kFram, 10, -3);
+  EXPECT_EQ(d.fram().peek(10), -3);
 }
 
 TEST(Device, VoltageSampleCostsCycles) {

@@ -359,5 +359,42 @@ TEST(Executor, FutileBootWatchdogFlagsLivelock) {
   EXPECT_GT(ex2.stats().reboots, 2);
 }
 
+// A run abandoned at a brown-out (here by the livelock watchdog) leaves
+// the device latched and un-rebooted. The next run armed on it starts
+// unlatched: its first op draws from whatever the supply holds after the
+// park, exactly as it did when brown-outs were delivered by unwinding.
+// The pinned stats of that second run were captured before the latch.
+TEST(Executor, RunAfterAbandonedRunDrawsFromSupply) {
+  Rng rng(1234);
+  const auto qm = dense_model(rng);
+  const auto input = quant::quantize_input(
+      qm, random_tensor(qm.layers.front().in_shape, rng));
+
+  dev::Device dev;
+  power::ConstantSource src(0.5e-3);
+  power::CapacitorConfig cfg;
+  cfg.capacitance_f = 1.0e-6;
+  power::CapacitorSupply cap(src, cfg);
+  dev.attach_supply(&cap);
+  const auto cm = ace::compile(qm, dev);
+
+  auto policy = make_ace_policy();
+  IntermittentExecutor ex(*policy);
+  RunOptions opts;
+  opts.max_reboots = 3000;
+  opts.max_futile_boots = 7;
+  const RunStats first = ex.run(dev, cm, input, opts);
+  ASSERT_TRUE(first.livelock);
+  EXPECT_TRUE(dev.browned_out());
+
+  cap.idle_until(cap.now() + 2e-3);  // a short park: not yet back at v_on
+  const RunStats second = ex.run(dev, cm, input, opts);
+  EXPECT_TRUE(second.livelock);
+  EXPECT_EQ(second.reboots, 6);
+  EXPECT_EQ(second.units_executed, 88);
+  EXPECT_EQ(second.on_seconds, 0.0053886875000000002);
+  EXPECT_EQ(second.energy_j, 2.1994363749999302e-05);
+}
+
 }  // namespace
 }  // namespace ehdnn::flex

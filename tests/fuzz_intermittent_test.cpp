@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+
 #include "core/ace/compiled_model.h"
 #include "core/flex/executor.h"
 #include "core/flex/runtime.h"
@@ -56,6 +60,11 @@ struct FuzzCase {
   FuzzModel model;      // mixed (BCM) model, its dense twin, or conv1d
   int schedules;        // seeded schedules replayed
   std::uint64_t seed0;  // first seed; seeds are seed0 .. seed0+schedules-1
+  // Pinned StatsDigest over every schedule of the case (see below). The
+  // run()/step() comparison checks the two paths against each other; this
+  // pins both against the recorded values, so a counter or event that
+  // moves when a brown-out is delivered fails here.
+  std::uint64_t stats_digest;
   double flex_v_warn = 2.45;  // default; varied to hit eager/late monitors
   // Adaptive scheduler spec (sched::parse_adaptive_spec); null for the
   // table default. The rich-stuck const forecaster with demote=1 makes
@@ -85,36 +94,71 @@ struct FuzzCase {
 // model is the only one with a Conv1D layer, so its FLEX and TAILS cases
 // (per-op and prepaid) are what put brown-outs inside conv1d output rows.
 constexpr FuzzCase kCases[] = {
-    {"sonic", kDense, 250, 0x50000, 2.45},
-    {"tails", kDense, 150, 0x51000, 2.45},
-    {"tails", kBcm, 150, 0x52000, 2.45},
-    {"flex", kBcm, 250, 0x53000, 2.45},
-    {"flex", kDense, 100, 0x54000, 2.45},
-    {"flex", kBcm, 60, 0x55000, 3.5},     // eager: warns every cycle
-    {"flex", kBcm, 40, 0x56000, 2.2001},  // late: failures arrive unwarned
-    {"tile", kDense, 80, 0x5d000, 2.45},
-    {"tile:t=1", kDense, 40, 0x5e000, 2.45},  // every MAC is a commit
-    {"tile:t=4", kDense, 60, 0x5f000, 2.45},
-    {"adaptive", kBcm, 120, 0x57000, 2.45, "adaptive:fc=const,w=9,rich=5e-3,demote=1"},
-    {"adaptive", kDense, 80, 0x58000, 2.45, "adaptive:fc=const,w=9,rich=5e-3,demote=1"},
-    {"adaptive", kBcm, 70, 0x5c000, 2.45, "adaptive:sel=deadline,fc=const,w=9,demote=1"},
-    {"adaptive", kDense, 50, 0x5b000, 2.45,
+    {"sonic", kDense, 250, 0x50000, 0x58999714ad376c88ull, 2.45},
+    {"tails", kDense, 150, 0x51000, 0x2dc35b22f1a4dc5bull, 2.45},
+    {"tails", kBcm, 150, 0x52000, 0xead4f9b8fbe725a9ull, 2.45},
+    {"flex", kBcm, 250, 0x53000, 0xe81ae045338f59e8ull, 2.45},
+    {"flex", kDense, 100, 0x54000, 0x35d904e178099633ull, 2.45},
+    // eager: warns every cycle
+    {"flex", kBcm, 60, 0x55000, 0x8908528d3eadcd49ull, 3.5},
+    // late: failures arrive unwarned
+    {"flex", kBcm, 40, 0x56000, 0xa6e388df5f8a8d71ull, 2.2001},
+    {"tile", kDense, 80, 0x5d000, 0x54f44ef2ff613e9aull, 2.45},
+    {"tile:t=1", kDense, 40, 0x5e000, 0x95b905cadc3d7ce4ull, 2.45},  // every MAC is a commit
+    {"tile:t=4", kDense, 60, 0x5f000, 0x140300a7c3598c1aull, 2.45},
+    {"adaptive", kBcm, 120, 0x57000, 0x9fcadd90aee0078cull, 2.45,
+     "adaptive:fc=const,w=9,rich=5e-3,demote=1"},
+    {"adaptive", kDense, 80, 0x58000, 0x9f9146454bc0a88aull, 2.45,
+     "adaptive:fc=const,w=9,rich=5e-3,demote=1"},
+    {"adaptive", kBcm, 70, 0x5c000, 0x4a9d955068fb0a7cull, 2.45,
+     "adaptive:sel=deadline,fc=const,w=9,demote=1"},
+    {"adaptive", kDense, 50, 0x5b000, 0x59464dcaf2096848ull, 2.45,
      "adaptive:sel=deadline,fc=periodic,demote=1"},
     // Prepaid-headroom window schedules: per-cycle budgets make the
     // device buffer draws and settle them in batches; failures fire on
     // the over-budget draw right after a settlement — the torn-settlement
     // boundary the prepaid contract must keep bit-exact.
-    {"flex", kBcm, 100, 0x60000, 2.45, nullptr, true},
-    {"sonic", kDense, 80, 0x61000, 2.45, nullptr, true},
-    {"tails", kBcm, 60, 0x62000, 2.45, nullptr, true},
-    {"tile", kDense, 60, 0x63000, 2.45, nullptr, true},
+    {"flex", kBcm, 100, 0x60000, 0x1dcb2ad262bb3b55ull, 2.45, nullptr, true},
+    {"sonic", kDense, 80, 0x61000, 0xc1c3a898340f521aull, 2.45, nullptr, true},
+    {"tails", kBcm, 60, 0x62000, 0xf46f1a42d6ede1adull, 2.45, nullptr, true},
+    {"tile", kDense, 60, 0x63000, 0x94b3fbf4402a14a9ull, 2.45, nullptr, true},
     // Conv1D rows: per-op schedules tear the window loop word by word,
     // prepaid ones land on the over-budget draw after a settlement, both
     // in the middle of an output row.
-    {"flex", kConv1d, 60, 0x64000, 2.45},
-    {"tails", kConv1d, 60, 0x65000, 2.45},
-    {"flex", kConv1d, 50, 0x66000, 2.45, nullptr, true},
-    {"tails", kConv1d, 50, 0x67000, 2.45, nullptr, true},
+    {"flex", kConv1d, 60, 0x64000, 0x0659b80f6bf29b14ull, 2.45},
+    {"tails", kConv1d, 60, 0x65000, 0xb92f8cd6196aa754ull, 2.45},
+    {"flex", kConv1d, 50, 0x66000, 0x0411783f90c1fba6ull, 2.45, nullptr, true},
+    {"tails", kConv1d, 50, 0x67000, 0x5b10fe4eb91089c0ull, 2.45, nullptr, true},
+};
+
+// FNV-1a over a case's per-schedule outcomes, in schedule order: each
+// run()'s reboots, units_executed, progress_commits, checkpoints and the
+// bit pattern of energy_j, then the event counts by obs::EventKind of the
+// run() path and of the start()/step() path.
+class StatsDigest {
+ public:
+  void add_stats(const RunStats& st) {
+    fold(static_cast<std::uint64_t>(st.reboots));
+    fold(static_cast<std::uint64_t>(st.units_executed));
+    fold(static_cast<std::uint64_t>(st.progress_commits));
+    fold(static_cast<std::uint64_t>(st.checkpoints));
+    fold(std::bit_cast<std::uint64_t>(st.energy_j));
+  }
+  void add_events(const obs::EventTrace& trace) {
+    for (int k = 0; k < obs::kKindCount; ++k) {
+      fold(static_cast<std::uint64_t>(trace.count(static_cast<obs::EventKind>(k))));
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void fold(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (v >> (8 * b)) & 0xff;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
 // Builds the case's runtime/policy honoring an adaptive spec override.
@@ -197,6 +241,7 @@ TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
   opts.trace = &trace;
 
   long total_failures = 0;
+  StatsDigest digest;
   for (int i = 0; i < fc.schedules; ++i) {
     const std::uint64_t seed = fc.seed0 + static_cast<std::uint64_t>(i);
     power::FailureScheduleSupply::Config scfg;
@@ -216,6 +261,8 @@ TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
     EXPECT_EQ(st.reboots, supply.failures()) << fc.runtime << " seed " << seed;
     total_failures += supply.failures();
     check_trace_invariants(st.reboots, seed, "run");
+    digest.add_stats(st);
+    digest.add_events(trace);
 
     dev::Device dev2;
     power::FailureScheduleSupply supply2(seed, scfg);
@@ -235,7 +282,13 @@ TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
     ASSERT_EQ(se.progress_commits, st.progress_commits) << fc.runtime << " seed " << seed;
     ASSERT_EQ(se.units_executed, st.units_executed) << fc.runtime << " seed " << seed;
     check_trace_invariants(se.reboots, seed, "executor");
+    digest.add_events(trace);
   }
+  std::printf("%s seed0 0x%llx: stats digest 0x%016llx\n", fc.runtime,
+              static_cast<unsigned long long>(fc.seed0),
+              static_cast<unsigned long long>(digest.value()));
+  EXPECT_EQ(digest.value(), fc.stats_digest)
+      << fc.runtime << ": a per-schedule stat or event count moved";
 
   // The schedules must actually bite: on average multiple brown-outs per
   // run, or the fuzzer is testing nothing. (FLEX averages fewer than the

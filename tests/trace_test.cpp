@@ -154,6 +154,28 @@ TEST(Factory, RejectsBadSpecs) {
   EXPECT_THROW(make_harvest_source("rf:seed=-1"), Error);  // integer keys: range-checked
   EXPECT_THROW(make_harvest_source("rf:seed=1e30"), Error);
   EXPECT_THROW(make_harvest_source("rf:seed=2.5"), Error);
+  // Field ranges: power >= 0, periods/durations/rates > 0, fractions of
+  // a period in [0, 1] (daylight > 0: the arch divides by it).
+  EXPECT_THROW(make_harvest_source("square:lo=-5"), Error);
+  EXPECT_THROW(make_harvest_source("square:hi=1e-3,lo=-1e-3,period=0.02,duty=0.5"), Error);
+  EXPECT_THROW(make_harvest_source("square:hi=-1e-3"), Error);
+  EXPECT_THROW(make_harvest_source("square:period=0"), Error);
+  EXPECT_THROW(make_harvest_source("square:duty=1.5"), Error);
+  EXPECT_THROW(make_harvest_source("sine:amp=-1e-3"), Error);
+  EXPECT_THROW(make_harvest_source("sine:mean=-1e-3"), Error);
+  EXPECT_THROW(make_harvest_source("sine:period=-1"), Error);
+  EXPECT_THROW(make_harvest_source("rf:base=-1e-3"), Error);
+  EXPECT_THROW(make_harvest_source("rf:rate=0"), Error);
+  EXPECT_THROW(make_harvest_source("rf:dur=-5e-3"), Error);
+  EXPECT_THROW(make_harvest_source("rf:horizon=0"), Error);
+  EXPECT_THROW(make_harvest_source("solar:floor=-1e-3"), Error);
+  EXPECT_THROW(make_harvest_source("solar:day=0"), Error);
+  EXPECT_THROW(make_harvest_source("solar:daylight=0"), Error);
+  EXPECT_THROW(make_harvest_source("solar:daylight=1.01"), Error);
+  // The bounds are inclusive where the model allows it.
+  EXPECT_NO_THROW(make_harvest_source("square:hi=0,lo=0,duty=0"));
+  EXPECT_NO_THROW(make_harvest_source("square:duty=1"));
+  EXPECT_NO_THROW(make_harvest_source("solar:daylight=1"));
 }
 
 TEST(ScenarioArg, ParsesNameSourceAndOptions) {
@@ -174,6 +196,12 @@ TEST(ScenarioArg, RejectsMalformed) {
   EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;reboots=-1"), Error);
   EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;reboots=2.5"), Error);
   EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;max_futile=1e30"), Error);
+  // cap and max_off take the fleet config's bounds.
+  EXPECT_THROW(sim::parse_scenario_arg("x=const:w=1e-3;cap=-1"), Error);
+  EXPECT_THROW(sim::parse_scenario_arg("x=const:w=1e-3;cap=0"), Error);
+  EXPECT_THROW(sim::parse_scenario_arg("x=const:w=1e-3;cap=inf"), Error);
+  EXPECT_THROW(sim::parse_scenario_arg("x=const:w=1e-3;max_off=-3"), Error);
+  EXPECT_THROW(sim::parse_scenario_arg("x=const:w=1e-3;max_off=0"), Error);
 }
 
 }  // namespace
