@@ -625,6 +625,16 @@ std::size_t tile_reduction_len(const CompiledModel& cm, std::size_t layer) {
   }
 }
 
+// One MAC over staged operands through the real ops. run_tile charges
+// its MACs through charge runs (Device::charge_loop) and computes the
+// products from the staged buffers afterwards; this is the runs' per-op
+// fallback and, under set_bulk_enabled(false), which refuses every run,
+// their test oracle (tests/charge_sequence_test.cpp).
+void tile_mac_per_op(dev::Device& dv) {
+  dv.cpu_mac_cycles();
+  dv.cpu_ops(2);
+}
+
 // Advances past a finished outer element; true when the layer is done.
 bool tile_advance_outer(TileCursor& cur, std::size_t outer_count) {
   cur.tile = 0;
@@ -672,6 +682,9 @@ bool run_tile(ExecCtx& ctx, TileCursor& cur, std::size_t tile_elems) {
   const Addr wb = ctx.img().w_base;
   const Addr bb = ctx.img().b_base;
   ArenaRef ar(ctx);
+  // One MAC over the staged operands: the MPY32 multiply and two
+  // address-advance ops (tile_mac_per_op's order).
+  const dev::ChargePattern mac{dv.mac_cost(), dv.cpu_ops_cost(2)};
 
   switch (q.kind) {
     case QKind::kDense: {
@@ -689,10 +702,9 @@ bool run_tile(ExecCtx& ctx, TileCursor& cur, std::size_t tile_elems) {
       const Span wbuf = ScratchArena::need(ar->gather, n);
       dv.read_block(MemKind::kFram, in + lo, xbuf);
       dv.read_block(MemKind::kFram, wb + o * nin + lo, wbuf);
+      dv.charge_loop(mac, n, [&](std::size_t) { tile_mac_per_op(dv); });
       auto acc = static_cast<std::int32_t>(cur.acc);
       for (std::size_t i = 0; i < n; ++i) {
-        dv.cpu_mac_cycles();
-        dv.cpu_ops(2);
         acc += static_cast<std::int32_t>(fx::mul_q30(xbuf[i], wbuf[i]) >> guard);
       }
       if (cur.tile + 1 == ntiles) {
@@ -742,12 +754,9 @@ bool run_tile(ExecCtx& ctx, TileCursor& cur, std::size_t tile_elems) {
                      /*offsets_in_span=*/true);
       dv.read_gather(MemKind::kFram, wb + f * wstride, woff.subspan(lo, n), lp.w_span,
                      wbuf, /*offsets_in_span=*/true);
+      dv.charge_loop(mac, n, [&](std::size_t) { tile_mac_per_op(dv); });
       std::int64_t acc = cur.acc;
-      for (std::size_t e = 0; e < n; ++e) {
-        dv.cpu_mac_cycles();
-        dv.cpu_ops(2);
-        acc += fx::mul_q30(xbuf[e], wbuf[e]);
-      }
+      for (std::size_t e = 0; e < n; ++e) acc += fx::mul_q30(xbuf[e], wbuf[e]);
       if (cur.tile + 1 == ntiles) {
         dv.cpu_ops(4);
         q15_t v = fx::narrow_q30(acc, rshift);

@@ -123,6 +123,19 @@ class SonicPolicy : public RuntimePolicy {
     return true;
   }
 
+  // One SONIC MAC through the real ops: both operands read from FRAM,
+  // the MPY32 multiply, two address-advance ops. The layer loops charge
+  // their MACs through charge runs (Device::charge_loop) and compute the
+  // products from the FRAM words afterwards; this is the runs' per-op
+  // fallback and, under set_bulk_enabled(false), which refuses every run,
+  // their test oracle (tests/charge_sequence_test.cpp).
+  static void mac_per_op(dev::Device& dev, Addr x, Addr w) {
+    dev.read(MemKind::kFram, x);
+    dev.read(MemKind::kFram, w);
+    dev.cpu_mac_cycles();
+    dev.cpu_ops(2);
+  }
+
   void run_sonic_layer(StepContext& ctx, std::size_t l, std::size_t outer0,
                        std::size_t tile0) {
     dev::Device& dev = ctx.dev;
@@ -132,6 +145,10 @@ class SonicPolicy : public RuntimePolicy {
     const Addr out = cm.act_out(l);
     const Addr wb = cm.images[l].w_base;
     const Addr bb = cm.images[l].b_base;
+    // One MAC's draws: the operand reads, the MPY32 multiply, the two
+    // address-advance ops (mac_per_op's order).
+    const dev::ChargePattern mac{dev.read_cost(MemKind::kFram), dev.read_cost(MemKind::kFram),
+                                 dev.mac_cost(), dev.cpu_ops_cost(2)};
 
     switch (q.kind) {
       case QKind::kDense: {
@@ -145,13 +162,14 @@ class SonicPolicy : public RuntimePolicy {
             std::int32_t acc =
                 t == 0 ? 0 : ace::read_acc32(dev, MemKind::kFram, cm.nv_acc_base, t & 1);
             const std::size_t lo = t * kTile;
-            const std::size_t hi = std::min(lo + kTile, nin);
-            for (std::size_t i = lo; i < hi; ++i) {
-              const q15_t xv = dev.read(MemKind::kFram, in + i);
-              const q15_t wv = dev.read(MemKind::kFram, wb + o * nin + i);
-              dev.cpu_mac_cycles();
-              dev.cpu_ops(2);
-              acc += static_cast<std::int32_t>(fx::mul_q30(xv, wv) >> guard);
+            const std::size_t n = std::min(lo + kTile, nin) - lo;
+            const Addr xa = in + lo;
+            const Addr wa = wb + o * nin + lo;
+            dev.charge_loop(mac, n, [&](std::size_t i) { mac_per_op(dev, xa + i, wa + i); });
+            const auto xs = dev.fram().view(xa, n);
+            const auto ws = dev.fram().view(wa, n);
+            for (std::size_t i = 0; i < n; ++i) {
+              acc += static_cast<std::int32_t>(fx::mul_q30(xs[i], ws[i]) >> guard);
             }
             ace::write_acc32(dev, MemKind::kFram, cm.nv_acc_base, (t + 1) & 1, acc);
             if (t + 1 == ntiles) {
@@ -177,17 +195,20 @@ class SonicPolicy : public RuntimePolicy {
           const std::size_t f = px / (oh * ow);
           const std::size_t i = (px / ow) % oh;
           const std::size_t j = px % ow;
+          // Reduction index m = (c * kh + r) * kw + s.
+          dev.charge_loop(mac, q.in_ch * q.kh * q.kw, [&](std::size_t m) {
+            const std::size_t c = m / (q.kh * q.kw);
+            const std::size_t r = (m / q.kw) % q.kh;
+            const std::size_t s = m % q.kw;
+            mac_per_op(dev, in + (c * ih + i + r) * iw + j + s,
+                       wb + ((f * q.in_ch + c) * q.kh + r) * q.kw + s);
+          });
           std::int64_t acc = 0;
           for (std::size_t c = 0; c < q.in_ch; ++c) {
             for (std::size_t r = 0; r < q.kh; ++r) {
-              for (std::size_t s = 0; s < q.kw; ++s) {
-                const q15_t xv = dev.read(MemKind::kFram, in + (c * ih + i + r) * iw + j + s);
-                const q15_t wv =
-                    dev.read(MemKind::kFram, wb + ((f * q.in_ch + c) * q.kh + r) * q.kw + s);
-                dev.cpu_mac_cycles();
-                dev.cpu_ops(2);
-                acc += fx::mul_q30(xv, wv);
-              }
+              const auto xs = dev.fram().view(in + (c * ih + i + r) * iw + j, q.kw);
+              const auto ws = dev.fram().view(wb + ((f * q.in_ch + c) * q.kh + r) * q.kw, q.kw);
+              for (std::size_t s = 0; s < q.kw; ++s) acc += fx::mul_q30(xs[s], ws[s]);
             }
           }
           dev.cpu_ops(4);
@@ -206,15 +227,17 @@ class SonicPolicy : public RuntimePolicy {
         for (std::size_t px = outer0; px < q.out_size(); ++px) {
           const std::size_t f = px / ol;
           const std::size_t i = px % ol;
+          // Reduction index m = c * k + t.
+          dev.charge_loop(mac, q.in_ch * q.k, [&](std::size_t m) {
+            const std::size_t c = m / q.k;
+            const std::size_t t = m % q.k;
+            mac_per_op(dev, in + c * il + i + t, wb + (f * q.in_ch + c) * q.k + t);
+          });
           std::int64_t acc = 0;
           for (std::size_t c = 0; c < q.in_ch; ++c) {
-            for (std::size_t t = 0; t < q.k; ++t) {
-              const q15_t xv = dev.read(MemKind::kFram, in + c * il + i + t);
-              const q15_t wv = dev.read(MemKind::kFram, wb + (f * q.in_ch + c) * q.k + t);
-              dev.cpu_mac_cycles();
-              dev.cpu_ops(2);
-              acc += fx::mul_q30(xv, wv);
-            }
+            const auto xs = dev.fram().view(in + c * il + i, q.k);
+            const auto ws = dev.fram().view(wb + (f * q.in_ch + c) * q.k, q.k);
+            for (std::size_t t = 0; t < q.k; ++t) acc += fx::mul_q30(xs[t], ws[t]);
           }
           dev.cpu_ops(4);
           q15_t v = fx::narrow_q30(acc, rshift);

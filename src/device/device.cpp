@@ -11,15 +11,15 @@ namespace ehdnn::dev {
 
 Device::Device(DeviceConfig cfg, DeviceSlabs* slabs)
     : cfg_(cfg),
-      c_sram_rd_(fixed_cost(cfg.cost.cycles_sram_word, cfg.cost.e_sram_read,
+      c_sram_rd_(fixed_cost(Rail::kSramRead, cfg.cost.cycles_sram_word, cfg.cost.e_sram_read,
                             cfg.cost.p_cpu_active)),
-      c_sram_wr_(fixed_cost(cfg.cost.cycles_sram_word, cfg.cost.e_sram_write,
+      c_sram_wr_(fixed_cost(Rail::kSramWrite, cfg.cost.cycles_sram_word, cfg.cost.e_sram_write,
                             cfg.cost.p_cpu_active)),
-      c_fram_rd_(fixed_cost(cfg.cost.cycles_fram_word, cfg.cost.e_fram_read,
+      c_fram_rd_(fixed_cost(Rail::kFramRead, cfg.cost.cycles_fram_word, cfg.cost.e_fram_read,
                             cfg.cost.p_cpu_active)),
-      c_fram_wr_(fixed_cost(cfg.cost.cycles_fram_word, cfg.cost.e_fram_write,
+      c_fram_wr_(fixed_cost(Rail::kFramWrite, cfg.cost.cycles_fram_word, cfg.cost.e_fram_write,
                             cfg.cost.p_cpu_active)),
-      c_cpu_mac_(fixed_cost(cfg.cost.cycles_cpu_mac, 0.0, cfg.cost.p_cpu_active)),
+      c_cpu_mac_(fixed_cost(Rail::kCpu, cfg.cost.cycles_cpu_mac, 0.0, cfg.cost.p_cpu_active)),
       sram_(slabs != nullptr
                 ? MemoryRegion(MemKind::kSram, cfg.sram_words, std::move(slabs->sram))
                 : MemoryRegion(MemKind::kSram, cfg.sram_words)),
@@ -85,23 +85,23 @@ void Device::cpu_ops(double n_ops) {
   }
 }
 
-void Device::cpu_mac_cycles() { spend_fixed(Rail::kCpu, c_cpu_mac_); }
+void Device::cpu_mac_cycles() { spend_fixed(c_cpu_mac_); }
 
 // An unpaid read returns 0 without touching the region (a pending SRAM
 // scramble stays unfilled).
 fx::q15_t Device::read(MemKind mem, Addr a) {
   if (mem == MemKind::kSram) {
-    return spend_fixed(Rail::kSramRead, c_sram_rd_) ? sram_.peek(a) : fx::q15_t{0};
+    return spend_fixed(c_sram_rd_) ? sram_.peek(a) : fx::q15_t{0};
   }
-  return spend_fixed(Rail::kFramRead, c_fram_rd_) ? fram_.peek(a) : fx::q15_t{0};
+  return spend_fixed(c_fram_rd_) ? fram_.peek(a) : fx::q15_t{0};
 }
 
 void Device::write(MemKind mem, Addr a, fx::q15_t v) {
   if (mem == MemKind::kSram) {
-    if (spend_fixed(Rail::kSramWrite, c_sram_wr_)) sram_.poke(a, v);
+    if (spend_fixed(c_sram_wr_)) sram_.poke(a, v);
     return;
   }
-  if (spend_fixed(Rail::kFramWrite, c_fram_wr_)) fram_.poke(a, v);
+  if (spend_fixed(c_fram_wr_)) fram_.poke(a, v);
 }
 
 bool Device::can_bulk_spend_slow(double joules) {

@@ -24,12 +24,26 @@
 // After a brown-out mid-row that buffer may differ from the per-op
 // path's, but only until reboot() scrambles it.
 //
+// The scalar CPU runtimes (SONIC, TILE) charge their MAC loops through
+// charge runs (charge_run below): whole repetitions of a fixed pattern of
+// fixed-cost charges, each drawn exactly as its op would draw it, with
+// the values computed afterwards in one host pass. A run charges only
+// repetitions whose every draw provably takes the arm the op would take
+// (buffered in an open prepaid window; trace only on bench power; settled
+// at once against an infallible supply) and otherwise hands the next
+// repetition back to the caller's per-op loop, which decides per op as
+// always. set_bulk_enabled(false) refuses every run: that per-op loop is
+// the fallback and the test oracle.
+//
 // Default geometry matches the evaluation board: 8 KB SRAM (4 K words),
 // 256 KB FRAM (128 K words), 16 MHz. The LEA owns no memory of its own; it
 // operates on SRAM like the real block (which shares the lower SRAM bank).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <vector>
@@ -40,6 +54,7 @@
 #include "device/power_interface.h"
 #include "dsp/fft.h"
 #include "fixed/cq15.h"
+#include "util/check.h"
 
 namespace ehdnn::dev {
 
@@ -59,6 +74,36 @@ struct DeviceSlabs {
   std::vector<fx::q15_t> sram, fram;
 };
 
+// The draw one fixed-cost op makes: a word read or write, the MPY32 MAC,
+// or a cpu_ops(n) burst on its single-draw arm (Device::read_cost and
+// friends). Each evaluates spend()'s exact expressions, so each cost
+// formula exists once.
+struct FixedOpCost {
+  Rail rail = Rail::kCpu;
+  double cycles = 0.0, dt = 0.0, joules = 0.0;
+  bool operator==(const FixedOpCost&) const = default;
+};
+
+// A short, fixed sequence of fixed-cost charges that Device::charge_run
+// repeats: one loop iteration's draws, in the order its ops make them.
+class ChargePattern {
+ public:
+  static constexpr std::size_t kMaxSteps = 4;
+  ChargePattern(std::initializer_list<FixedOpCost> steps) : n_(steps.size()) {
+    check(n_ >= 1 && n_ <= kMaxSteps, "ChargePattern: 1 to 4 charges");
+    std::copy(steps.begin(), steps.end(), steps_.begin());
+  }
+  std::span<const FixedOpCost> steps() const { return {steps_.data(), n_}; }
+  bool operator==(const ChargePattern& o) const {
+    return std::ranges::equal(steps(), o.steps());
+  }
+
+ private:
+  std::array<FixedOpCost, kMaxSteps> steps_{};
+  std::size_t n_;
+};
+static_assert(ChargePattern::kMaxSteps <= EnergyTrace::kRepeatedRails);
+
 class Device {
  public:
   explicit Device(DeviceConfig cfg = {}, DeviceSlabs* slabs = nullptr);
@@ -75,6 +120,7 @@ class Device {
   void attach_supply(PowerSupply* supply) {
     supply_ = supply;
     prepay_supported_ = supply != nullptr && supply->prepay_safe();
+    infallible_ = supply != nullptr && supply->infallible();
     // One capacity-sized reservation up front keeps the per-spend
     // push_back growth-free for the window's whole lifetime.
     if (prepay_supported_) prepaid_.reserve(kPrepaidMaxEvents);
@@ -188,12 +234,9 @@ class Device {
   // no scalar reference mode, so charge_cpu_ops ignores
   // set_bulk_enabled.)
   bool charge_cpu_ops(double n_ops) {
-    const CostModel& cm = cfg_.cost;
-    const double cycles = n_ops * cm.cycles_cpu_op;
-    if (n_ops > 1.0 && !can_bulk_spend(spend_joules(cycles, 0.0, cm.p_cpu_active))) {
-      return false;
-    }
-    return spend(Rail::kCpu, cycles, 0.0, cm.p_cpu_active);
+    const FixedOpCost c = cpu_ops_cost(n_ops);
+    if (n_ops > 1.0 && !can_bulk_spend(c.joules)) return false;
+    return spend_fixed(c);
   }
   // read_block / read_gather
   bool charge_read(MemKind mem, std::size_t n) {
@@ -217,6 +260,52 @@ class Device {
     const CostModel& cm = cfg_.cost;
     return spend(Rail::kLea, cm.lea_setup + cm.lea_mac_per_elem * static_cast<double>(n),
                  static_cast<double>(2 * n) * cm.e_sram_read, cm.p_lea_active);
+  }
+
+  // ---- charge runs ------------------------------------------------------
+  // The draws of read(), write(), cpu_mac_cycles() and cpu_ops(n_ops).
+  // The word accesses and the MAC are construction-time images.
+  const FixedOpCost& read_cost(MemKind mem) const {
+    return mem == MemKind::kSram ? c_sram_rd_ : c_fram_rd_;
+  }
+  const FixedOpCost& write_cost(MemKind mem) const {
+    return mem == MemKind::kSram ? c_sram_wr_ : c_fram_wr_;
+  }
+  const FixedOpCost& mac_cost() const { return c_cpu_mac_; }
+  FixedOpCost cpu_ops_cost(double n_ops) const {
+    const CostModel& cm = cfg_.cost;
+    return fixed_cost(Rail::kCpu, n_ops * cm.cycles_cpu_op, 0.0, cm.p_cpu_active);
+  }
+
+  // Charges whole repetitions of `p`, at most `reps`, and returns how
+  // many it charged. Every draw is the one its op would make — the same
+  // trace additions in the same order, the same prepaid-window budget
+  // test and event cap, the same SpendEvents — and a repetition is charged
+  // only when all its draws provably take the arm the ops would take:
+  //   * inside an open prepaid window, buffered against its budget;
+  //   * on bench power (no supply), trace only;
+  //   * on an infallible() supply with no window (ContinuousPower),
+  //     settled with it, in order, through consume_batch() before it
+  //     returns.
+  // Anywhere else — a fallible supply with no window open, a window that
+  // cannot take the next repetition, a latched device,
+  // set_bulk_enabled(false) — it stops short, never inside a repetition.
+  // The caller then runs the next repetition through the real ops, which
+  // decide per op as always, and retries: charge_loop() below.
+  std::size_t charge_run(const ChargePattern& p, std::size_t reps);
+
+  // Charges `reps` repetitions of a loop body whose draws are `p`:
+  // through charge runs where they apply, and per_op(i) — repetition i
+  // through the body's real ops — where a run stops short. Returns early
+  // once the device is browned out; the body's effects are the caller's
+  // to compute afterwards (they are discarded after a brown-out).
+  template <class PerOp>
+  void charge_loop(const ChargePattern& p, std::size_t reps, PerOp&& per_op) {
+    std::size_t i = 0;
+    while (i < reps && !browned_out_) {
+      i += charge_run(p, reps - i);
+      if (i < reps) per_op(i++);
+    }
   }
 
   // ---- DMA ------------------------------------------------------------
@@ -301,28 +390,33 @@ class Device {
   }
   bool spend_slow(Rail rail, double cycles, double joules, double dt);
 
-  // Construction-time image of what spend() computes for a fixed-cycle
-  // op — the scalar word accesses and the MPY32 MAC run millions of
-  // times with constant cost, so the division and energy arithmetic are
-  // done once, with identical rounding (the ctor evaluates the exact
-  // spend() expressions).
-  struct FixedOpCost {
-    double cycles = 0.0, dt = 0.0, joules = 0.0;
-  };
-  FixedOpCost fixed_cost(double cycles, double extra_energy_joules,
+  // A charge run buffers or settles its SpendEvents kRunChunkReps
+  // repetitions at a time, copied from run_events(p): p's events repeated
+  // that often, rebuilt only when the pattern differs from the last one's.
+  static constexpr std::size_t kRunChunkReps = 32;
+  const SpendEvent* run_events(const ChargePattern& p);
+
+  // What spend() computes for a fixed-cycle op — the scalar word
+  // accesses and the MPY32 MAC run millions of times with constant cost,
+  // so the division and energy arithmetic are done once, with identical
+  // rounding (the exact spend() expressions).
+  FixedOpCost fixed_cost(Rail rail, double cycles, double extra_energy_joules,
                          double active_power_watts) const {
     const double dt = cfg_.cost.seconds(cycles);
-    return {cycles, dt, active_power_watts * dt + extra_energy_joules};
+    return {rail, cycles, dt, active_power_watts * dt + extra_energy_joules};
   }
-  bool spend_fixed(Rail rail, const FixedOpCost& c) {
+  // spend() for a fixed-cost op. Forced inline: read() and write() run it
+  // per word, and left to its heuristics the compiler stops inlining it
+  // there.
+  [[gnu::always_inline]] bool spend_fixed(const FixedOpCost& c) {
     if (prepaid_open_ && c.joules <= prepaid_budget_ &&
         prepaid_.size() < kPrepaidMaxEvents) {
-      trace_.add(rail, c.joules, c.cycles);
+      trace_.add(c.rail, c.joules, c.cycles);
       prepaid_budget_ -= c.joules;
       prepaid_.push_back({c.joules, c.dt});
       return true;
     }
-    return spend_slow(rail, c.cycles, c.joules, c.dt);
+    return spend_slow(c.rail, c.cycles, c.joules, c.dt);
   }
 
   // True when an aggregated draw of `joules` provably cannot brown out,
@@ -364,9 +458,12 @@ class Device {
   bool browned_out_ = false;
   bool bulk_enabled_ = true;
   bool prepay_supported_ = false;  // cached supply->prepay_safe()
+  bool infallible_ = false;        // cached supply->infallible()
   bool prepaid_open_ = false;
   double prepaid_budget_ = 0.0;    // remaining armed budget (joules)
   std::vector<SpendEvent> prepaid_;
+  std::optional<ChargePattern> run_pattern_;
+  std::vector<SpendEvent> run_events_;
   std::vector<fx::cq15> fft_scratch_;  // reused by lea_fft/lea_ifft
 };
 

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <string>
 
 namespace ehdnn::dev {
@@ -40,6 +41,53 @@ class EnergyTrace {
     cycles_[static_cast<std::size_t>(rail)] += cycles;
     total_energy_ += joules;
     total_cycles_ += cycles;
+  }
+
+  // add(c.rail, c.joules, c.cycles) for each charge c of `charges` (at
+  // most kRepeatedRails distinct rails), the whole sequence `reps` times
+  // over: the same sums, in the same order, as the add() calls. The run
+  // holds each touched accumulator in a register: a charge's rail is
+  // resolved once, to a slot, and the slots are named by constant indices
+  // so the compiler keeps them out of memory.
+  static constexpr std::size_t kRepeatedRails = 4;
+  template <class Charge>
+  void add_repeated(std::span<const Charge> charges, std::size_t reps) {
+    std::array<std::size_t, kRepeatedRails> rail_of{};  // slot -> rail
+    std::array<std::size_t, kRepeatedRails> slot_of{};  // charge -> slot
+    std::size_t slots = 0;
+    for (std::size_t i = 0; i < charges.size(); ++i) {
+      const auto r = static_cast<std::size_t>(charges[i].rail);
+      std::size_t s = 0;
+      while (s < slots && rail_of[s] != r) ++s;
+      if (s == slots) rail_of[slots++] = r;
+      slot_of[i] = s;
+    }
+    std::array<double, kRepeatedRails> e{}, c{};
+    for (std::size_t s = 0; s < slots; ++s) {
+      e[s] = energy_[rail_of[s]];
+      c[s] = cycles_[rail_of[s]];
+    }
+    double total_energy = total_energy_;
+    double total_cycles = total_cycles_;
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (std::size_t i = 0; i < charges.size(); ++i) {
+        const Charge& ch = charges[i];
+        switch (slot_of[i]) {
+          case 0: e[0] += ch.joules; c[0] += ch.cycles; break;
+          case 1: e[1] += ch.joules; c[1] += ch.cycles; break;
+          case 2: e[2] += ch.joules; c[2] += ch.cycles; break;
+          default: e[3] += ch.joules; c[3] += ch.cycles; break;
+        }
+        total_energy += ch.joules;
+        total_cycles += ch.cycles;
+      }
+    }
+    for (std::size_t s = 0; s < slots; ++s) {
+      energy_[rail_of[s]] = e[s];
+      cycles_[rail_of[s]] = c[s];
+    }
+    total_energy_ = total_energy;
+    total_cycles_ = total_cycles;
   }
 
   double energy(Rail rail) const { return energy_[static_cast<std::size_t>(rail)]; }

@@ -64,6 +64,16 @@ class PowerSupply {
   // individual consume() calls to aim failures and must stay opted out.
   virtual bool prepay_safe() const { return false; }
 
+  // True when consume() never returns false: every draw succeeds whatever
+  // its size or the supply's state, and headroom() is infinite. A device
+  // on such a supply (and outside any prepaid window) settles a charge
+  // run's draws (Device::charge_run) through consume_batch() instead of
+  // one consume() each, before the run returns; every batch must settle
+  // all its events, in order, or the device fails. Only the bench supply
+  // (power/continuous.h) reports it. A supply that counts or aims
+  // individual draws must not.
+  virtual bool infallible() const { return false; }
+
   // The energy budget a prepaid window may be armed with right now: a
   // headroom() shaved by the supply's own rounding slack, so that a batch
   // of draws summing within the budget provably settles without a

@@ -1,6 +1,13 @@
 // Bench (continuous) power: never browns out. Used for the paper's
 // "continuous power supply" experiments (Fig. 7a) and as the oracle runs
 // the intermittent outputs must match bit-for-bit.
+//
+// It reports infallible(), so the device settles each charge run
+// (Device::charge_run) through consume_batch() before the run returns,
+// and stays out of the prepaid window (prepay_safe() is false): a window
+// would settle only at slice boundaries and voltage samples, so every
+// supply-clock stamp in between (obs_now_s, the commit events) would
+// freeze at the last settlement.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +25,19 @@ class ContinuousPower : public dev::PowerSupply {
     now_ += dt;
     return true;
   }
+  // The same sums, in the same order, as one consume() per event.
+  std::size_t consume_batch(const dev::SpendEvent* ev, std::size_t n) override {
+    double drawn = energy_drawn_;
+    double now = now_;
+    for (std::size_t i = 0; i < n; ++i) {
+      drawn += ev[i].joules;
+      now += ev[i].dt;
+    }
+    energy_drawn_ = drawn;
+    now_ = now;
+    return n;
+  }
+  bool infallible() const override { return true; }
   double voltage() const override { return volts_; }
   bool on() const override { return true; }
   double recharge_to_on() override { return 0.0; }

@@ -427,7 +427,10 @@ struct AdaptivePolicy::Impl {
 
 AdaptivePolicy::AdaptivePolicy(AdaptiveSpec spec)
     : impl_(std::make_unique<Impl>()), spec_(std::move(spec)) {
-  check(spec_.rich_w >= 0.0 && spec_.ckpt_margin >= 0.0 && spec_.demote_boots >= 1,
+  // parse_adaptive_spec range-checks every key; this guards specs built
+  // in code.
+  check(spec_.rich_w >= 0.0 && spec_.full_w >= 0.0 && spec_.ckpt_margin >= 0.0 &&
+            spec_.admit_slack_s >= 0.0 && spec_.demote_boots >= 1,
         "adaptive: bad spec");
   impl_->fc = make_forecaster(spec_.forecaster);  // throws on a bad spec
   impl_->rebuild();
@@ -714,13 +717,13 @@ AdaptiveSpec parse_adaptive_spec(const std::string& spec) {
   } else {
     fail("adaptive spec \"" + spec + "\": admit must be all or budget");
   }
-  s.admit_slack_s = a.num("slack", s.admit_slack_s);
-  check(s.admit_slack_s >= 0.0, "adaptive spec \"" + spec + "\": slack must be >= 0");
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  s.admit_slack_s = a.num("slack", s.admit_slack_s, 0.0, kInf);
   s.probe_skips = a.integer("probe", s.probe_skips, 1, 1'000'000);
 
-  s.rich_w = a.num("rich", s.rich_w);
-  s.full_w = a.num("full", s.full_w);
-  s.ckpt_margin = a.num("ckpt_margin", s.ckpt_margin);
+  s.rich_w = a.num("rich", s.rich_w, 0.0, kInf);
+  s.full_w = a.num("full", s.full_w, 0.0, kInf);
+  s.ckpt_margin = a.num("ckpt_margin", s.ckpt_margin, 0.0, kInf);
   s.demote_boots = a.integer("demote", s.demote_boots, 1, 1'000'000);
   a.finish();
   make_forecaster(s.forecaster);  // validate eagerly (throws on bad kinds/values)

@@ -94,7 +94,8 @@ struct AdaptiveSpec {
 // Parses `adaptive[:key=value,...]` with keys fc (ema|window|const|
 // periodic), prior, alpha, n, w, bins, conf (forwarded to the forecaster
 // spec), sel (income|deadline), admit (all|budget), slack, probe, rich,
-// full, ckpt_margin, demote. Throws ehdnn::Error on malformed input.
+// full, ckpt_margin, demote. A given slack, rich, full or ckpt_margin
+// must be finite and >= 0. Throws ehdnn::Error on malformed input.
 AdaptiveSpec parse_adaptive_spec(const std::string& spec);
 
 // What the deployment ships for the scheduler to choose between. Both

@@ -4,6 +4,8 @@
 // identical to the scalar per-word reference path — same memory contents,
 // same modeled cycle and energy totals per rail, and the same
 // word-granular FRAM commit behavior across a mid-block brown-out.
+// The charge runs (Device::charge_run) are held to the stricter standard
+// of bit-identity with the ops they replace, on every arm.
 // Plus the vec_mac 32-bit-accumulator edge cases at the exact Q31
 // boundaries, and FftPlan cache thread safety.
 
@@ -217,6 +219,152 @@ TEST(BulkAccess, FullModelBitExactAndCostIdentical) {
   EXPECT_EQ(out_bulk, out_scalar);
   EXPECT_NEAR(cyc_bulk, cyc_scalar, kRelTol * cyc_scalar);
   EXPECT_NEAR(e_bulk, e_scalar, kRelTol * e_scalar);
+}
+
+// ---- charge runs -----------------------------------------------------------
+// A device that charges a MAC loop through charge_loop() and one that
+// runs every repetition through the real ops must end bit-identical:
+// trace, supply state, brown-out latch. Unlike the bulk paths above there
+// is no FP slack: a run makes the ops' own draws in the ops' order.
+
+// BudgetSupply that lets the device buffer draws in prepaid windows, with
+// the whole remaining budget as the window budget: the device's running
+// budget and the supply's then subtract the same draws in the same order.
+class PrepaidBudgetSupply : public BudgetSupply {
+ public:
+  using BudgetSupply::BudgetSupply;
+  bool prepay_safe() const override { return true; }
+  double prepaid_budget() const override { return headroom(); }
+};
+
+// One SONIC MAC through the real ops (core/flex/sonic.cpp mac_per_op).
+void mac_ops(Device& d) {
+  d.read(MemKind::kFram, 10);
+  d.read(MemKind::kFram, 11);
+  d.cpu_mac_cycles();
+  d.cpu_ops(2);
+}
+
+ChargePattern mac_pattern(const Device& d) {
+  return {d.read_cost(MemKind::kFram), d.read_cost(MemKind::kFram), d.mac_cost(),
+          d.cpu_ops_cost(2)};
+}
+
+void expect_same_trace(const Device& a, const Device& b) {
+  EXPECT_EQ(a.trace().total_energy(), b.trace().total_energy());
+  EXPECT_EQ(a.trace().total_cycles(), b.trace().total_cycles());
+  for (std::size_t r = 0; r < static_cast<std::size_t>(Rail::kCount); ++r) {
+    const auto rail = static_cast<Rail>(r);
+    EXPECT_EQ(a.trace().energy(rail), b.trace().energy(rail)) << rail_name(rail);
+    EXPECT_EQ(a.trace().cycles(rail), b.trace().cycles(rail)) << rail_name(rail);
+  }
+}
+
+// Runs `macs` MACs on `runs` through charge_loop and on `ops` through the
+// real ops only, `rounds` times, with one word write between rounds (the
+// commit a runtime makes between MAC loops).
+void drive_both(Device& runs, Device& ops, std::size_t macs, int rounds) {
+  const ChargePattern p = mac_pattern(runs);
+  for (int k = 0; k < rounds; ++k) {
+    runs.charge_loop(p, macs, [&](std::size_t) { mac_ops(runs); });
+    for (std::size_t i = 0; i < macs && !ops.browned_out(); ++i) mac_ops(ops);
+    runs.write(MemKind::kFram, 20, static_cast<q15_t>(k));
+    ops.write(MemKind::kFram, 20, static_cast<q15_t>(k));
+  }
+}
+
+TEST(ChargeRun, BenchPowerMatchesPerOp) {
+  Device runs, ops;
+  EXPECT_EQ(runs.charge_run(mac_pattern(runs), 5), 5u);
+  for (int i = 0; i < 5; ++i) mac_ops(ops);
+  drive_both(runs, ops, 100, 7);
+  expect_same_trace(runs, ops);
+}
+
+TEST(ChargeRun, InfallibleSupplySettlesEveryDrawInOrder) {
+  Device runs, ops;
+  power::ContinuousPower s_runs, s_ops;
+  runs.attach_supply(&s_runs);
+  ops.attach_supply(&s_ops);
+  // Longer than one settlement chunk, and a ragged last chunk.
+  EXPECT_EQ(runs.charge_run(mac_pattern(runs), 101), 101u);
+  for (int i = 0; i < 101; ++i) mac_ops(ops);
+  // A second pattern on the same device, then the first again.
+  const ChargePattern tile{runs.mac_cost(), runs.cpu_ops_cost(2)};
+  EXPECT_EQ(runs.charge_run(tile, 9), 9u);
+  for (int i = 0; i < 9; ++i) {
+    ops.cpu_mac_cycles();
+    ops.cpu_ops(2);
+  }
+  drive_both(runs, ops, 16, 5);
+  expect_same_trace(runs, ops);
+  EXPECT_EQ(s_runs.now(), s_ops.now());
+  EXPECT_EQ(s_runs.energy_drawn(), s_ops.energy_drawn());
+}
+
+TEST(ChargeRun, PrepaidWindowStopsAtBudgetAndEventCap) {
+  // Budget for ~2500 MACs: ~10k draws, so windows end on the event cap
+  // (4096 buffered draws) and finally on the budget, where the last
+  // MACs settle per op and one browns out.
+  Device probe;
+  const ChargePattern probe_mac = mac_pattern(probe);
+  double mac_j = 0.0;
+  for (const FixedOpCost& c : probe_mac.steps()) mac_j += c.joules;
+  const double budget = 2500.5 * mac_j;
+  Device runs, ops;
+  PrepaidBudgetSupply s_runs(budget), s_ops(budget);
+  runs.attach_supply(&s_runs);
+  ops.attach_supply(&s_ops);
+  // No window is open before the first draw: the run leaves arming one to
+  // the ops.
+  EXPECT_EQ(runs.charge_run(mac_pattern(runs), 8), 0u);
+  drive_both(runs, ops, 300, 10);
+  ASSERT_TRUE(ops.browned_out());
+  EXPECT_TRUE(runs.browned_out());
+  runs.settle_supply();
+  ops.settle_supply();
+  expect_same_trace(runs, ops);
+  EXPECT_EQ(s_runs.now(), s_ops.now());
+  EXPECT_EQ(s_runs.headroom(), s_ops.headroom());
+
+  // Inside an open window a run charges whole repetitions only, up to
+  // the event cap.
+  Device capped;
+  PrepaidBudgetSupply s_capped(1e9 * mac_j);
+  capped.attach_supply(&s_capped);
+  mac_ops(capped);  // arms the window: 4 buffered draws
+  EXPECT_EQ(capped.charge_run(mac_pattern(capped), 5000), (4096u - 4u) / 4u);
+  EXPECT_EQ(capped.charge_run(mac_pattern(capped), 5000), 0u);
+}
+
+TEST(ChargeRun, RefusesWhereTheOpsDecidePerOp) {
+  // A fallible supply with no window: every draw is its own consume().
+  Device fallible;
+  BudgetSupply s_fallible(1.0);
+  fallible.attach_supply(&s_fallible);
+  EXPECT_EQ(fallible.charge_run(mac_pattern(fallible), 4), 0u);
+  const ChargePattern writes{fallible.write_cost(MemKind::kFram)};
+  EXPECT_EQ(fallible.charge_run(writes, 4), 0u);
+  EXPECT_EQ(fallible.trace().total_energy(), 0.0);
+
+  // The per-op oracle mode.
+  Device per_op;
+  power::ContinuousPower s_per_op;
+  per_op.attach_supply(&s_per_op);
+  per_op.set_bulk_enabled(false);
+  EXPECT_EQ(per_op.charge_run(mac_pattern(per_op), 4), 0u);
+  EXPECT_EQ(s_per_op.now(), 0.0);
+
+  // A latched device.
+  Device latched;
+  BudgetSupply s_latched(1e-12);
+  latched.attach_supply(&s_latched);
+  mac_ops(latched);
+  ASSERT_TRUE(latched.browned_out());
+  const double e = latched.trace().total_energy();
+  EXPECT_EQ(latched.charge_run(mac_pattern(latched), 4), 0u);
+  latched.charge_loop(mac_pattern(latched), 4, [&](std::size_t) { mac_ops(latched); });
+  EXPECT_EQ(latched.trace().total_energy(), e);
 }
 
 }  // namespace

@@ -91,8 +91,9 @@ struct FuzzCase {
 // ACE-first choice through the completion model (unbounded burst makes
 // the cheapest-energy tier win), so brown-outs land on deadline-mode
 // decision boots and on the demotion switches they trigger. The conv1d
-// model is the only one with a Conv1D layer, so its FLEX and TAILS cases
-// (per-op and prepaid) are what put brown-outs inside conv1d output rows.
+// model is the only one with a Conv1D layer, so its FLEX, TAILS, SONIC and
+// TILE cases (per-op and prepaid) are what put brown-outs inside conv1d
+// output rows.
 constexpr FuzzCase kCases[] = {
     {"sonic", kDense, 250, 0x50000, 0x58999714ad376c88ull, 2.45},
     {"tails", kDense, 150, 0x51000, 0x2dc35b22f1a4dc5bull, 2.45},
@@ -129,6 +130,14 @@ constexpr FuzzCase kCases[] = {
     {"tails", kConv1d, 60, 0x65000, 0xb92f8cd6196aa754ull, 2.45},
     {"flex", kConv1d, 50, 0x66000, 0x0411783f90c1fba6ull, 2.45, nullptr, true},
     {"tails", kConv1d, 50, 0x67000, 0x5b10fe4eb91089c0ull, 2.45, nullptr, true},
+    // The scalar CPU runtimes' conv1d MAC loops: per-op schedules run
+    // every MAC through the per-op fallback of the device's charge runs,
+    // prepaid ones charge whole runs into the window and tear at its
+    // budget.
+    {"sonic", kConv1d, 50, 0x68000, 0xb03c49283732ed3full, 2.45},
+    {"tile", kConv1d, 50, 0x69000, 0x3ef80680ebed13adull, 2.45},
+    {"sonic", kConv1d, 40, 0x6a000, 0xc048caf0f7313ef2ull, 2.45, nullptr, true},
+    {"tile", kConv1d, 40, 0x6b000, 0x2302d7cbca733f3dull, 2.45, nullptr, true},
 };
 
 // FNV-1a over a case's per-schedule outcomes, in schedule order: each

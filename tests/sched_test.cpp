@@ -135,6 +135,27 @@ TEST(Forecast, AdaptiveSpecParses) {
   EXPECT_THROW(parse_adaptive_spec("sched"), Error);
 }
 
+TEST(Forecast, AdaptiveSpecRejectsOutOfRangeThresholds) {
+  // Each threshold is range-checked where it is parsed, and the error
+  // names the key (the policy constructor's check names none).
+  for (const char* key : {"rich", "full", "ckpt_margin", "slack"}) {
+    const std::string spec = std::string("adaptive:") + key + "=-1";
+    try {
+      parse_adaptive_spec(spec);
+      ADD_FAILURE() << spec << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(key) + " must be in [0, inf)"),
+                std::string::npos)
+          << spec << ": " << e.what();
+    }
+    EXPECT_THROW(parse_adaptive_spec(std::string("adaptive:") + key + "=nan"), Error) << key;
+    // Zero is the inclusive lower bound.
+    EXPECT_NO_THROW(parse_adaptive_spec(std::string("adaptive:") + key + "=0")) << key;
+  }
+  const AdaptiveSpec full = parse_adaptive_spec("adaptive:full=4e-3");
+  EXPECT_DOUBLE_EQ(full.full_w, 4e-3);
+}
+
 TEST(Forecast, AdaptiveSpecParsesSchedulingV2Keys) {
   const AdaptiveSpec s = parse_adaptive_spec(
       "adaptive:sel=deadline,admit=budget,slack=0.05,probe=2,fc=periodic,bins=8,conf=0.5");
