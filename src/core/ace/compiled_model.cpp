@@ -152,11 +152,11 @@ CompiledModel compile(const quant::QuantModel& qm, dev::Device& dev, bool co_res
     LayerImage img;
     if (!q.weights.empty()) {
       img.w_base = fram.alloc(q.weights.size(), "w" + std::to_string(l));
-      for (std::size_t i = 0; i < q.weights.size(); ++i) fram.poke(img.w_base + i, q.weights[i]);
+      std::ranges::copy(q.weights, fram.mut_view(img.w_base, q.weights.size()).begin());
     }
     if (!q.bias.empty()) {
       img.b_base = fram.alloc(q.bias.size(), "b" + std::to_string(l));
-      for (std::size_t i = 0; i < q.bias.size(); ++i) fram.poke(img.b_base + i, q.bias[i]);
+      std::ranges::copy(q.bias, fram.mut_view(img.b_base, q.bias.size()).begin());
     }
     if (q.kind == quant::QKind::kBcmDense) max_k = std::max(max_k, q.k);
     cm.images.push_back(img);

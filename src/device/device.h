@@ -68,10 +68,11 @@ struct DeviceConfig {
 // Recycled backing storage for a device's memory regions. A retired
 // device donates its word buffers via release_slabs(); constructing the
 // next device from them (as each fleet worker does) skips the two
-// dominant per-device heap allocations. Semantically inert: a slab-built device is
-// indistinguishable from a freshly allocated one.
+// dominant per-device heap allocations. Semantically inert: a slab-built
+// device is indistinguishable from a freshly allocated one (its regions
+// zero their words on demand, whatever the buffers held).
 struct DeviceSlabs {
-  std::vector<fx::q15_t> sram, fram;
+  WordStorage sram, fram;
 };
 
 // The draw one fixed-cost op makes: a word read or write, the MPY32 MAC,

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -57,19 +58,20 @@ inline q15_t sat16(std::int64_t v, SatStats* stats = nullptr) {
   return static_cast<q15_t>(v);
 }
 
-// Float -> q15 with round-to-nearest and saturation.
+// Float -> q15 with round-to-nearest (ties away from zero) and
+// saturation. A rounded value at or beyond either end of the range counts
+// as one saturation, the end value itself included. Branch-free, so the
+// model quantizer's pass over a random-signed weight array vectorizes
+// instead of mispredicting the sign: copysign picks the half-LSB bias
+// (-0.0 gets -0.5 where a sign test would add +0.5; both truncate to 0),
+// min/max clamp, and the conversion truncates toward zero.
 inline q15_t to_q15(double x, SatStats* stats = nullptr) {
+  constexpr double kHi = static_cast<double>(kQ15Max);
+  constexpr double kLo = static_cast<double>(kQ15Min);
   const double scaled = x * kQ15One;
-  const double rounded = scaled >= 0 ? scaled + 0.5 : scaled - 0.5;
-  if (rounded >= static_cast<double>(kQ15Max)) {
-    if (stats) stats->note();
-    return kQ15Max;
-  }
-  if (rounded <= static_cast<double>(kQ15Min)) {
-    if (stats) stats->note();
-    return kQ15Min;
-  }
-  return static_cast<q15_t>(rounded);
+  const double rounded = scaled + std::copysign(0.5, scaled);
+  if (stats) stats->saturations += (rounded >= kHi) | (rounded <= kLo);
+  return static_cast<q15_t>(static_cast<q31_t>(std::min(std::max(rounded, kLo), kHi)));
 }
 
 inline double to_double(q15_t x) { return static_cast<double>(x) / kQ15One; }

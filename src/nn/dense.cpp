@@ -18,16 +18,39 @@ void Dense::init(Rng& rng) {
   for (auto& v : b_) v = 0.0f;
 }
 
+namespace {
+
+// y[o, o+B) = b + W[o, o+B) x for B consecutive output neurons in one pass
+// over x. Each neuron keeps its own float sum, accumulated in input order
+// exactly as a one-neuron loop would, so the result is bit-identical to
+// B single-neuron passes; the B sums are independent, so their adds
+// overlap instead of each waiting on the one before.
+template <std::size_t B>
+void dense_rows(const float* w, const float* b, const float* x, std::size_t in,
+                std::size_t o, float* y) {
+  float acc[B];
+  const float* row[B];
+  for (std::size_t k = 0; k < B; ++k) {
+    acc[k] = b == nullptr ? 0.0f : b[o + k];
+    row[k] = w + (o + k) * in;
+  }
+  for (std::size_t i = 0; i < in; ++i) {
+    for (std::size_t k = 0; k < B; ++k) acc[k] += row[k][i] * x[i];
+  }
+  for (std::size_t k = 0; k < B; ++k) y[o + k] = acc[k];
+}
+
+}  // namespace
+
 Tensor Dense::forward(const Tensor& x) {
   check(x.size() == in_, "Dense: input size mismatch");
   last_x_ = x;
   Tensor y({out_});
-  for (std::size_t o = 0; o < out_; ++o) {
-    float acc = b_.empty() ? 0.0f : b_[o];
-    const float* row = &w_[o * in_];
-    for (std::size_t i = 0; i < in_; ++i) acc += row[i] * x[i];
-    y[o] = acc;
-  }
+  constexpr std::size_t kBlock = 8;
+  const float* b = b_.empty() ? nullptr : b_.data();
+  std::size_t o = 0;
+  for (; o + kBlock <= out_; o += kBlock) dense_rows<kBlock>(w_.data(), b, x.raw(), in_, o, y.raw());
+  for (; o < out_; ++o) dense_rows<1>(w_.data(), b, x.raw(), in_, o, y.raw());
   return y;
 }
 

@@ -382,23 +382,29 @@ struct KindEntry {
   std::unique_ptr<HarvestForecaster> (*make)(SpecArgs& a);
 };
 
+// Ranged spec arguments: an out-of-range value is rejected here, naming
+// the key; the constructors' checks stay as invariants.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+double prior_arg(SpecArgs& a) { return a.num("prior", kDefaultPriorW, 0.0, kInf); }
+double alpha_arg(SpecArgs& a) { return a.num("alpha", 0.5, SpecArgs::kPositive, 1.0); }
+
 std::unique_ptr<HarvestForecaster> make_ema_spec(SpecArgs& a) {
-  return make_ema_forecaster(a.num("prior", kDefaultPriorW), a.num("alpha", 0.5));
+  return make_ema_forecaster(prior_arg(a), alpha_arg(a));
 }
 
 std::unique_ptr<HarvestForecaster> make_window_spec(SpecArgs& a) {
   const auto n = a.integer<std::size_t>("n", 8, 1, 1'000'000);
-  return make_window_forecaster(a.num("prior", kDefaultPriorW), n);
+  return make_window_forecaster(prior_arg(a), n);
 }
 
 std::unique_ptr<HarvestForecaster> make_const_spec(SpecArgs& a) {
-  return make_const_forecaster(a.num("w", kDefaultPriorW));
+  return make_const_forecaster(a.num("w", kDefaultPriorW, 0.0, kInf));
 }
 
 std::unique_ptr<HarvestForecaster> make_periodic_spec(SpecArgs& a) {
   const auto bins = a.integer<std::size_t>("bins", 12, 2, 1024);
-  return make_periodic_forecaster(a.num("prior", kDefaultPriorW), a.num("alpha", 0.5), bins,
-                                  a.num("conf", 0.6));
+  return make_periodic_forecaster(prior_arg(a), alpha_arg(a), bins,
+                                  a.num("conf", 0.6, SpecArgs::kPositive, 1.0));
 }
 
 constexpr KindEntry kKindTable[] = {

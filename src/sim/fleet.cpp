@@ -106,7 +106,7 @@ void group_variants(const FleetGroup& g, bool* need_compressed, bool* need_dense
 }
 
 // One group's compile-once execution image. ace::compile is a pure
-// function of (model, device geometry): it pokes the weight image into
+// function of (model, device geometry): it writes the weight image into
 // FRAM and bump-allocates scratch plans, drawing no energy and touching
 // no per-device randomness. So a homogeneous group compiles ONCE onto a
 // template device at build time; every admitted device then (a) stamps
@@ -734,11 +734,16 @@ FleetConfig parse_fleet_config(std::istream& is) {
       kv.erase(it);
       return v;
     };
-    auto take_num = [&](const char* key) -> std::optional<double> {
+    // Real-valued keys must be finite: strtod accepts "inf" and "nan",
+    // which no key means. The one exception is deadline=inf, the default
+    // (no deadline), which write_fleet_config emits for such a group.
+    auto take_num = [&](const char* key, bool inf_ok = false) -> std::optional<double> {
       const auto v = take(key);
       if (!v.has_value()) return std::nullopt;
       const auto d = parse_double(*v);
-      check(d.has_value(), where + ": bad number for " + key + ": \"" + *v + "\"");
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      check(d.has_value() && (std::isfinite(*d) || (inf_ok && *d == kInf)),
+            where + ": bad number for " + key + ": \"" + *v + "\"");
       return d;
     };
     // Integer-valued keys, in [0, hi]: range-checked before the cast, so
@@ -787,7 +792,7 @@ FleetConfig parse_fleet_config(std::istream& is) {
       if (const auto v = take_int("max_futile", kMaxRunLimit)) g.max_futile = *v;
       if (const auto v = take_int("jobs", kMaxCount)) g.agenda.jobs = static_cast<int>(*v);
       if (const auto v = take_num("period")) g.agenda.period_s = *v;
-      if (const auto v = take_num("deadline")) g.agenda.deadline_s = *v;
+      if (const auto v = take_num("deadline", /*inf_ok=*/true)) g.agenda.deadline_s = *v;
       if (const auto v = take("sched")) g.sched_spec = *v;
       if (const auto v = take_int("fram", 1'000'000'000'000)) {
         g.fram_words = static_cast<std::size_t>(*v);

@@ -127,8 +127,8 @@ TEST(MemoryRegion, TakeStorageDropsAPendingFill) {
   for (Addr a = 0; a < 16; ++a) m.poke(a, 7);
   Rng rng(3);
   m.scramble(rng);
-  const std::vector<q15_t> storage = m.take_storage();
-  EXPECT_EQ(storage, std::vector<q15_t>(16, 7));
+  const WordStorage storage = m.take_storage();
+  EXPECT_EQ(std::vector<q15_t>(storage.begin(), storage.end()), std::vector<q15_t>(16, 7));
   EXPECT_EQ(m.fills(), 0);
 }
 
@@ -141,11 +141,90 @@ TEST(MemoryRegion, CloneFromAStaleSourceCopiesTheFill) {
   Rng other(12);
   dst.scramble(other);  // overwritten unread: never filled
   dst.clone_from(src);
+  // The clone takes over the pending fill without writing the source;
+  // each region materializes it at its own first access.
+  EXPECT_EQ(src.fills(), 0);
   const auto want = expected_fill(Rng(11).next_u64(), kN);
   EXPECT_EQ(contents(dst), want);
   EXPECT_EQ(contents(src), want);
   EXPECT_EQ(src.fills(), 1);
-  EXPECT_EQ(dst.fills(), 0);
+  EXPECT_EQ(dst.fills(), 1);
+}
+
+// A slab whose every word is dirty: what a retired device hands the next.
+WordStorage dirty_slab(std::size_t n, q15_t v) {
+  MemoryRegion m(MemKind::kFram, n);
+  for (q15_t& w : m.mut_view(0, n)) w = v;
+  return m.take_storage();
+}
+
+constexpr std::size_t kPage = MemoryRegion::kZeroPageWords;
+
+TEST(MemoryRegion, FreshRegionReadsZerosAtBothEnds) {
+  constexpr std::size_t kN = 3 * kPage + 5;
+  MemoryRegion fresh(MemKind::kFram, kN);
+  EXPECT_EQ(fresh.peek(0), 0);
+  EXPECT_EQ(fresh.peek(kN - 1), 0);
+  MemoryRegion recycled(MemKind::kFram, kN, dirty_slab(kN, 0x7777));
+  EXPECT_EQ(recycled.peek(kN - 1), 0);
+  EXPECT_EQ(recycled.peek(0), 0);
+  EXPECT_EQ(contents(recycled), std::vector<q15_t>(kN, 0));
+  // A recycled slab larger than the region is cut to the region's size.
+  MemoryRegion smaller(MemKind::kSram, 7, dirty_slab(kN, 0x7777));
+  EXPECT_EQ(smaller.size_words(), 7u);
+  EXPECT_EQ(contents(smaller), std::vector<q15_t>(7, 0));
+}
+
+TEST(MemoryRegion, ViewStraddlingTheZeroedPrefixReadsZerosAboveIt) {
+  constexpr std::size_t kN = 4 * kPage;
+  MemoryRegion m(MemKind::kFram, kN, dirty_slab(kN, 0x7777));
+  m.poke(kPage - 1, 9);  // zeroes exactly the first page
+  const auto v = m.view(kPage - 2, 4);
+  EXPECT_EQ(std::vector<q15_t>(v.begin(), v.end()), (std::vector<q15_t>{0, 9, 0, 0}));
+  const auto mv = m.mut_view(2 * kPage - 1, kPage + 2);
+  EXPECT_EQ(std::vector<q15_t>(mv.begin(), mv.end()), std::vector<q15_t>(kPage + 2, 0));
+  auto want = std::vector<q15_t>(kN, 0);
+  want[kPage - 1] = 9;
+  EXPECT_EQ(contents(m), want);
+}
+
+TEST(MemoryRegion, CloneOfAShortPrefixOntoADirtySlabReadsZerosAboveIt) {
+  constexpr std::size_t kN = 5 * kPage;
+  MemoryRegion tpl(MemKind::kFram, kN);
+  tpl.alloc(8, "w");
+  tpl.poke(3, 42);  // the template's prefix is one page
+  MemoryRegion dst(MemKind::kFram, kN, dirty_slab(kN, 0x5555));
+  dst.clone_from(tpl);
+  auto want = std::vector<q15_t>(kN, 0);
+  want[3] = 42;
+  EXPECT_EQ(contents(dst), want);
+  EXPECT_EQ(dst.allocated_words(), 8u);
+  EXPECT_EQ(contents(tpl), want);
+}
+
+TEST(MemoryRegion, ScrambleAfterPartialZeroingIsTheEagerFill) {
+  constexpr std::size_t kN = 2 * kPage + 3;  // the fill's tail is a partial draw
+  for (const bool recycled : {false, true}) {
+    MemoryRegion m = recycled ? MemoryRegion(MemKind::kSram, kN, dirty_slab(kN, 0x7777))
+                              : MemoryRegion(MemKind::kSram, kN);
+    m.poke(5, 1);  // zeroes the first page only
+    Rng rng(21);
+    m.scramble(rng);
+    EXPECT_EQ(contents(m), expected_fill(Rng(21).next_u64(), kN)) << "recycled=" << recycled;
+  }
+}
+
+TEST(MemoryRegion, FillsDoesNotCountZeroing) {
+  constexpr std::size_t kN = 3 * kPage;
+  MemoryRegion m(MemKind::kSram, kN);
+  m.peek(0);
+  m.poke(kPage + 1, 4);
+  (void)m.view(0, kN);
+  EXPECT_EQ(m.fills(), 0);
+  Rng rng(2);
+  m.scramble(rng);
+  m.peek(kN - 1);
+  EXPECT_EQ(m.fills(), 1);
 }
 
 TEST(MemoryRegion, ScramblingFramIsAnError) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "fixed/cq15.h"
 #include "fixed/q15.h"
 #include "fixed/vec.h"
@@ -27,6 +29,45 @@ TEST(Q15, RoundsToNearest) {
   // 0.6 * 32768 = 19660.8 -> 19661
   EXPECT_EQ(to_q15(0.6), 19661);
   EXPECT_EQ(to_q15(-0.6), -19661);
+}
+
+// The previous, branchy to_q15 body, kept as the oracle for the
+// branch-free one.
+q15_t to_q15_oracle(double x, SatStats* stats) {
+  const double scaled = x * kQ15One;
+  const double rounded = scaled >= 0 ? scaled + 0.5 : scaled - 0.5;
+  if (rounded >= static_cast<double>(kQ15Max)) {
+    if (stats) stats->note();
+    return kQ15Max;
+  }
+  if (rounded <= static_cast<double>(kQ15Min)) {
+    if (stats) stats->note();
+    return kQ15Min;
+  }
+  return static_cast<q15_t>(rounded);
+}
+
+TEST(Q15, ConversionMatchesTheBranchyOracle) {
+  std::vector<double> xs = {0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 1e300, -1e300, 0.6, -0.6};
+  // Exact .5 ties at both signs, across the range and at its ends
+  // (+-32767.5 and +-32766.5 scaled), and the first values past them.
+  for (double k : {0.0, 1.0, 2.0, 100.0, 16383.0, 32765.0, 32766.0, 32767.0, 32768.0}) {
+    for (double t : {k + 0.5, k + 0.5 - 1e-9, k + 0.5 + 1e-9, k, k + 1e-9}) {
+      xs.push_back(t / kQ15One);
+      xs.push_back(-t / kQ15One);
+    }
+  }
+  Rng rng(5);
+  for (int i = 0; i < 4096; ++i) xs.push_back(rng.uniform(-1.2, 1.2));
+  SatStats got_stats, want_stats;
+  for (const double x : xs) {
+    EXPECT_EQ(to_q15(x, &got_stats), to_q15_oracle(x, &want_stats)) << x;
+    EXPECT_EQ(got_stats.saturations, want_stats.saturations) << x;
+  }
+  EXPECT_GT(want_stats.saturations, 10);  // both sides were exercised
+  EXPECT_EQ(to_q15(32767.5 / kQ15One), kQ15Max);
+  EXPECT_EQ(to_q15(-32767.5 / kQ15One), kQ15Min);
+  EXPECT_EQ(to_q15(-0.0), 0);
 }
 
 TEST(Q15, AddSaturates) {

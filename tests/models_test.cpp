@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "compress/structured.h"
 #include "models/zoo.h"
 #include "nn/bcm_dense.h"
 #include "nn/conv.h"
+#include "quant/qmodel.h"
 #include "util/rng.h"
 
 namespace ehdnn::models {
@@ -115,6 +118,66 @@ TEST(Zoo, TaskNames) {
   EXPECT_STREQ(task_name(Task::kMnist), "MNIST");
   EXPECT_STREQ(task_name(Task::kHar), "HAR");
   EXPECT_STREQ(task_name(Task::kOkg), "OKG");
+}
+
+// FNV-1a over every layer's kind, exponents, weight words and bias words,
+// in layer order (each vector prefixed by its length).
+std::uint64_t qmodel_digest(const quant::QuantModel& qm) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto fold_words = [&fold](const std::vector<fx::q15_t>& words) {
+    fold(words.size());
+    for (const fx::q15_t w : words) fold(static_cast<std::uint16_t>(w));
+  };
+  for (const quant::QLayer& l : qm.layers) {
+    fold(static_cast<std::uint64_t>(l.kind));
+    fold(static_cast<std::uint64_t>(static_cast<std::int64_t>(l.w_exp)));
+    fold(static_cast<std::uint64_t>(static_cast<std::int64_t>(l.in_exp)));
+    fold(static_cast<std::uint64_t>(static_cast<std::int64_t>(l.out_exp)));
+    fold_words(l.weights);
+    fold_words(l.bias);
+  }
+  return h;
+}
+
+// Pins the deployed QuantModel bytes of every task x variant on the two
+// seeds the benches use. Modeled costs do not depend on weight values, so
+// the cost goldens cannot see a changed weight or exponent; this can. A
+// change to the build path (layer init, float forward, quantization)
+// that claims identical models has to keep these digests.
+TEST(Zoo, DeployedQuantModelDigestsArePinned) {
+  struct Case {
+    Task task;
+    bool compressed;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {Task::kMnist, false, 0xb0a710ad, 0x6333d393db8f9fd7ull},
+      {Task::kMnist, true, 0xb0a710ad, 0x59ef9ab8867640fdull},
+      {Task::kHar, false, 0xb0a710ad, 0x7c6a3402cc545acdull},
+      {Task::kHar, true, 0xb0a710ad, 0x470b9573017872d8ull},
+      {Task::kOkg, false, 0xb0a710ad, 0x43c3881004d60822ull},
+      {Task::kOkg, true, 0xb0a710ad, 0x7b1c547dcf576f18ull},
+      {Task::kMnist, false, 0x5eed2026, 0x445d9d83e3ba9cc5ull},
+      {Task::kMnist, true, 0x5eed2026, 0xf321e5ff99d1ef5aull},
+      {Task::kHar, false, 0x5eed2026, 0xa546fdfd4184364eull},
+      {Task::kHar, true, 0x5eed2026, 0x85bddc1a4a95ca63ull},
+      {Task::kOkg, false, 0x5eed2026, 0xe07c6d06efc11cc2ull},
+      {Task::kOkg, true, 0x5eed2026, 0xb6b78704e8e0985aull},
+  };
+  for (const Case& c : cases) {
+    // Seeded like the scenario sweep and the fleet: seed + task index.
+    Rng rng(c.seed + static_cast<std::uint64_t>(c.task));
+    const std::uint64_t got = qmodel_digest(make_deployed_qmodel(c.task, c.compressed, rng));
+    EXPECT_EQ(got, c.digest) << task_name(c.task) << (c.compressed ? " compressed" : " dense")
+                             << " seed 0x" << std::hex << c.seed;
+  }
 }
 
 }  // namespace

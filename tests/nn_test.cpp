@@ -46,6 +46,28 @@ TEST(Tensor, MaxAbs) {
   EXPECT_FLOAT_EQ(t.max_abs(), 2.5f);
 }
 
+// Dense::forward sums several output neurons per pass over the input;
+// each neuron's float sum must still be the one-neuron loop's, bit for
+// bit (out = 13 and 5 leave a partial block).
+TEST(Dense, ForwardMatchesASerialReference) {
+  Rng rng(3);
+  for (const bool bias : {true, false}) {
+    for (const std::size_t out : {1u, 5u, 8u, 13u, 24u}) {
+      Dense layer(37, out, bias);
+      layer.init(rng);
+      for (float& b : layer.bias()) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+      const Tensor x = random_tensor({37}, rng);
+      const Tensor y = layer.forward(x);
+      ASSERT_EQ(y.size(), out);
+      for (std::size_t o = 0; o < out; ++o) {
+        float acc = bias ? layer.bias()[o] : 0.0f;
+        for (std::size_t i = 0; i < 37; ++i) acc += layer.weights()[o * 37 + i] * x[i];
+        EXPECT_EQ(y[o], acc) << "out=" << out << " o=" << o << " bias=" << bias;
+      }
+    }
+  }
+}
+
 // ---- gradient checks -------------------------------------------------------
 
 TEST(Dense, GradCheck) {

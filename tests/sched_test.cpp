@@ -156,6 +156,45 @@ TEST(Forecast, AdaptiveSpecRejectsOutOfRangeThresholds) {
   EXPECT_DOUBLE_EQ(full.full_w, 4e-3);
 }
 
+TEST(Forecast, ForecasterSpecRejectsOutOfRangeArguments) {
+  // prior and w are in [0, inf), alpha and conf in (0, 1]: each is
+  // range-checked where it is parsed, and the error names the key.
+  const struct {
+    const char* spec;
+    const char* error;
+  } rejected[] = {
+      {"ema:alpha=-3", "alpha must be in (0, 1]"},
+      {"ema:alpha=0", "alpha must be in (0, 1]"},
+      {"ema:alpha=1.5", "alpha must be in (0, 1]"},
+      {"ema:prior=-1e-3", "prior must be in [0, inf)"},
+      {"window:prior=-1", "prior must be in [0, inf)"},
+      {"const:w=-1e-3", "w must be in [0, inf)"},
+      {"periodic:prior=-1", "prior must be in [0, inf)"},
+      {"periodic:alpha=2", "alpha must be in (0, 1]"},
+      {"periodic:conf=0", "conf must be in (0, 1]"},
+      {"periodic:conf=1.01", "conf must be in (0, 1]"},
+  };
+  for (const auto& row : rejected) {
+    try {
+      make_forecaster(row.spec);
+      ADD_FAILURE() << row.spec << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(row.error), std::string::npos)
+          << row.spec << ": " << e.what();
+    }
+  }
+  EXPECT_THROW(make_forecaster("ema:prior=inf"), Error);
+  EXPECT_THROW(make_forecaster("periodic:conf=nan"), Error);
+  // The adaptive spec forwards the keys verbatim, so the policy built from
+  // it rejects them the same way.
+  EXPECT_THROW(make_adaptive_policy(parse_adaptive_spec("adaptive:fc=ema,alpha=-3")), Error);
+  // Inclusive bounds.
+  for (const char* spec : {"ema:prior=0,alpha=1", "window:prior=0", "const:w=0",
+                           "periodic:prior=0,alpha=1,conf=1"}) {
+    EXPECT_NO_THROW(make_forecaster(spec)) << spec;
+  }
+}
+
 TEST(Forecast, AdaptiveSpecParsesSchedulingV2Keys) {
   const AdaptiveSpec s = parse_adaptive_spec(
       "adaptive:sel=deadline,admit=budget,slack=0.05,probe=2,fc=periodic,bins=8,conf=0.5");
@@ -534,6 +573,34 @@ TEST(FleetConfig, RejectsMalformedEntries) {
   EXPECT_THROW(parse("squadron count=2\n"), Error);               // unknown directive
   EXPECT_THROW(parse("group count=2 count=3\n"), Error);          // duplicate key
   EXPECT_THROW(parse("group count=2 jobs=2 period=x\n"), Error);  // bad number
+  // Real-valued keys must be finite, and the error names the key.
+  const struct {
+    const char* text;
+    const char* key;
+  } non_finite[] = {
+      {"fleet spread=inf\ngroup count=1\n", "spread"},
+      {"fleet spread=nan\ngroup count=1\n", "spread"},
+      {"fleet spread=-inf\ngroup count=1\n", "spread"},
+      {"group count=1 max_off=inf\n", "max_off"},
+      {"group count=1 period=inf\n", "period"},
+      {"group count=1 period=nan\n", "period"},
+      {"group count=1 cap=-inf\n", "cap"},
+      {"group count=1 deadline=nan\n", "deadline"},
+      {"group count=1 deadline=-inf\n", "deadline"},
+  };
+  for (const auto& row : non_finite) {
+    try {
+      parse(row.text);
+      ADD_FAILURE() << row.text << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("bad number for ") + row.key),
+                std::string::npos)
+          << row.text << ": " << e.what();
+    }
+  }
+  // deadline=inf is the default (no deadline) and round-trips through the
+  // config writer.
+  EXPECT_NO_THROW(parse("group count=1 deadline=inf\n"));
   // sched= on a fixed runtime is a config error, as is a bad spec.
   EXPECT_THROW(parse("group count=1 runtime=flex sched=adaptive:rich=1\n"), Error);
   EXPECT_THROW(parse("group count=1 runtime=adaptive sched=adaptive:nope=1\n"), Error);
