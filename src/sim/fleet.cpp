@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -15,6 +16,7 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "core/ace/compiled_model.h"
@@ -136,6 +138,42 @@ struct FleetWorld {
   int n = 0;
 };
 
+// Device coordinates, one definition for the engine and the shard merge.
+// Groups own contiguous id ranges in config order.
+std::vector<std::size_t> device_groups(const FleetConfig& cfg) {
+  std::vector<std::size_t> group_of;
+  group_of.reserve(static_cast<std::size_t>(cfg.total_devices()));
+  for (std::size_t gi = 0; gi < cfg.groups.size(); ++gi) {
+    for (int k = 0; k < cfg.groups[gi].count; ++k) group_of.push_back(gi);
+  }
+  return group_of;
+}
+
+// Device d of n sees the harvest shifted by d * offset_spread_s / n.
+double device_offset(const FleetConfig& cfg, int d, int n) {
+  return cfg.offset_spread_s * static_cast<double>(d) / static_cast<double>(n);
+}
+
+// A result carrying device d's report coordinates and nothing else.
+FleetDeviceResult placed(const FleetConfig& cfg, const std::vector<std::size_t>& device_group,
+                         int d) {
+  const FleetGroup& g = cfg.groups[device_group[static_cast<std::size_t>(d)]];
+  FleetDeviceResult res;
+  res.device = d;
+  res.group = g.name;
+  res.offset_s = device_offset(cfg, d, static_cast<int>(device_group.size()));
+  res.task = models::task_name(g.task);
+  res.runtime = g.agenda.runtime;
+  res.capacitance_f = g.capacitance_f;
+  return res;
+}
+
+// Shard i of `shards` runs the device ids [begin, end) returned here.
+std::pair<int, int> shard_range(int n, int shard, int shards) {
+  return {static_cast<int>(static_cast<long long>(n) * shard / shards),
+          static_cast<int>(static_cast<long long>(n) * (shard + 1) / shards)};
+}
+
 FleetWorld build_world(const FleetConfig& cfg) {
   FleetWorld w;
   w.base_source = power::make_harvest_source(cfg.source);
@@ -202,10 +240,7 @@ FleetWorld build_world(const FleetConfig& cfg) {
     }
   }
 
-  w.device_group.reserve(static_cast<std::size_t>(w.n));
-  for (std::size_t gi = 0; gi < cfg.groups.size(); ++gi) {
-    for (int k = 0; k < cfg.groups[gi].count; ++k) w.device_group.push_back(gi);
-  }
+  w.device_group = device_groups(cfg);
   return w;
 }
 
@@ -223,8 +258,7 @@ std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig&
   ccfg.capacitance_f = g.capacitance_f;
   ccfg.max_off_s = g.max_off_s;
 
-  const double offset =
-      cfg.offset_spread_s * static_cast<double>(d) / static_cast<double>(w.n);
+  const double offset = device_offset(cfg, d, w.n);
   dev::DeviceConfig dcfg;
   dcfg.fram_words = w.group_fram[gi];
   dcfg.scramble_seed =
@@ -281,20 +315,127 @@ std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig&
   return fd;
 }
 
+// The shard partial's records as field tables, in wire order: a `row`
+// line is "row ID" then kRowFields, a `job` line "job ID" then one
+// JobRecord's kJobFields. The partial writer, the reader with its
+// per-kind validation, the report's row sum and the merge's row-vs-jobs
+// check all iterate these tables, so a field is added in one place.
+constexpr std::tuple kRowFields{
+    &DeviceRow::jobs_total,   &DeviceRow::jobs_completed, &DeviceRow::jobs_in_deadline,
+    &DeviceRow::jobs_skipped, &DeviceRow::jobs_dnf,       &DeviceRow::jobs_starved,
+    &DeviceRow::jobs_livelock, &DeviceRow::reboots,       &DeviceRow::tier_switches,
+    &DeviceRow::steps,        &DeviceRow::energy_j,       &DeviceRow::energy_reclaimed_j,
+    &DeviceRow::event_counts};
+using sched::JobRecord;
+constexpr std::tuple kJobFields{
+    &JobRecord::job,          &JobRecord::release_s,    &JobRecord::start_s,
+    &JobRecord::finish_s,     &JobRecord::latency_s,    &JobRecord::staleness_s,
+    &JobRecord::outcome,      &JobRecord::met_deadline, &JobRecord::livelock,
+    &JobRecord::skipped_infeasible, &JobRecord::runtime, &JobRecord::reboots,
+    &JobRecord::checkpoints,  &JobRecord::progress_commits, &JobRecord::tier_switches,
+    &JobRecord::energy_j,     &JobRecord::energy_reclaimed_j};
+
+// Calls f with one field of every record passed (one record to put or
+// get, two to sum or compare); an array field is visited element-wise.
+template <typename F, typename... T>
+void visit_field(F& f, T&... field) {
+  f(field...);
+}
+template <typename F, std::size_t N, typename... T>
+void visit_field(F& f, T (&... field)[N]) {
+  for (std::size_t k = 0; k < N; ++k) f(field[k]...);
+}
+template <typename Table, typename F, typename... Rec>
+void for_each_field(const Table& table, F&& f, Rec&... rec) {
+  const auto one = [&](auto member) { visit_field(f, rec.*member...); };
+  std::apply([&](auto... member) { (one(member), ...); }, table);
+}
+
+// Field codecs, one overload per kind; put() writes " VALUE". Counts are
+// integers >= 0 and reals round-trip as %.17g, finite and >= 0 (every
+// real in a partial is a simulated time or an energy). Flags are 0 or 1,
+// outcomes are outcome_name() keys, tokens are whitespace-free strings.
+// parse() returns false when `s` is not a value of the field's kind.
+template <typename CountOrToken>
+void put(std::ostream& os, const CountOrToken& v) {
+  os << ' ' << v;
+}
+void put(std::ostream& os, double v) { os << ' ' << fmt_g17(v); }
+void put(std::ostream& os, bool v) { os << ' ' << (v ? 1 : 0); }
+void put(std::ostream& os, flex::Outcome v) { os << ' ' << flex::outcome_name(v); }
+
+template <typename Count>
+bool parse(const std::string& s, Count& v) {
+  const auto n = parse_int(s, Count{0}, std::numeric_limits<Count>::max());
+  if (n.has_value()) v = *n;
+  return n.has_value();
+}
+bool parse(const std::string& s, double& v) {
+  const auto d = parse_double(s);
+  if (d.has_value()) v = *d;
+  return d.has_value() && std::isfinite(v) && v >= 0.0;
+}
+bool parse(const std::string& s, bool& v) {
+  v = s == "1";
+  return v || s == "0";
+}
+bool parse(const std::string& s, flex::Outcome& v) {
+  for (const auto o :
+       {flex::Outcome::kCompleted, flex::Outcome::kDidNotFinish, flex::Outcome::kStarved}) {
+    if (s == flex::outcome_name(o)) v = o;
+  }
+  return s == flex::outcome_name(v);
+}
+bool parse(const std::string& s, std::string& v) {
+  v = s;
+  return true;
+}
+// Reads the next token into `v`; false when it is missing or malformed.
+template <typename T>
+bool get(std::istream& is, T& v) {
+  std::string s;
+  return is >> s && parse(s, v);
+}
+
+// Sets the counters a device's job records determine: jobs_total, the
+// verdict buckets, in_deadline, reboots, tier switches and both energies.
+// The id, steps and event counts are left alone. distill() fills every
+// row with it and the shard merge checks each row against it. The v5
+// "dnf" bucket excludes livelocked runs (they get their own counter); v4
+// folded them together.
+void tally_jobs(const std::vector<sched::JobRecord>& jobs, DeviceRow* r) {
+  r->jobs_total = r->jobs_completed = r->jobs_in_deadline = r->jobs_skipped = 0;
+  r->jobs_dnf = r->jobs_starved = r->jobs_livelock = 0;
+  r->reboots = r->tier_switches = 0;
+  r->energy_j = r->energy_reclaimed_j = 0.0;
+  for (const auto& j : jobs) {
+    ++r->jobs_total;
+    r->reboots += j.reboots;
+    r->tier_switches += j.tier_switches;
+    r->energy_j += j.energy_j;
+    if (j.skipped_infeasible) {
+      // An admission-refused release never ran: its verdict is its own
+      // bucket, not a DNF.
+      ++r->jobs_skipped;
+      r->energy_reclaimed_j += j.energy_reclaimed_j;
+    } else if (j.outcome == flex::Outcome::kCompleted) {
+      ++r->jobs_completed;
+    } else if (j.outcome == flex::Outcome::kStarved) {
+      ++r->jobs_starved;
+    } else if (j.livelock) {
+      ++r->jobs_livelock;
+    } else {
+      ++r->jobs_dnf;
+    }
+    if (j.met_deadline) ++r->jobs_in_deadline;
+  }
+}
+
 // Reduces a finished device to its result record: fleet coordinates, the
-// job records, and the per-device verdict buckets every aggregation path
-// shares. The v5 "dnf" bucket excludes livelocked runs (they get their
-// own counter); v4 folded them together.
+// job records and their tally, steps, event counts and any retained ring.
 FleetDeviceResult distill(const FleetWorld& w, const FleetConfig& cfg, int d,
                           const FleetDevice& fd) {
-  const FleetGroup& g = cfg.groups[w.device_group[static_cast<std::size_t>(d)]];
-  FleetDeviceResult res;
-  res.device = d;
-  res.group = g.name;
-  res.offset_s = fd.source.offset();
-  res.task = models::task_name(g.task);
-  res.runtime = g.agenda.runtime;
-  res.capacitance_f = g.capacitance_f;
+  FleetDeviceResult res = placed(cfg, w.device_group, d);
   res.jobs = fd.queue->records();
   res.steps = fd.queue->steps();
   for (int k = 0; k < obs::kKindCount; ++k) res.event_counts[k] = fd.trace.counts()[k];
@@ -304,86 +445,30 @@ FleetDeviceResult distill(const FleetWorld& w, const FleetConfig& cfg, int d,
                                       res.task + "/" + res.runtime,
                                   fd.trace.snapshot(), fd.trace.dropped(), fd.trace.total()};
   }
-  for (const auto& j : res.jobs) {
-    ++res.jobs_total;
-    res.reboots += j.reboots;
-    res.tier_switches += j.tier_switches;
-    res.energy_j += j.energy_j;
-    if (j.skipped_infeasible) {
-      // An admission-refused release never ran: its verdict is its own
-      // bucket, not a DNF.
-      ++res.jobs_skipped;
-      res.energy_reclaimed_j += j.energy_reclaimed_j;
-    } else {
-      switch (j.outcome) {
-        case flex::Outcome::kCompleted:
-          ++res.jobs_completed;
-          break;
-        case flex::Outcome::kDidNotFinish:
-          if (j.livelock) {
-            ++res.jobs_livelock;
-          } else {
-            ++res.jobs_dnf;
-          }
-          break;
-        case flex::Outcome::kStarved:
-          ++res.jobs_starved;
-          break;
-      }
-    }
-    if (j.met_deadline) ++res.jobs_in_deadline;
-  }
+  tally_jobs(res.jobs, &res);
   return res;
 }
 
-// The per-device scalar row the aggregation sink keeps: everything the
-// report needs, nothing per-job. ~100 bytes/device is what makes a
-// 100k-device population's footprint reporting-side negligible.
-struct DeviceRow {
-  int device = 0;
-  int jobs_total = 0, jobs_completed = 0, jobs_in_deadline = 0, jobs_skipped = 0;
-  int jobs_dnf = 0, jobs_starved = 0, jobs_livelock = 0;
-  long reboots = 0, tier_switches = 0, steps = 0;
-  double energy_j = 0.0, energy_reclaimed_j = 0.0;
-  // Per-kind lifecycle event totals — one more block of mergeable
-  // integers riding the same row (summed into the metrics block).
-  long events[obs::kKindCount] = {};
-};
-
-DeviceRow row_of(const FleetDeviceResult& d) {
-  DeviceRow r;
-  r.device = d.device;
-  r.jobs_total = d.jobs_total;
-  r.jobs_completed = d.jobs_completed;
-  r.jobs_in_deadline = d.jobs_in_deadline;
-  r.jobs_skipped = d.jobs_skipped;
-  r.jobs_dnf = d.jobs_dnf;
-  r.jobs_starved = d.jobs_starved;
-  r.jobs_livelock = d.jobs_livelock;
-  r.reboots = d.reboots;
-  r.tier_switches = d.tier_switches;
-  r.steps = d.steps;
-  r.energy_j = d.energy_j;
-  r.energy_reclaimed_j = d.energy_reclaimed_j;
-  for (int k = 0; k < obs::kKindCount; ++k) r.events[k] = d.event_counts[k];
-  return r;
-}
-
-// Built-in aggregation sink: per-device scalar rows plus the streaming
-// latency/staleness sketches over completed jobs. Order-independent by
-// construction — rows sort by id at finalize, sketch merges are bin-wise
+// Built-in report sink: per-device rows plus the streaming
+// latency/staleness sketches over completed jobs, the retained rings, and
+// under detail=full every device's whole result for the per_device block
+// (detail=aggregate keeps no job arrays, which is how 10^5-device
+// populations stay small). Order-independent by construction — rows,
+// devices and rings sort by id at finalize, sketch merges are bin-wise
 // integer adds — so every execution path lands on the same bytes.
-class AggregateSink final : public FleetSink {
+class ReportSink final : public FleetSink {
  public:
+  explicit ReportSink(bool detail) : detail(detail) {}
+  bool detail;
   std::vector<DeviceRow> rows;
+  std::vector<FleetDeviceResult> devices;  // detail=full only
   QuantileSketch latency{kSketchRelErr};
   QuantileSketch staleness{kSketchRelErr};
-  // Retained event rings of trace_devices selections, in record order
-  // until finalize sorts them by id (order-independent like rows).
   std::vector<obs::TraceCapture> traces;
 
   void record(const FleetDeviceResult& d) override {
-    rows.push_back(row_of(d));
+    rows.push_back(d);  // the DeviceRow base
+    if (detail) devices.push_back(d);
     for (const auto& j : d.jobs) {
       if (!j.skipped_infeasible && j.outcome == flex::Outcome::kCompleted) {
         latency.add(j.latency_s);
@@ -393,40 +478,21 @@ class AggregateSink final : public FleetSink {
     if (d.trace) traces.push_back(*d.trace);
   }
   void merge(const FleetSink& other) override {
-    const auto* o = dynamic_cast<const AggregateSink*>(&other);
+    const auto* o = dynamic_cast<const ReportSink*>(&other);
     check(o != nullptr, "FleetSink::merge: mismatched sink types");
     rows.insert(rows.end(), o->rows.begin(), o->rows.end());
+    if (detail) devices.insert(devices.end(), o->devices.begin(), o->devices.end());
     latency.merge(o->latency);
     staleness.merge(o->staleness);
     traces.insert(traces.end(), o->traces.begin(), o->traces.end());
   }
   void finalize() override {
-    std::sort(rows.begin(), rows.end(),
-              [](const DeviceRow& a, const DeviceRow& b) { return a.device < b.device; });
+    const auto by_id = [](const auto& a, const auto& b) { return a.device < b.device; };
+    std::sort(rows.begin(), rows.end(), by_id);
+    std::sort(devices.begin(), devices.end(), by_id);
     std::sort(traces.begin(), traces.end(),
               [](const obs::TraceCapture& a, const obs::TraceCapture& b) {
                 return a.id < b.id;
-              });
-  }
-};
-
-// Full per-device retention (detail=full): the records behind the
-// per_device JSON block. Not attached under detail=aggregate, which is
-// how huge populations avoid materializing 10^5 job arrays.
-class DetailSink final : public FleetSink {
- public:
-  std::vector<FleetDeviceResult> devices;
-
-  void record(const FleetDeviceResult& d) override { devices.push_back(d); }
-  void merge(const FleetSink& other) override {
-    const auto* o = dynamic_cast<const DetailSink*>(&other);
-    check(o != nullptr, "FleetSink::merge: mismatched sink types");
-    devices.insert(devices.end(), o->devices.begin(), o->devices.end());
-  }
-  void finalize() override {
-    std::sort(devices.begin(), devices.end(),
-              [](const FleetDeviceResult& a, const FleetDeviceResult& b) {
-                return a.device < b.device;
               });
   }
 };
@@ -436,37 +502,32 @@ class DetailSink final : public FleetSink {
 // counters and double sums accumulate in that order, percentiles come
 // from the sketches. This shared funnel is why `--jobs 8`, `--shards 4`
 // and a serial run cannot disagree on a single byte.
-FleetReport finalize_report(const FleetConfig& cfg, AggregateSink& agg,
-                            DetailSink* detail) {
+FleetReport finalize_report(const FleetConfig& cfg, ReportSink& agg) {
   FleetReport r;
   r.config = cfg;
   r.sketch_rel_err = kSketchRelErr;
-  // Metrics: rows arrive sorted by id and the registry's cells are plain
-  // integer sums/maxes, so this block lands on the same bytes on every
-  // execution path, exactly like the counters below it.
-  long* ev_cells[obs::kKindCount];
-  for (int k = 0; k < obs::kKindCount; ++k) {
-    ev_cells[k] = r.metrics.counter(std::string("event.") +
-                                    obs::event_name(static_cast<obs::EventKind>(k)));
-  }
-  long* trace_dropped = r.metrics.counter("trace.dropped_events");
+  DeviceRow sum;
   long* max_reboots = r.metrics.gauge("fleet.max_device_reboots");
   for (const DeviceRow& row : agg.rows) {
-    for (int k = 0; k < obs::kKindCount; ++k) *ev_cells[k] += row.events[k];
+    for_each_field(kRowFields, [](auto& total, const auto& v) { total += v; }, sum, row);
     if (row.reboots > *max_reboots) *max_reboots = row.reboots;
-    r.total_jobs += row.jobs_total;
-    r.jobs_completed += row.jobs_completed;
-    r.jobs_in_deadline += row.jobs_in_deadline;
-    r.jobs_skipped += row.jobs_skipped;
-    r.jobs_dnf += row.jobs_dnf;
-    r.jobs_starved += row.jobs_starved;
-    r.jobs_livelock += row.jobs_livelock;
-    r.energy_reclaimed_j += row.energy_reclaimed_j;
-    r.total_reboots += row.reboots;
-    r.total_tier_switches += row.tier_switches;
-    r.total_steps += row.steps;
-    r.total_energy_j += row.energy_j;
   }
+  for (int k = 0; k < obs::kKindCount; ++k) {
+    *r.metrics.counter(std::string("event.") +
+                       obs::event_name(static_cast<obs::EventKind>(k))) = sum.event_counts[k];
+  }
+  r.total_jobs = sum.jobs_total;
+  r.jobs_completed = sum.jobs_completed;
+  r.jobs_in_deadline = sum.jobs_in_deadline;
+  r.jobs_skipped = sum.jobs_skipped;
+  r.jobs_dnf = sum.jobs_dnf;
+  r.jobs_starved = sum.jobs_starved;
+  r.jobs_livelock = sum.jobs_livelock;
+  r.energy_reclaimed_j = sum.energy_reclaimed_j;
+  r.total_reboots = sum.reboots;
+  r.total_tier_switches = sum.tier_switches;
+  r.total_steps = sum.steps;
+  r.total_energy_j = sum.energy_j;
   if (agg.latency.count() > 0) {
     r.latency_p50_s = agg.latency.quantile(0.50);
     r.latency_p90_s = agg.latency.quantile(0.90);
@@ -484,9 +545,10 @@ FleetReport finalize_report(const FleetConfig& cfg, AggregateSink& agg,
       r.total_jobs == 0
           ? 0.0
           : static_cast<double>(r.jobs_in_deadline) / static_cast<double>(r.total_jobs);
+  long* trace_dropped = r.metrics.counter("trace.dropped_events");
   for (const obs::TraceCapture& cap : agg.traces) *trace_dropped += cap.dropped;
   r.traces = std::move(agg.traces);
-  if (detail != nullptr) r.devices = std::move(detail->devices);
+  r.devices = std::move(agg.devices);
   return r;
 }
 
@@ -499,17 +561,18 @@ void print_verbose(const FleetDeviceResult& res) {
                res.tier_switches);
 }
 
-// Drives devices [begin, end) to completion and feeds each result to the
-// sinks. Devices are independent, so one loop serves every job count:
-// workers claim device ids (util/parallel.h), build the device, drain its
-// agenda and deliver the result. Each worker owns one slab slot: a
-// finished device donates its SRAM/FRAM word buffers to it and the
-// worker's next device is built from them, so the two big per-device
-// arrays are allocated once per worker, not once per device. (Groups can
-// differ in FRAM size; the adopting region resizes, which still reuses
-// capacity when the next group's image is no larger.)
+// Drives devices [begin, end) to completion, feeds each result to the
+// attached sinks and then `agg`, and finalizes them all. Devices are
+// independent, so one loop serves every job count: workers claim device
+// ids (util/parallel.h), build the device, drain its agenda and deliver
+// the result. Each worker owns one slab slot: a finished device donates
+// its SRAM/FRAM word buffers to it and the worker's next device is built
+// from them, so the two big per-device arrays are allocated once per
+// worker, not once per device. (Groups can differ in FRAM size; the
+// adopting region resizes, which still reuses capacity when the next
+// group's image is no larger.)
 void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
-               const FleetRunOptions& opts, const std::vector<FleetSink*>& sinks) {
+               const FleetRunOptions& opts, std::vector<FleetSink*> sinks, ReportSink& agg) {
   // Wall-clock phase attribution (--profile) is one unsynchronized sink;
   // validate_run_options only lets it through with jobs == 1, which runs
   // the loop inline. Device construction is timed into build_s here; the
@@ -523,6 +586,7 @@ void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
     }
     return 0;
   };
+  sinks.push_back(&agg);
   std::vector<dev::DeviceSlabs> slabs(static_cast<std::size_t>(std::max(opts.jobs, 1)));
   std::mutex mu;
   parallel_for(static_cast<std::size_t>(end - begin), opts.jobs, [&](std::size_t i, int worker) {
@@ -543,33 +607,23 @@ void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
     for (FleetSink* s : sinks) s->record(res);
     if (opts.verbose) print_verbose(res);
   });
+  for (FleetSink* s : sinks) s->finalize();
 }
 
-flex::Outcome parse_outcome(const std::string& name) {
-  if (name == "completed") return flex::Outcome::kCompleted;
-  if (name == "dnf") return flex::Outcome::kDidNotFinish;
-  if (name == "starved") return flex::Outcome::kStarved;
-  fail("fleet shard: unknown outcome \"" + name + "\"");
-}
-
-double shard_num(const std::string& field, const std::string& where) {
-  const auto v = parse_double(field);
-  check(v.has_value(), where + ": bad number \"" + field + "\"");
-  return *v;
-}
-
-// One parsed shard partial (schema ehdnn-fleet-shard-v2).
+// One parsed shard partial (schema ehdnn-fleet-shard-v2). Its sink holds
+// each device's job lines as a result with only `device` and `jobs` set.
 struct ShardPartial {
   int shard = 0;
   int shards = 0;
   int begin = 0;
   int end = 0;
   std::string config_text;  // the echoed config, verbatim
-  AggregateSink agg;
-  DetailSink detail;
-  bool has_detail = false;
+  ReportSink agg{/*detail=*/true};
 };
 
+// Parses and audits one partial, so that a hand-edited one cannot merge
+// into a report that contradicts itself (BENCHMARKS.md "Sharding" lists
+// every rejection). Rows and job blocks must come in id order.
 ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
   ShardPartial p;
   std::string line;
@@ -588,11 +642,19 @@ ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
   while (std::getline(is, line) && line != "config-end") p.config_text += line + "\n";
   check(line == "config-end", where + ": unterminated config echo");
 
+  auto& rows = p.agg.rows;
+  auto& devices = p.agg.devices;
+  const std::string rows_rule = where + ": rows must be devices [" + std::to_string(p.begin) +
+                                ", " + std::to_string(p.end) + "), once each in id order";
+  const auto check_device = [&](int id) {
+    check(id >= p.begin && id < p.end,
+          where + ": device " + std::to_string(id) + " has no row in \"" + line + "\"");
+  };
   bool saw_end = false;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     std::istringstream ls(line);
-    std::string tag;
+    std::string tag, extra;
     ls >> tag;
     if (tag == "end") {
       saw_end = true;
@@ -612,85 +674,73 @@ ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
       }
     } else if (tag == "row") {
       DeviceRow r;
-      std::string energy, reclaimed;
-      ls >> r.device >> r.jobs_total >> r.jobs_completed >> r.jobs_in_deadline >>
-          r.jobs_skipped >> r.jobs_dnf >> r.jobs_starved >> r.jobs_livelock >> r.reboots >>
-          r.tier_switches >> r.steps >> energy >> reclaimed;
-      for (int k = 0; k < obs::kKindCount; ++k) ls >> r.events[k];
-      check(!ls.fail(), where + ": bad row \"" + line + "\"");
-      // A row's counters must be the ones distill() could have produced:
-      // nothing negative, verdict buckets that partition the jobs, and no
-      // more in-deadline jobs than jobs. A hand-edited partial otherwise
-      // merges into a report whose rates exceed 1.
-      bool negative = r.jobs_total < 0 || r.jobs_completed < 0 || r.jobs_in_deadline < 0 ||
-                      r.jobs_skipped < 0 || r.jobs_dnf < 0 || r.jobs_starved < 0 ||
-                      r.jobs_livelock < 0 || r.reboots < 0 || r.tier_switches < 0 ||
-                      r.steps < 0;
-      for (int k = 0; k < obs::kKindCount; ++k) negative = negative || r.events[k] < 0;
-      check(!negative, where + ": negative count in row \"" + line + "\"");
+      bool ok = get(ls, r.device);
+      for_each_field(kRowFields, [&](auto& v) { ok = ok && get(ls, v); }, r);
+      check(ok && !(ls >> extra), where + ": bad row \"" + line + "\"");
+      check(static_cast<long long>(r.device) == p.begin + static_cast<long long>(rows.size()),
+            rows_rule + ", got \"" + line + "\"");
       check(r.jobs_completed + r.jobs_dnf + r.jobs_starved + r.jobs_livelock +
                     r.jobs_skipped ==
                 r.jobs_total,
             where + ": verdict buckets do not sum to jobs_total in row \"" + line + "\"");
       check(r.jobs_in_deadline <= r.jobs_total,
             where + ": in_deadline exceeds jobs_total in row \"" + line + "\"");
-      r.energy_j = shard_num(energy, where);
-      r.energy_reclaimed_j = shard_num(reclaimed, where);
-      p.agg.rows.push_back(r);
+      rows.push_back(r);
     } else if (tag == "trace") {
       obs::TraceCapture cap;
       std::size_t n_events = 0;
-      ls >> cap.id >> n_events >> cap.dropped >> cap.total;
-      check(!ls.fail(), where + ": bad trace header \"" + line + "\"");
+      check(get(ls, cap.id) && get(ls, n_events) && get(ls, cap.dropped) &&
+                get(ls, cap.total),
+            where + ": bad trace header \"" + line + "\"");
+      check_device(cap.id);
       std::getline(ls, cap.label);
       if (!cap.label.empty() && cap.label.front() == ' ') cap.label.erase(0, 1);
-      cap.events.reserve(n_events);
       for (std::size_t i = 0; i < n_events; ++i) {
         check(static_cast<bool>(std::getline(is, line)), where + ": truncated trace");
         std::istringstream es(line);
-        std::string etag, ts;
+        std::string etag;
         int kind = 0;
         obs::Event e;
-        es >> etag >> ts >> kind >> e.a >> e.b;
-        check(etag == "ev" && !es.fail() && kind >= 0 && kind < obs::kKindCount,
+        const bool ok = es >> etag && get(es, e.t_s) && es >> kind >> e.a >> e.b;
+        check(etag == "ev" && ok && kind >= 0 && kind < obs::kKindCount,
               where + ": bad event line \"" + line + "\"");
-        e.t_s = shard_num(ts, where);
         e.kind = static_cast<obs::EventKind>(kind);
         cap.events.push_back(e);
       }
       p.agg.traces.push_back(std::move(cap));
     } else if (tag == "job") {
-      p.has_detail = true;
       int device = 0;
       sched::JobRecord j;
-      std::string release, start, finish, latency, staleness, outcome, met, lock, skip,
-          energy, reclaimed;
-      ls >> device >> j.job >> release >> start >> finish >> latency >> staleness >>
-          outcome >> met >> lock >> skip >> j.runtime >> j.reboots >> j.checkpoints >>
-          j.progress_commits >> j.tier_switches >> energy >> reclaimed;
-      check(!ls.fail(), where + ": bad job line \"" + line + "\"");
-      j.release_s = shard_num(release, where);
-      j.start_s = shard_num(start, where);
-      j.finish_s = shard_num(finish, where);
-      j.latency_s = shard_num(latency, where);
-      j.staleness_s = shard_num(staleness, where);
-      j.outcome = parse_outcome(outcome);
-      j.met_deadline = met == "1";
-      j.livelock = lock == "1";
-      j.skipped_infeasible = skip == "1";
-      j.energy_j = shard_num(energy, where);
-      j.energy_reclaimed_j = shard_num(reclaimed, where);
-      if (p.detail.devices.empty() || p.detail.devices.back().device != device) {
-        FleetDeviceResult res;
-        res.device = device;
-        p.detail.devices.push_back(std::move(res));
+      bool ok = get(ls, device);
+      for_each_field(kJobFields, [&](auto& v) { ok = ok && get(ls, v); }, j);
+      check(ok && !(ls >> extra), where + ": bad job line \"" + line + "\"");
+      check_device(device);
+      if (devices.empty() || devices.back().device < device) {
+        devices.emplace_back().device = device;
       }
-      p.detail.devices.back().jobs.push_back(std::move(j));
+      check(devices.back().device == device,
+            where + ": job lines must come in one block per device, in id order, got \"" +
+                line + "\"");
+      devices.back().jobs.push_back(std::move(j));
     } else {
       fail(where + ": unknown record \"" + tag + "\"");
     }
   }
   check(saw_end, where + ": truncated partial (no end marker)");
+  check(static_cast<long long>(rows.size()) == static_cast<long long>(p.end) - p.begin,
+        rows_rule);
+  for (const FleetDeviceResult& d : devices) {
+    const DeviceRow& row = rows[static_cast<std::size_t>(d.device - p.begin)];
+    DeviceRow tally = row;
+    tally_jobs(d.jobs, &tally);
+    bool same = true;
+    const auto same_bits = [&](const auto& a, const auto& b) {
+      same = same && std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    for_each_field(kRowFields, same_bits, tally, row);
+    check(same, where + ": the row of device " + std::to_string(d.device) +
+                    " disagrees with its job lines");
+  }
   return p;
 }
 
@@ -875,16 +925,10 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
   }
 
-  AggregateSink agg;
-  DetailSink detail;
-  std::vector<FleetSink*> sinks = sinks_;
-  sinks.push_back(&agg);
-  if (cfg_.per_device_detail) sinks.push_back(&detail);
+  ReportSink agg(cfg_.per_device_detail);
+  run_range(w, cfg_, 0, w.n, ropts, sinks_, agg);
 
-  run_range(w, cfg_, 0, w.n, ropts, sinks);
-  for (FleetSink* s : sinks) s->finalize();
-
-  FleetReport r = finalize_report(cfg_, agg, cfg_.per_device_detail ? &detail : nullptr);
+  FleetReport r = finalize_report(cfg_, agg);
   if (ropts.profile != nullptr) {
     // Whatever the attributed phases did not claim is engine overhead:
     // the device loop, sinks, reporting, and instrumentation slack.
@@ -938,17 +982,10 @@ void FleetEngine::run_shard(std::ostream& os, int shard, int shards,
         "run_shard: baseline/admission reruns are whole-population operations");
   const FleetWorld w = build_world(cfg_);
   validate_run_options(ropts, w.n);
-  const int begin = static_cast<int>(static_cast<long long>(w.n) * shard / shards);
-  const int end = static_cast<int>(static_cast<long long>(w.n) * (shard + 1) / shards);
+  const auto [begin, end] = shard_range(w.n, shard, shards);
 
-  AggregateSink agg;
-  DetailSink detail;
-  std::vector<FleetSink*> sinks = sinks_;
-  sinks.push_back(&agg);
-  if (cfg_.per_device_detail) sinks.push_back(&detail);
-
-  run_range(w, cfg_, begin, end, ropts, sinks);
-  for (FleetSink* s : sinks) s->finalize();
+  ReportSink agg(cfg_.per_device_detail);
+  run_range(w, cfg_, begin, end, ropts, sinks_, agg);
 
   os << "ehdnn-fleet-shard-v2\n";
   os << "range " << shard << " " << shards << " " << begin << " " << end << "\n";
@@ -961,14 +998,8 @@ void FleetEngine::run_shard(std::ostream& os, int shard, int shards,
   agg.staleness.serialize(os);
   os << "\n";
   for (const DeviceRow& r : agg.rows) {
-    os << "row " << r.device << " " << r.jobs_total << " " << r.jobs_completed << " "
-       << r.jobs_in_deadline << " " << r.jobs_skipped << " " << r.jobs_dnf << " "
-       << r.jobs_starved << " " << r.jobs_livelock << " " << r.reboots << " "
-       << r.tier_switches << " " << r.steps << " " << fmt_g17(r.energy_j) << " "
-       << fmt_g17(r.energy_reclaimed_j);
-    // v2: the per-kind event totals ride the row as one more mergeable
-    // integer block.
-    for (int k = 0; k < obs::kKindCount; ++k) os << " " << r.events[k];
+    os << "row " << r.device;
+    for_each_field(kRowFields, [&](const auto& v) { put(os, v); }, r);
     os << "\n";
   }
   // v2: retained event rings of this shard's trace_devices selections.
@@ -982,17 +1013,11 @@ void FleetEngine::run_shard(std::ostream& os, int shard, int shards,
          << e.b << "\n";
     }
   }
-  if (cfg_.per_device_detail) {
-    for (const FleetDeviceResult& d : detail.devices) {
-      for (const sched::JobRecord& j : d.jobs) {
-        os << "job " << d.device << " " << j.job << " " << fmt_g17(j.release_s) << " "
-           << fmt_g17(j.start_s) << " " << fmt_g17(j.finish_s) << " " << fmt_g17(j.latency_s)
-           << " " << fmt_g17(j.staleness_s) << " " << flex::outcome_name(j.outcome) << " "
-           << (j.met_deadline ? 1 : 0) << " " << (j.livelock ? 1 : 0) << " "
-           << (j.skipped_infeasible ? 1 : 0) << " " << j.runtime << " " << j.reboots << " "
-           << j.checkpoints << " " << j.progress_commits << " " << j.tier_switches << " "
-           << fmt_g17(j.energy_j) << " " << fmt_g17(j.energy_reclaimed_j) << "\n";
-      }
+  for (const FleetDeviceResult& d : agg.devices) {
+    for (const sched::JobRecord& j : d.jobs) {
+      os << "job " << d.device;
+      for_each_field(kJobFields, [&](const auto& v) { put(os, v); }, j);
+      os << "\n";
     }
   }
   os << "end\n";
@@ -1014,74 +1039,38 @@ FleetReport merge_fleet_shards(const std::vector<std::string>& paths) {
   std::sort(parts.begin(), parts.end(),
             [](const ShardPartial& a, const ShardPartial& b) { return a.shard < b.shard; });
 
-  FleetConfig cfg;
-  {
-    std::istringstream cs(parts.front().config_text);
-    cfg = parse_fleet_config(cs);
-  }
+  std::istringstream cs(parts.front().config_text);
+  const FleetConfig cfg = parse_fleet_config(cs);
   const int n = cfg.total_devices();
-  AggregateSink agg;
-  DetailSink detail;
+  ReportSink agg(cfg.per_device_detail);
   for (int i = 0; i < shards; ++i) {
     const ShardPartial& p = parts[static_cast<std::size_t>(i)];
     check(p.shard == i, "merge_fleet_shards: missing or duplicate shard " + std::to_string(i));
     check(p.shards == shards, "merge_fleet_shards: inconsistent shard counts");
     check(p.config_text == parts.front().config_text,
           "merge_fleet_shards: partials ran different configs");
-    const int begin = static_cast<int>(static_cast<long long>(n) * i / shards);
-    const int end = static_cast<int>(static_cast<long long>(n) * (i + 1) / shards);
+    const auto [begin, end] = shard_range(n, i, shards);
     check(p.begin == begin && p.end == end,
           "merge_fleet_shards: shard " + std::to_string(i) + " covers the wrong range");
-    check(static_cast<int>(p.agg.rows.size()) == end - begin,
-          "merge_fleet_shards: shard " + std::to_string(i) + " is missing device rows");
+    check(!cfg.per_device_detail || p.agg.devices.size() == p.agg.rows.size(),
+          "merge_fleet_shards: shard " + std::to_string(i) + " is missing job records");
     agg.merge(p.agg);
-    if (cfg.per_device_detail) detail.merge(p.detail);
   }
   agg.finalize();
-  detail.finalize();
 
-  if (cfg.per_device_detail) {
-    // Job lines carry only what rows cannot reconstruct; refill each
-    // device's coordinates and verdict buckets from the config and its
-    // records, exactly as distill() does in-process.
-    std::map<int, std::vector<sched::JobRecord>> jobs_by_device;
-    for (auto& d : detail.devices) jobs_by_device[d.device] = std::move(d.jobs);
-    detail.devices.clear();
-    std::vector<std::size_t> device_group;
-    device_group.reserve(static_cast<std::size_t>(n));
-    for (std::size_t gi = 0; gi < cfg.groups.size(); ++gi) {
-      for (int k = 0; k < cfg.groups[gi].count; ++k) device_group.push_back(gi);
-    }
-    for (const DeviceRow& row : agg.rows) {
-      const FleetGroup& g = cfg.groups[device_group[static_cast<std::size_t>(row.device)]];
-      FleetDeviceResult res;
-      res.device = row.device;
-      res.group = g.name;
-      res.offset_s =
-          cfg.offset_spread_s * static_cast<double>(row.device) / static_cast<double>(n);
-      res.task = models::task_name(g.task);
-      res.runtime = g.agenda.runtime;
-      res.capacitance_f = g.capacitance_f;
-      const auto it = jobs_by_device.find(row.device);
-      check(it != jobs_by_device.end(),
-            "merge_fleet_shards: no job records for device " + std::to_string(row.device));
-      res.jobs = std::move(it->second);
-      res.jobs_total = row.jobs_total;
-      res.jobs_completed = row.jobs_completed;
-      res.jobs_in_deadline = row.jobs_in_deadline;
-      res.jobs_skipped = row.jobs_skipped;
-      res.jobs_dnf = row.jobs_dnf;
-      res.jobs_starved = row.jobs_starved;
-      res.jobs_livelock = row.jobs_livelock;
-      res.reboots = row.reboots;
-      res.tier_switches = row.tier_switches;
-      res.steps = row.steps;
-      res.energy_j = row.energy_j;
-      res.energy_reclaimed_j = row.energy_reclaimed_j;
-      detail.devices.push_back(std::move(res));
-    }
+  // Each partial has one job block per row, so after the sort the i-th
+  // block is the i-th row's device. Its result is assembled as distill()
+  // does in-process: coordinates from the config, counters from the row
+  // (already checked against these jobs), jobs from the job lines.
+  const std::vector<std::size_t> device_group = device_groups(cfg);
+  for (std::size_t i = 0; i < agg.devices.size(); ++i) {
+    FleetDeviceResult& res = agg.devices[i];
+    std::vector<sched::JobRecord> jobs = std::move(res.jobs);
+    res = placed(cfg, device_group, agg.rows[i].device);
+    static_cast<DeviceRow&>(res) = agg.rows[i];
+    res.jobs = std::move(jobs);
   }
-  return finalize_report(cfg, agg, cfg.per_device_detail ? &detail : nullptr);
+  return finalize_report(cfg, agg);
 }
 
 FleetReport run_fleet(const FleetConfig& cfg, const FleetRunOptions& ropts) {

@@ -143,17 +143,12 @@ struct FleetRunOptions {
   long trace_capacity = 65536;
 };
 
-// One device's agenda outcome, plus its fleet coordinates. `jobs` is
-// populated only while the device's records are in hand (sinks see it at
-// record() time); under detail=aggregate nothing retains it afterwards.
-struct FleetDeviceResult {
+// One device's counters, declared once: its id plus every number the
+// report sums. The report sink keeps one row per device (nothing per-job),
+// and the shard partial, the report totals and the merge's audit iterate
+// one field table over these members (kRowFields in fleet.cpp).
+struct DeviceRow {
   int device = 0;
-  std::string group;
-  double offset_s = 0.0;
-  std::string task;
-  std::string runtime;
-  double capacitance_f = 0.0;
-  std::vector<sched::JobRecord> jobs;
   int jobs_total = 0;
   int jobs_completed = 0;
   int jobs_in_deadline = 0;
@@ -169,6 +164,18 @@ struct FleetDeviceResult {
   // Per-kind lifecycle event totals (counts-only EventTrace; always
   // collected) — what the report's `metrics` block sums.
   long event_counts[obs::kKindCount] = {};
+};
+
+// One device's agenda outcome: its counters plus its fleet coordinates.
+// `jobs` is populated only while the device's records are in hand (sinks
+// see it at record() time); under detail=aggregate nothing retains it.
+struct FleetDeviceResult : DeviceRow {
+  std::string group;
+  double offset_s = 0.0;
+  std::string task;
+  std::string runtime;
+  double capacitance_f = 0.0;
+  std::vector<sched::JobRecord> jobs;
   // Retained ring, only for devices named in trace_devices.
   std::optional<obs::TraceCapture> trace;
 };
@@ -280,7 +287,8 @@ class FleetEngine {
 
 // Merges a complete set of shard partials (one per shard, any order)
 // into the population's FleetReport. Verifies every partial echoes the
-// same config and that the shard ranges tile [0, N) exactly.
+// same config and that the shard ranges tile [0, N) exactly, and audits
+// every record (BENCHMARKS.md "Sharding" lists what is rejected).
 FleetReport merge_fleet_shards(const std::vector<std::string>& paths);
 
 // Compatibility wrapper: FleetEngine(cfg).run(ropts).

@@ -166,8 +166,9 @@ TEST(Fleet, ShardedRunMergesToTheIdenticalArtifact) {
   EXPECT_EQ(run_as_shards(agg_cfg, 2), agg_whole.str());
 }
 
-// A partial whose row counters no device could have produced is refused
-// at merge instead of folding into a report with rates above 1.
+// A partial no run could have written (impossible counters, ids, field
+// values, or a row that disagrees with its jobs) is refused at merge
+// instead of folding into a report that contradicts itself.
 TEST(Fleet, MergeRejectsTamperedRows) {
   std::ostringstream part;
   FleetEngine(tiny_fleet()).run_shard(part, 0, 1);
@@ -190,6 +191,41 @@ TEST(Fleet, MergeRejectsTamperedRows) {
   EXPECT_THROW(merge_text(tampered("1 1 2 0 0 0 0")), Error);   // in_deadline > jobs_total
   EXPECT_THROW(merge_text(tampered("1 2 1 0 -1 0 0")), Error);  // negative bucket
   EXPECT_THROW(merge_text(tampered("-1 -1 0 0 0 0 0")), Error);  // negative total
+
+  // `good` with `text` inserted before the end marker.
+  auto appended = [&](const std::string& text) {
+    return std::string(good).insert(good.rfind("end\n"), text + "\n");
+  };
+  // `good` with token k (0 is the tag) of the first line starting with
+  // `prefix` replaced by `value`; line_with returns that line alone.
+  auto line_with = [&](const std::string& prefix, std::size_t k, const std::string& value) {
+    const std::size_t at = good.find("\n" + prefix) + 1;
+    std::istringstream ls(good.substr(at, good.find('\n', at) - at));
+    std::string line, tok;
+    for (std::size_t i = 0; ls >> tok; ++i) {
+      line += (i == 0 ? "" : " ") + (i == k ? value : tok);
+    }
+    return line;
+  };
+  auto retoken = [&](const std::string& prefix, std::size_t k, const std::string& value) {
+    const std::size_t at = good.find("\n" + prefix) + 1;
+    const std::size_t eol = good.find('\n', at);
+    return std::string(good).replace(at, eol - at, line_with(prefix, k, value));
+  };
+  const std::string job0 = line_with("job 0 ", 0, "job");
+  // Ids: rows exactly [begin, end) once each; trace and job lines only of
+  // devices with a row; one job block per device.
+  EXPECT_THROW(merge_text(retoken("row 1 ", 1, "0")), Error);  // row 0 twice, no row 1
+  EXPECT_THROW(merge_text(appended("trace 6 0 0 0 device 6")), Error);
+  EXPECT_THROW(merge_text(appended(line_with("job 0 ", 1, "9"))), Error);
+  EXPECT_THROW(merge_text(appended(job0)), Error);  // a second block of device 0
+  // Values by kind: a nan energy, a negative count, a flag that is not 0/1.
+  EXPECT_THROW(merge_text(retoken("row 0 ", 12, "nan")), Error);
+  EXPECT_THROW(merge_text(retoken("job 0 ", 14, "-5")), Error);  // checkpoints
+  EXPECT_THROW(merge_text(retoken("job 0 ", 9, "x")), Error);    // met_deadline
+  // A job line whose reboots disagree with its device's row.
+  ASSERT_NE(line_with("job 0 ", 13, "99"), job0);
+  EXPECT_THROW(merge_text(retoken("job 0 ", 13, "99")), Error);
   std::remove(path.c_str());
 }
 
