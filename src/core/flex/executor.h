@@ -77,17 +77,6 @@ class RuntimePolicy {
     obs::record(ctx.opts.trace, obs_now_s(ctx.dev), obs::EventKind::kCommit);
   }
 
-  // Voltage-monitor warning (the falling crossing of flex_v_warn):
-  // persist enough state to survive the imminent brown-out. NOTE: the
-  // executor does not sample the monitor — a policy that polls (only
-  // FLEX does) fires this from its own kernel boundary hooks. It lives
-  // on the interface so warning-driven persistence has one named slot,
-  // not so the engine will call it for you.
-  virtual void on_warning(StepContext& ctx, std::size_t unit) {
-    (void)ctx;
-    (void)unit;
-  }
-
   // Consulted after a power failure, before the executor's own
   // max_reboots guard and the recharge: return false to abandon the run
   // as DNF (ACE's livelock detector lives here). `attempt_cycles` is the

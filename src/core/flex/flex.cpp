@@ -157,18 +157,6 @@ class FlexPolicy : public RuntimePolicy {
     }
   }
 
-  // The monitor fired: persist the live state for the layer kind at hand
-  // (the BCM path carries its stage machine separately and checkpoints
-  // directly from poll_and_checkpoint).
-  void on_warning(StepContext& ctx, std::size_t unit) override {
-    const QLayer& q = ctx.cm.model.layers[layer_];
-    if (q.kind == QKind::kDense) {
-      write_checkpoint(ctx.dev, ctx.cm, layer_, unit, /*kind=*/1, nullptr, &q, ctx.st);
-    } else {
-      write_checkpoint(ctx.dev, ctx.cm, layer_, unit, /*kind=*/0, nullptr, nullptr, ctx.st);
-    }
-  }
-
   bool retry_after_failure(StepContext& ctx, double attempt_cycles) override {
     (void)ctx;
     (void)attempt_cycles;
@@ -207,6 +195,19 @@ class FlexPolicy : public RuntimePolicy {
       }
     }
     return best;
+  }
+
+  // The monitor fired: persist the live state for the layer kind at hand
+  // (the BCM path carries its stage machine separately and checkpoints
+  // directly from poll_and_checkpoint). The executor never samples the
+  // monitor, so this is FLEX's own hook, fired from its kernel boundaries.
+  void on_warning(StepContext& ctx, std::size_t unit) {
+    const QLayer& q = ctx.cm.model.layers[layer_];
+    if (q.kind == QKind::kDense) {
+      write_checkpoint(ctx.dev, ctx.cm, layer_, unit, /*kind=*/1, nullptr, &q, ctx.st);
+    } else {
+      write_checkpoint(ctx.dev, ctx.cm, layer_, unit, /*kind=*/0, nullptr, nullptr, ctx.st);
+    }
   }
 
   void restore_bcm_payload(dev::Device& dev, const ace::CompiledModel& cm,

@@ -176,10 +176,8 @@ class TilePolicy : public RuntimePolicy {
 
 TileSpec parse_tile_spec(const std::string& key) {
   TileSpec spec;
-  const std::size_t colon = key.find(':');
-  check(key.substr(0, colon) == "tile", "tile spec must start with \"tile\": " + key);
-  if (colon == std::string::npos) return spec;
-  SpecArgs a(key, key.substr(colon + 1));
+  check(key.substr(0, key.find(':')) == "tile", "tile spec must start with \"tile\": " + key);
+  SpecArgs a(key);
   spec.tile_elems = a.integer<std::size_t>("t", spec.tile_elems, 1, 4096);
   a.finish();
   return spec;

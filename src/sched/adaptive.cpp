@@ -682,10 +682,9 @@ AdaptivePolicy* as_adaptive(flex::RuntimePolicy* policy) {
 }
 
 AdaptiveSpec parse_adaptive_spec(const std::string& spec) {
-  const std::size_t colon = spec.find(':');
-  check(spec.substr(0, colon) == "adaptive",
+  check(spec.substr(0, spec.find(':')) == "adaptive",
         "adaptive spec \"" + spec + "\": expected adaptive[:key=value,...]");
-  SpecArgs a(spec, colon == std::string::npos ? "" : spec.substr(colon + 1));
+  SpecArgs a(spec);
   AdaptiveSpec s;
 
   // Forecaster sub-spec assembled from flat keys (fc picks the kind;

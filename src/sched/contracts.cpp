@@ -24,8 +24,8 @@
 #include "util/check.h"
 #include "util/format.h"
 #include "util/parallel.h"
-#include "util/parse.h"
 #include "util/rng.h"
+#include "util/spec.h"
 
 namespace ehdnn::sched::contract {
 
@@ -135,39 +135,9 @@ const Fixture& fixture() {
   return fx_;
 }
 
-// ---------------------------------------------------------- serialization
-
-// Splits "key=value" at the FIRST '=' (values may contain '=' again:
-// source/sched specs).
-std::pair<std::string, std::string> split_kv(const std::string& tok,
-                                             const std::string& line) {
-  const std::size_t eq = tok.find('=');
-  ehdnn::check(eq != std::string::npos && eq > 0,
-        "contract world \"" + line + "\": expected key=value, got \"" + tok + "\"");
-  return {tok.substr(0, eq), tok.substr(eq + 1)};
-}
-
-double parse_double(const std::string& v, const std::string& line) {
-  const auto d = ehdnn::parse_double(v);
-  ehdnn::check(d.has_value(), "contract world \"" + line + "\": bad number \"" + v + "\"");
-  return *d;
-}
-
-int parse_int(const std::string& v, const std::string& line) {
-  const auto n = ehdnn::parse_int(v, -999'999'999, 999'999'999);
-  ehdnn::check(n.has_value(), "contract world \"" + line + "\": bad integer \"" + v + "\"");
-  return *n;
-}
-
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::vector<std::string> toks;
-  std::istringstream is(line);
-  std::string t;
-  while (is >> t) toks.push_back(t);
-  return toks;
-}
-
 }  // namespace
+
+// ---------------------------------------------------------- serialization
 
 std::string serialize_world(const World& w) {
   std::string s = "world id=" + std::to_string(w.id);
@@ -190,69 +160,52 @@ std::string serialize_world(const RelockWorld& w) {
   return s;
 }
 
+namespace {
+
+// The key=value items of a world line whose first token is `kind`.
+SpecArgs world_args(const std::string& line, const char* kind) {
+  std::istringstream is(line);
+  std::vector<std::string> tokens;
+  for (std::string t; is >> t;) tokens.push_back(t);
+  const std::string where = "contract world \"" + line + "\"";
+  ehdnn::check(!tokens.empty() && tokens.front() == kind,
+               where + ": expected a line starting with '" + kind + "'");
+  return SpecArgs(where, std::span(tokens).subspan(1));
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int kMaxId = 999'999'999;
+
+}  // namespace
+
 World parse_world(const std::string& line) {
-  const std::vector<std::string> toks = tokens_of(line);
-  ehdnn::check(!toks.empty() && toks.front() == "world",
-        "contract world \"" + line + "\": expected a line starting with 'world'");
+  SpecArgs a = world_args(line, "world");
+  a.require({"id", "src", "cap", "von", "period", "dl", "jobs", "sched"});
   World w;
-  int seen = 0;
-  for (std::size_t i = 1; i < toks.size(); ++i) {
-    const auto [k, v] = split_kv(toks[i], line);
-    if (k == "id") {
-      w.id = parse_int(v, line);
-    } else if (k == "src") {
-      w.source = v;
-    } else if (k == "cap") {
-      w.cap_f = parse_double(v, line);
-    } else if (k == "von") {
-      w.v_on = parse_double(v, line);
-    } else if (k == "period") {
-      w.period_s = parse_double(v, line);
-    } else if (k == "dl") {
-      w.deadline_s = parse_double(v, line);
-    } else if (k == "jobs") {
-      w.jobs = parse_int(v, line);
-    } else if (k == "sched") {
-      w.sched = v;
-    } else {
-      fail("contract world \"" + line + "\": unknown key \"" + k + "\"");
-    }
-    ++seen;
-  }
-  ehdnn::check(seen == 8, "contract world \"" + line + "\": expected 8 key=value fields");
-  ehdnn::check(!w.source.empty() && !w.sched.empty() && w.jobs >= 1 && w.cap_f > 0.0 &&
-            w.v_on > 0.0 && w.period_s > 0.0 && w.deadline_s > 0.0,
-        "contract world \"" + line + "\": out-of-range field");
+  w.id = a.integer("id", w.id, -kMaxId, kMaxId);
+  w.source = a.str("src");
+  w.cap_f = a.num("cap", w.cap_f, SpecArgs::kPositive, kInf);
+  w.v_on = a.num("von", w.v_on, SpecArgs::kPositive, kInf);
+  w.period_s = a.num("period", w.period_s, SpecArgs::kPositive, kInf);
+  w.deadline_s = a.num("dl", w.deadline_s, SpecArgs::kPositive, kInf);
+  w.jobs = a.integer("jobs", w.jobs, 1, kMaxId);
+  w.sched = a.str("sched");
+  a.finish();
   return w;
 }
 
 RelockWorld parse_relock_world(const std::string& line) {
-  const std::vector<std::string> toks = tokens_of(line);
-  ehdnn::check(!toks.empty() && toks.front() == "relock",
-        "contract world \"" + line + "\": expected a line starting with 'relock'");
+  SpecArgs a = world_args(line, "relock");
+  a.require({"id", "p1", "p2", "hi", "lo"});
   RelockWorld w;
-  int seen = 0;
-  for (std::size_t i = 1; i < toks.size(); ++i) {
-    const auto [k, v] = split_kv(toks[i], line);
-    if (k == "id") {
-      w.id = parse_int(v, line);
-    } else if (k == "p1") {
-      w.p1_s = parse_double(v, line);
-    } else if (k == "p2") {
-      w.p2_s = parse_double(v, line);
-    } else if (k == "hi") {
-      w.hi_w = parse_double(v, line);
-    } else if (k == "lo") {
-      w.lo_w = parse_double(v, line);
-    } else {
-      fail("contract world \"" + line + "\": unknown key \"" + k + "\"");
-    }
-    ++seen;
-  }
-  ehdnn::check(seen == 5, "contract world \"" + line + "\": expected 5 key=value fields");
-  ehdnn::check(w.p1_s > 0.0 && w.p2_s > 0.0 && w.p1_s != w.p2_s && w.hi_w > w.lo_w &&
-            w.lo_w >= 0.0,
-        "contract world \"" + line + "\": out-of-range field");
+  w.id = a.integer("id", w.id, -kMaxId, kMaxId);
+  w.p1_s = a.num("p1", w.p1_s, SpecArgs::kPositive, kInf);
+  w.p2_s = a.num("p2", w.p2_s, SpecArgs::kPositive, kInf);
+  w.lo_w = a.num("lo", w.lo_w, 0.0, kInf);
+  w.hi_w = a.num("hi", w.hi_w, 0.0, kInf);
+  a.finish();
+  ehdnn::check(w.p1_s != w.p2_s && w.hi_w > w.lo_w,
+               "contract world \"" + line + "\": need p1 != p2 and hi > lo");
   return w;
 }
 

@@ -444,9 +444,8 @@ const std::vector<std::string>& forecaster_kinds() {
 }
 
 std::unique_ptr<HarvestForecaster> make_forecaster(const std::string& spec) {
-  const std::size_t colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  SpecArgs a(spec, colon == std::string::npos ? "" : spec.substr(colon + 1));
+  const std::string kind = spec.substr(0, spec.find(':'));
+  SpecArgs a(spec);
   for (const auto& k : kKindTable) {
     if (kind == k.kind) {
       auto fc = k.make(a);

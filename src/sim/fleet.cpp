@@ -31,6 +31,7 @@
 #include "util/parse.h"
 #include "util/qsketch.h"
 #include "util/rng.h"
+#include "util/spec.h"
 
 namespace ehdnn::sim {
 
@@ -290,16 +291,9 @@ std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig&
   } else {
     // The runtime table's own factory — which for the adaptive keys
     // already carries the key's default spec (income ladder for
-    // "adaptive", deadline selection for "adaptive-deadline").
+    // "adaptive", deadline selection for "adaptive-deadline"). Both
+    // admit every job, so force_admit_all has nothing to override here.
     fd->policy = make_policy(g.agenda.runtime);
-    if (force_admit_all) {
-      if (auto* ap = sched::as_adaptive(fd->policy.get());
-          ap != nullptr && ap->spec().admit == sched::Admission::kBudget) {
-        sched::AdaptiveSpec aspec = ap->spec();
-        aspec.admit = sched::Admission::kAll;
-        fd->policy = sched::make_adaptive_policy(std::move(aspec));
-      }
-    }
   }
   const double worst_ck = sched::provision_deployment(
       *fd->policy, fd->device.cost(), *fd->cm_primary, fd->cm_dense.get(),
@@ -752,7 +746,21 @@ int FleetConfig::total_devices() const {
   return n;
 }
 
+// parse_task takes the lowercase key, task_name() returns the display
+// name — the writer must emit the key or the round-trip breaks.
+static const char* task_key(models::Task t) {
+  switch (t) {
+    case models::Task::kMnist: return "mnist";
+    case models::Task::kHar: return "har";
+    case models::Task::kOkg: return "okg";
+  }
+  return "?";
+}
+
 FleetConfig parse_fleet_config(std::istream& is) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kPos = SpecArgs::kPositive;
+  constexpr long kMaxRunLimit = 1'000'000'000'000'000;
   FleetConfig cfg;
   bool saw_fleet_line = false;
   std::string line;
@@ -767,92 +775,43 @@ FleetConfig parse_fleet_config(std::istream& is) {
     std::vector<std::string> tokens;
     for (std::string t; ls >> t;) tokens.push_back(t);
     if (tokens.empty()) continue;
-
-    std::map<std::string, std::string> kv;
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      const std::size_t eq = tokens[i].find('=');
-      check(eq != std::string::npos && eq > 0,
-            where + ": expected key=value, got \"" + tokens[i] + "\"");
-      const std::string key = tokens[i].substr(0, eq);
-      check(kv.find(key) == kv.end(), where + ": duplicate key \"" + key + "\"");
-      kv[key] = tokens[i].substr(eq + 1);
-    }
-    auto take = [&](const char* key) -> std::optional<std::string> {
-      const auto it = kv.find(key);
-      if (it == kv.end()) return std::nullopt;
-      std::string v = it->second;
-      kv.erase(it);
-      return v;
-    };
-    // Real-valued keys must be finite: strtod accepts "inf" and "nan",
-    // which no key means. The one exception is deadline=inf, the default
-    // (no deadline), which write_fleet_config emits for such a group.
-    auto take_num = [&](const char* key, bool inf_ok = false) -> std::optional<double> {
-      const auto v = take(key);
-      if (!v.has_value()) return std::nullopt;
-      const auto d = parse_double(*v);
-      constexpr double kInf = std::numeric_limits<double>::infinity();
-      check(d.has_value() && (std::isfinite(*d) || (inf_ok && *d == kInf)),
-            where + ": bad number for " + key + ": \"" + *v + "\"");
-      return d;
-    };
-    // Integer-valued keys, in [0, hi]: range-checked before the cast, so
-    // malformed entries throw as documented.
-    constexpr long long kMaxCount = 1'000'000'000;
-    constexpr long long kMaxRunLimit = 1'000'000'000'000'000;
-    auto take_int = [&](const char* key, long long hi) -> std::optional<long long> {
-      const auto v = take(key);
-      if (!v.has_value()) return std::nullopt;
-      const auto n = parse_int(*v, 0LL, hi);
-      check(n.has_value(), where + ": " + key + " must be an integer in [0, " +
-                               std::to_string(hi) + "], got \"" + *v + "\"");
-      return n;
-    };
+    SpecArgs a(where, std::span(tokens).subspan(1));
 
     if (tokens[0] == "fleet") {
       check(!saw_fleet_line, where + ": duplicate fleet line");
       saw_fleet_line = true;
-      if (const auto v = take("source")) cfg.source = *v;
-      if (const auto v = take_num("spread")) cfg.offset_spread_s = *v;
-      if (const auto v = take("seed")) {
-        const auto seed =
-            parse_int(*v, std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max());
-        check(seed.has_value(), where + ": bad seed \"" + *v + "\"");
-        cfg.seed = *seed;
-      }
-      if (const auto v = take("detail")) {
-        if (*v == "full") {
-          cfg.per_device_detail = true;
-        } else if (*v == "aggregate") {
-          cfg.per_device_detail = false;
-        } else {
-          fail(where + ": detail must be \"full\" or \"aggregate\", got \"" + *v + "\"");
-        }
-      }
+      cfg.source = a.str("source", cfg.source);
+      cfg.offset_spread_s = a.num("spread", cfg.offset_spread_s, 0.0, kInf);
+      cfg.seed = a.integer<std::uint64_t>("seed", cfg.seed, 0,
+                                          std::numeric_limits<std::uint64_t>::max());
+      const std::string detail = a.str("detail", cfg.per_device_detail ? "full" : "aggregate");
+      check(detail == "full" || detail == "aggregate",
+            where + ": detail must be \"full\" or \"aggregate\", got \"" + detail + "\"");
+      cfg.per_device_detail = detail == "full";
     } else if (tokens[0] == "group") {
       FleetGroup g;
-      g.name = "group" + std::to_string(cfg.groups.size());
-      if (const auto v = take("name")) g.name = *v;
-      if (const auto v = take_int("count", kMaxCount)) g.count = static_cast<int>(*v);
-      if (const auto v = take("task")) g.task = models::parse_task(*v);
-      if (const auto v = take("runtime")) g.agenda.runtime = *v;
-      if (const auto v = take_num("cap")) g.capacitance_f = *v;
-      if (const auto v = take_num("max_off")) g.max_off_s = *v;
-      if (const auto v = take_int("reboots", kMaxRunLimit)) g.max_reboots = *v;
-      if (const auto v = take_int("max_futile", kMaxRunLimit)) g.max_futile = *v;
-      if (const auto v = take_int("jobs", kMaxCount)) g.agenda.jobs = static_cast<int>(*v);
-      if (const auto v = take_num("period")) g.agenda.period_s = *v;
-      if (const auto v = take_num("deadline", /*inf_ok=*/true)) g.agenda.deadline_s = *v;
-      if (const auto v = take("sched")) g.sched_spec = *v;
-      if (const auto v = take_int("fram", 1'000'000'000'000)) {
-        g.fram_words = static_cast<std::size_t>(*v);
-      }
+      g.name = a.str("name", "group" + std::to_string(cfg.groups.size()));
+      g.count = a.integer("count", g.count, 1, 1'000'000'000);
+      g.task = models::parse_task(a.str("task", task_key(g.task)));
+      g.agenda.runtime = a.str("runtime", g.agenda.runtime);
+      g.capacitance_f = a.num("cap", g.capacitance_f, kPos, kInf);
+      g.max_off_s = a.num("max_off", g.max_off_s, kPos, kInf);
+      g.max_reboots = a.integer("reboots", g.max_reboots, 1L, kMaxRunLimit);
+      g.max_futile = a.integer("max_futile", g.max_futile, 0L, kMaxRunLimit);
+      g.agenda.jobs = a.integer("jobs", g.agenda.jobs, 1, 1'000'000'000);
+      g.agenda.period_s = a.num("period", g.agenda.period_s, kPos, kInf);
+      // deadline=inf is the default (no deadline), which
+      // write_fleet_config emits for such a group.
+      g.agenda.deadline_s = a.str("deadline") == "inf"
+                                ? kInf
+                                : a.num("deadline", g.agenda.deadline_s, kPos, kInf);
+      g.sched_spec = a.str("sched");
+      g.fram_words = a.integer<std::size_t>("fram", g.fram_words, 0, 1'000'000'000'000);
       cfg.groups.push_back(std::move(g));
     } else {
       fail(where + ": expected \"fleet\" or \"group\", got \"" + tokens[0] + "\"");
     }
-    check(kv.empty(),
-          where + ": unknown key \"" + (kv.empty() ? "" : kv.begin()->first) + "\"");
+    a.finish();
   }
   validate(cfg);
   return cfg;
@@ -862,17 +821,6 @@ FleetConfig parse_fleet_config_file(const std::string& path) {
   std::ifstream f(path);
   check(f.good(), "fleet config: cannot read " + path);
   return parse_fleet_config(f);
-}
-
-// parse_task takes the lowercase key, task_name() returns the display
-// name — the writer must emit the key or the round-trip breaks.
-static const char* task_key(models::Task t) {
-  switch (t) {
-    case models::Task::kMnist: return "mnist";
-    case models::Task::kHar: return "har";
-    case models::Task::kOkg: return "okg";
-  }
-  return "?";
 }
 
 void write_fleet_config(std::ostream& os, const FleetConfig& cfg) {

@@ -1,6 +1,5 @@
 #include "sim/scenario.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -22,6 +21,7 @@
 #include "util/parallel.h"
 #include "util/parse.h"
 #include "util/rng.h"
+#include "util/spec.h"
 
 namespace ehdnn::sim {
 
@@ -87,21 +87,6 @@ const RuntimeEntry& runtime_entry(const std::string& key) {
   std::string known;
   for (const auto& rk : kRuntimeTable) known += std::string(known.empty() ? "" : "|") + rk.key;
   fail("scenario: unknown runtime \"" + key + "\" (" + known + ")");
-}
-
-double parse_num(const std::string& arg, const std::string& key, const std::string& val) {
-  const auto v = parse_double(val);
-  check(v.has_value(), "scenario \"" + arg + "\": bad number for " + key + ": \"" + val + "\"");
-  return *v;
-}
-
-// A run-limit count (reboots, max_futile): an integer in [0, 1e15], the
-// fleet config's bounds for the same keys.
-long parse_count(const std::string& arg, const std::string& key, const std::string& val) {
-  const auto v = parse_int(val, 0L, 1'000'000'000'000'000L);
-  check(v.has_value(), "scenario \"" + arg + "\": " + key +
-                           " must be an integer in [0, 1e15], got \"" + val + "\"");
-  return *v;
 }
 
 // `src` is the scenario's shared (immutable) harvest source, or nullptr
@@ -224,37 +209,17 @@ ScenarioSpec parse_scenario_arg(const std::string& arg) {
         "scenario \"" + arg + "\": expected NAME=SOURCE[;key=value...]");
   ScenarioSpec sc;
   sc.name = arg.substr(0, eq);
-  const std::string rest = arg.substr(eq + 1);
-  std::size_t pos = rest.find(';');
-  sc.source = rest.substr(0, pos);
+  const std::vector<std::string> items = split(arg.substr(eq + 1), ';');
+  sc.source = items.front();
   check(!sc.source.empty(), "scenario \"" + arg + "\": empty source spec");
-  while (pos != std::string::npos) {
-    const std::size_t next = rest.find(';', pos + 1);
-    const std::string item =
-        rest.substr(pos + 1, (next == std::string::npos ? rest.size() : next) - pos - 1);
-    pos = next;
-    if (item.empty()) continue;
-    const std::size_t ieq = item.find('=');
-    check(ieq != std::string::npos && ieq > 0,
-          "scenario \"" + arg + "\": expected key=value, got \"" + item + "\"");
-    const std::string key = item.substr(0, ieq);
-    const std::string val = item.substr(ieq + 1);
-    // cap and max_off take the fleet config's bounds.
-    if (key == "cap") {
-      sc.capacitance_f = parse_num(arg, key, val);
-      check(std::isfinite(sc.capacitance_f) && sc.capacitance_f > 0.0,
-            "scenario \"" + arg + "\": cap must be finite and > 0");
-    } else if (key == "max_off") {
-      sc.max_off_s = parse_num(arg, key, val);
-      check(sc.max_off_s > 0.0, "scenario \"" + arg + "\": max_off must be > 0");
-    } else if (key == "reboots") {
-      sc.max_reboots = parse_count(arg, key, val);
-    } else if (key == "max_futile") {
-      sc.max_futile = parse_count(arg, key, val);
-    } else {
-      fail("scenario \"" + arg + "\": unknown option \"" + key + "\"");
-    }
-  }
+  // The fleet config's bounds for the same keys.
+  SpecArgs a("scenario \"" + arg + "\"", std::span(items).subspan(1));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  sc.capacitance_f = a.num("cap", sc.capacitance_f, SpecArgs::kPositive, kInf);
+  sc.max_off_s = a.num("max_off", sc.max_off_s, SpecArgs::kPositive, kInf);
+  sc.max_reboots = a.integer("reboots", sc.max_reboots, 0L, 1'000'000'000'000'000L);
+  sc.max_futile = a.integer("max_futile", sc.max_futile, 0L, 1'000'000'000'000'000L);
+  a.finish();
   return sc;
 }
 

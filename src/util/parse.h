@@ -1,7 +1,7 @@
-// Strict numeric field parsing, shared by the trace CSV reader, the
-// harvest/scenario/scheduler spec parsers, the fleet config reader and the
-// CLI flags: the whole field — minus surrounding whitespace — must be
-// consumed, so "1e-3x" or "soon" never half-parses.
+// Strict numeric field parsing, shared by the trace CSV reader, every
+// key=value input (through SpecArgs, util/spec.h) and the CLI flags: the
+// whole field — minus surrounding whitespace — must be consumed, so
+// "1e-3x" or "soon" never half-parses.
 #pragma once
 
 #include <cctype>
@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 namespace ehdnn {
 
@@ -69,6 +70,31 @@ std::optional<Int> parse_int(const std::string& field, Int lo, Int hi) {
       mag == kMinMag ? std::numeric_limits<long long>::min() : -static_cast<long long>(mag);
   if (std::cmp_less(v, lo) || std::cmp_greater(v, hi)) return std::nullopt;
   return static_cast<Int>(v);
+}
+
+// `s` cut at every `sep`: n separators give n + 1 items, empty ones
+// included ("" gives one empty item).
+inline std::vector<std::string> split(const std::string& s, char sep) {
+  std::vector<std::string> items;
+  std::size_t pos = 0;
+  for (std::size_t cut; (cut = s.find(sep, pos)) != std::string::npos; pos = cut + 1) {
+    items.push_back(s.substr(pos, cut - pos));
+  }
+  items.push_back(s.substr(pos));
+  return items;
+}
+
+// A comma-separated list of non-negative int ids ("0,8,12"), as the
+// --trace-devices / --trace-cells flags take it; nullopt when any item,
+// an empty one included, is not such an id.
+inline std::optional<std::vector<int>> parse_id_list(const std::string& s) {
+  std::vector<int> ids;
+  for (const std::string& item : split(s, ',')) {
+    const auto id = parse_int(item, 0, std::numeric_limits<int>::max());
+    if (!id.has_value()) return std::nullopt;
+    ids.push_back(*id);
+  }
+  return ids;
 }
 
 }  // namespace ehdnn

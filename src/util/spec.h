@@ -1,16 +1,30 @@
-// Key=value spec-string argument parsing, shared by the harvest-source
-// factory ("rf:base=0.2e-3,burst=5e-3"), the forecaster factory
-// ("ema:prior=1.2e-3,alpha=0.5"), and the adaptive-scheduler spec
-// ("adaptive:rich=3e-3,demote=2"). Keys are consumption-tracked so a
-// typo'd key is an error instead of a silently applied default.
+// Key=value argument parsing: the one parser behind every key=value
+// input. Its users:
+//   - "kind:key=value,..." specs (the comma-separated list after the
+//     first ':'): the harvest-source factory ("rf:base=0.2e-3,burst=5e-3",
+//     power/factory.cpp), the forecaster factory ("ema:prior=1.2e-3",
+//     sched/forecast.cpp), the adaptive-scheduler spec
+//     ("adaptive:rich=3e-3,demote=2", sched/adaptive.cpp) and the tile
+//     runtime spec ("tile:t=64", core/flex/tile.cpp);
+//   - fleet config lines, whitespace-separated (sim/fleet.cpp);
+//   - scenario options, ';'-separated (sim/scenario.cpp);
+//   - contract world and relock lines, whitespace-separated
+//     (sched/contracts.cpp).
+// An item splits at its first '=', so values may hold '=' and ','. A key
+// given twice is an error, and so is a key no accessor consumed
+// (finish()): a typo or a repeat is never silently replaced by a default
+// or by the last value.
 #pragma once
 
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <limits>
 #include <map>
+#include <set>
+#include <span>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "util/check.h"
 #include "util/parse.h"
@@ -19,36 +33,47 @@ namespace ehdnn {
 
 class SpecArgs {
  public:
-  // `spec` is the full spec string (for error messages); `args` is the
-  // comma-separated key=value list after the kind prefix.
-  SpecArgs(const std::string& spec, const std::string& args) : spec_(spec) {
-    std::size_t pos = 0;
-    while (pos < args.size()) {
-      std::size_t comma = args.find(',', pos);
-      if (comma == std::string::npos) comma = args.size();
-      const std::string item = args.substr(pos, comma - pos);
-      pos = comma + 1;
+  // `where` prefixes every error message ("fleet config line 3");
+  // `items` are the key=value items, already split. Empty items are
+  // skipped.
+  SpecArgs(std::string where, std::span<const std::string> items) : where_(std::move(where)) {
+    for (const std::string& item : items) {
       if (item.empty()) continue;
       const std::size_t eq = item.find('=');
       check(eq != std::string::npos && eq > 0,
-            "spec \"" + spec_ + "\": expected key=value, got \"" + item + "\"");
-      kv_[item.substr(0, eq)] = item.substr(eq + 1);
+            where_ + ": expected key=value, got \"" + item + "\"");
+      const std::string key = item.substr(0, eq);
+      check(kv_.emplace(key, item.substr(eq + 1)).second,
+            where_ + ": duplicate key \"" + key + "\"");
     }
   }
+
+  // A "kind[:key=value,...]" spec: the comma-separated items after the
+  // first ':'; errors name the spec.
+  explicit SpecArgs(const std::string& spec)
+      : SpecArgs("spec \"" + spec + "\"", split(args_of(spec), ',')) {}
 
   // Lower bound for a strictly positive num() field (a period, a
   // duration): the smallest positive normal double.
   static constexpr double kPositive = std::numeric_limits<double>::min();
 
+  // Every key in `keys` must be given, with a non-empty value.
+  void require(std::initializer_list<const char*> keys) const {
+    for (const char* key : keys) {
+      const auto it = kv_.find(key);
+      check(it != kv_.end() && !it->second.empty(),
+            where_ + ": missing key \"" + std::string(key) + "\"");
+    }
+  }
+
   double num(const std::string& key, double fallback) {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return fallback;
-    used_.push_back(key);
-    // strtod accepts "nan" and "inf"; no spec field means either, and a
-    // NaN slips past every later range check (all comparisons are false).
-    const auto v = parse_double(it->second);
+    const std::string* text = take(key);
+    if (text == nullptr) return fallback;
+    // strtod accepts "nan" and "inf"; no key means either, and a NaN
+    // slips past every later range check (all comparisons are false).
+    const auto v = parse_double(*text);
     check(v.has_value() && std::isfinite(*v),
-          "spec \"" + spec_ + "\": bad number for " + key + ": \"" + it->second + "\"");
+          where_ + ": bad number for " + key + ": \"" + *text + "\"");
     return *v;
   }
 
@@ -64,43 +89,51 @@ class SpecArgs {
     };
     const std::string range = (lo == kPositive ? "(0" : "[" + text(lo)) + ", " +
                               (std::isinf(hi) ? "inf)" : text(hi) + "]");
-    fail("spec \"" + spec_ + "\": " + key + " must be in " + range + ", got " + text(v));
+    fail(where_ + ": " + key + " must be in " + range + ", got " + text(v));
   }
 
   // An integer key in [lo, hi] (parse_int's grammar); `fallback` when
   // the key is absent.
   template <class Int>
   Int integer(const std::string& key, Int fallback, Int lo, Int hi) {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return fallback;
-    used_.push_back(key);
-    const auto v = parse_int(it->second, lo, hi);
-    check(v.has_value(), "spec \"" + spec_ + "\": " + key + " must be an integer in [" +
+    const std::string* text = take(key);
+    if (text == nullptr) return fallback;
+    const auto v = parse_int(*text, lo, hi);
+    check(v.has_value(), where_ + ": " + key + " must be an integer in [" +
                              std::to_string(lo) + ", " + std::to_string(hi) + "], got \"" +
-                             it->second + "\"");
+                             *text + "\"");
     return *v;
   }
 
   std::string str(const std::string& key, const std::string& fallback = "") {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) return fallback;
-    used_.push_back(key);
-    return it->second;
+    const std::string* text = take(key);
+    return text == nullptr ? fallback : *text;
   }
 
-  // Call after construction: every provided key must have been consumed.
+  // Call after the accessors: every given key must have been consumed.
   void finish() const {
     for (const auto& [k, v] : kv_) {
-      bool used = false;
-      for (const auto& u : used_) used = used || u == k;
-      check(used, "spec \"" + spec_ + "\": unknown key \"" + k + "\"");
+      check(used_.count(k) != 0, where_ + ": unknown key \"" + k + "\"");
     }
   }
 
  private:
-  std::string spec_;
+  static std::string args_of(const std::string& spec) {
+    const std::size_t colon = spec.find(':');
+    return colon == std::string::npos ? "" : spec.substr(colon + 1);
+  }
+
+  // The value of `key`, marked consumed; nullptr when absent.
+  const std::string* take(const std::string& key) {
+    const auto it = kv_.find(key);
+    if (it == kv_.end()) return nullptr;
+    used_.insert(key);
+    return &it->second;
+  }
+
+  std::string where_;
   std::map<std::string, std::string> kv_;
-  std::vector<std::string> used_;
+  std::set<std::string> used_;
 };
 
 }  // namespace ehdnn

@@ -15,6 +15,7 @@
 
 #include "util/check.h"
 #include "util/cli.h"
+#include "util/parse.h"
 
 namespace ehdnn {
 namespace {
@@ -101,6 +102,25 @@ TEST(Cli, SeedAcceptsHexRejectsGarbage) {
     EXPECT_EQ(run(p, {"--seed", arg}), want ? -1 : 2) << arg;
     EXPECT_EQ(s, want.value_or(1)) << arg;
   }
+}
+
+// fleet_runner --trace-devices and scenario_runner --trace-cells both
+// read their ids through parse_id_list: an empty item is an error in
+// both, not silently skipped.
+TEST(Cli, IdListRejectsEmptyAndMalformedItems) {
+  const std::pair<const char*, std::optional<std::vector<int>>> rows[] = {
+      {"0,8,12", std::vector<int>{0, 8, 12}},
+      {"5", std::vector<int>{5}},
+      {"0,,3", {}},
+      {"0,3,", {}},
+      {",0", {}},
+      {"", {}},
+      {"-1", {}},
+      {"1.5", {}},
+      {"2,x", {}},
+      {"2147483648", {}},
+  };
+  for (const auto& [arg, want] : rows) EXPECT_EQ(parse_id_list(arg), want) << arg;
 }
 
 TEST(Cli, DuplicateOptionLastWins) {

@@ -92,6 +92,36 @@ TEST(ContractEnum, MalformedWorldLinesThrow) {
                Error);
   EXPECT_THROW(parse_relock_world("relock id=0 p1=0.4"), Error);
   EXPECT_THROW(parse_relock_world("world id=0"), Error);
+  // Repeated, missing and non-finite keys are rejected, and the error
+  // names the key: a duplicate id cannot stand in for a missing cap.
+  const struct {
+    const char* line;
+    const char* error;
+  } named[] = {
+      {"world id=0 id=0 src=const:w=1e-3 von=3.3 period=0.4 dl=0.3 jobs=6 "
+       "sched=adaptive:sel=deadline,admit=budget",
+       "duplicate key \"id\""},
+      {"world id=0 src=const:w=1e-3 von=3.3 period=0.4 dl=0.3 jobs=6 "
+       "sched=adaptive:sel=deadline,admit=budget",
+       "missing key \"cap\""},
+      {"world id=0 src=const:w=1e-3 cap=inf von=3.3 period=0.4 dl=0.3 jobs=6 "
+       "sched=adaptive:sel=deadline,admit=budget",
+       "bad number for cap"},
+      {"relock id=0 p1=0.4 p2=0.8 hi=inf lo=5e-5", "bad number for hi"},
+  };
+  for (const auto& row : named) {
+    try {
+      if (std::string(row.line).starts_with("relock")) {
+        parse_relock_world(row.line);
+      } else {
+        parse_world(row.line);
+      }
+      ADD_FAILURE() << row.line << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(row.error), std::string::npos)
+          << row.line << ": " << e.what();
+    }
+  }
 }
 
 TEST(ContractEnum, RunWorldReportsPerJobTwinEvidence) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "core/ace/compiled_model.h"
@@ -133,6 +134,14 @@ TEST(Forecast, AdaptiveSpecParses) {
   EXPECT_THROW(parse_adaptive_spec("adaptive:demote=2.9"), Error);
   EXPECT_THROW(parse_adaptive_spec("adaptive:fc=window,n=1e300"), Error);
   EXPECT_THROW(parse_adaptive_spec("sched"), Error);
+  // A repeated key is an error, not last-wins, and the error names it.
+  try {
+    parse_adaptive_spec("adaptive:rich=1e-3,rich=5e-3");
+    ADD_FAILURE() << "repeated rich accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate key \"rich\""), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Forecast, AdaptiveSpecRejectsOutOfRangeThresholds) {
@@ -173,6 +182,7 @@ TEST(Forecast, ForecasterSpecRejectsOutOfRangeArguments) {
       {"periodic:alpha=2", "alpha must be in (0, 1]"},
       {"periodic:conf=0", "conf must be in (0, 1]"},
       {"periodic:conf=1.01", "conf must be in (0, 1]"},
+      {"ema:alpha=0.5,alpha=0.7", "duplicate key \"alpha\""},
   };
   for (const auto& row : rejected) {
     try {
@@ -598,9 +608,41 @@ TEST(FleetConfig, RejectsMalformedEntries) {
           << row.text << ": " << e.what();
     }
   }
+  // A repeated key is rejected wherever it appears, and the error names it.
+  const struct {
+    const char* text;
+    const char* error;
+  } named[] = {
+      {"group count=2 count=3\n", "duplicate key \"count\""},
+      {"fleet seed=1 seed=2\ngroup count=1\n", "duplicate key \"seed\""},
+      {"group count=1 sched=adaptive:rich=1e-3 sched=adaptive\n", "duplicate key \"sched\""},
+      {"group count=1 bogus=1\n", "unknown key \"bogus\""},
+  };
+  for (const auto& row : named) {
+    try {
+      parse(row.text);
+      ADD_FAILURE() << row.text << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(row.error), std::string::npos)
+          << row.text << ": " << e.what();
+    }
+  }
   // deadline=inf is the default (no deadline) and round-trips through the
   // config writer.
   EXPECT_NO_THROW(parse("group count=1 deadline=inf\n"));
+  // Runs of spaces between tokens (fleet_hetero.cfg aligns its columns),
+  // trailing comments, a 0x seed and a sched= value holding both ',' and
+  // '=' all parse.
+  const sim::FleetConfig ok = parse(
+      "fleet seed=0x1f  spread=0.5  # hex seed\n"
+      "group name=a count=1  runtime=adaptive cap=10e-6  deadline=inf "
+      "sched=adaptive:sel=deadline,fc=periodic  # aligned\n");
+  EXPECT_EQ(ok.seed, 0x1fu);
+  EXPECT_DOUBLE_EQ(ok.offset_spread_s, 0.5);
+  ASSERT_EQ(ok.groups.size(), 1u);
+  EXPECT_DOUBLE_EQ(ok.groups[0].capacitance_f, 10e-6);
+  EXPECT_TRUE(std::isinf(ok.groups[0].agenda.deadline_s));
+  EXPECT_EQ(ok.groups[0].sched_spec, "adaptive:sel=deadline,fc=periodic");
   // sched= on a fixed runtime is a config error, as is a bad spec.
   EXPECT_THROW(parse("group count=1 runtime=flex sched=adaptive:rich=1\n"), Error);
   EXPECT_THROW(parse("group count=1 runtime=adaptive sched=adaptive:nope=1\n"), Error);

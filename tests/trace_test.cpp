@@ -172,6 +172,14 @@ TEST(Factory, RejectsBadSpecs) {
   EXPECT_THROW(make_harvest_source("solar:day=0"), Error);
   EXPECT_THROW(make_harvest_source("solar:daylight=0"), Error);
   EXPECT_THROW(make_harvest_source("solar:daylight=1.01"), Error);
+  // A repeated key is an error, not last-wins, and the error names it.
+  try {
+    make_harvest_source("square:hi=1e-3,hi=2e-3");
+    ADD_FAILURE() << "repeated hi accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate key \"hi\""), std::string::npos)
+        << e.what();
+  }
   // The bounds are inclusive where the model allows it.
   EXPECT_NO_THROW(make_harvest_source("square:hi=0,lo=0,duty=0"));
   EXPECT_NO_THROW(make_harvest_source("square:duty=1"));
@@ -202,6 +210,24 @@ TEST(ScenarioArg, RejectsMalformed) {
   EXPECT_THROW(sim::parse_scenario_arg("x=const:w=1e-3;cap=inf"), Error);
   EXPECT_THROW(sim::parse_scenario_arg("x=const:w=1e-3;max_off=-3"), Error);
   EXPECT_THROW(sim::parse_scenario_arg("x=const:w=1e-3;max_off=0"), Error);
+  // Non-finite and repeated options are rejected, and the error names the key.
+  const struct {
+    const char* arg;
+    const char* error;
+  } named[] = {
+      {"x=const:w=1e-3;max_off=inf", "bad number for max_off"},
+      {"x=const:w=1e-3;cap=1e-6;cap=2e-6", "duplicate key \"cap\""},
+      {"x=const:w=1e-3;volts=3", "unknown key \"volts\""},
+  };
+  for (const auto& row : named) {
+    try {
+      sim::parse_scenario_arg(row.arg);
+      ADD_FAILURE() << row.arg << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(row.error), std::string::npos)
+          << row.arg << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -156,22 +156,15 @@ int main(int argc, char** argv) {
 
   // Comma-separated trace selection -> FleetRunOptions::trace_devices.
   if (!trace_devices_arg.empty()) {
-    std::size_t pos = 0;
-    while (pos <= trace_devices_arg.size()) {
-      std::size_t comma = trace_devices_arg.find(',', pos);
-      if (comma == std::string::npos) comma = trace_devices_arg.size();
-      const std::string item = trace_devices_arg.substr(pos, comma - pos);
-      pos = comma + 1;
-      const auto d = parse_int(item, 0, std::numeric_limits<int>::max());
-      if (!d.has_value()) {
-        std::fprintf(stderr,
-                     "fleet_runner: --trace-devices needs comma-separated device ids, "
-                     "got \"%s\"\n",
-                     item.c_str());
-        return 2;
-      }
-      ropts.trace_devices.push_back(*d);
+    const auto ids = parse_id_list(trace_devices_arg);
+    if (!ids.has_value()) {
+      std::fprintf(stderr,
+                   "fleet_runner: --trace-devices needs comma-separated device ids, "
+                   "got \"%s\"\n",
+                   trace_devices_arg.c_str());
+      return 2;
     }
+    ropts.trace_devices = *ids;
   }
 
   // One table-tested conflict matrix (sim/fleet_flags.h) instead of

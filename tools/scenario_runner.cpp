@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,16 +32,6 @@
 namespace {
 
 using namespace ehdnn;
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 std::vector<sim::ScenarioSpec> default_scenarios(bool with_traces) {
   std::vector<std::string> args = {
@@ -117,11 +106,11 @@ int main(int argc, char** argv) {
   p.value("--tasks", "mnist,har,okg", "comma-separated task list",
           [&](const std::string& v) {
             tasks.clear();
-            for (const auto& t : split_csv(v)) tasks.push_back(models::parse_task(t));
+            for (const auto& t : split(v, ',')) tasks.push_back(models::parse_task(t));
           });
   p.value("--runtimes", "KEY,KEY,...",
           "runtime keys to sweep (see --list-runtimes; default all)",
-          [&](const std::string& v) { runtimes = split_csv(v); });
+          [&](const std::string& v) { runtimes = split(v, ','); });
   p.value("--scenario", "NAME=SPEC[;cap=F][;max_off=S][;reboots=N][;max_futile=N]",
           "add a power scenario (repeatable; default built-in set)",
           [&](const std::string& v) { scenarios.push_back(sim::parse_scenario_arg(v)); });
@@ -153,17 +142,15 @@ int main(int argc, char** argv) {
   if (const int rc = p.parse(argc, argv); rc >= 0) return rc;
 
   if (!trace_cells_arg.empty()) {
-    for (const auto& item : split_csv(trace_cells_arg)) {
-      const auto d = parse_int(item, 0, std::numeric_limits<int>::max());
-      if (!d.has_value()) {
-        std::fprintf(stderr,
-                     "scenario_runner: --trace-cells needs comma-separated cell "
-                     "indices, got \"%s\"\n",
-                     item.c_str());
-        return 2;
-      }
-      opts.trace_cells.push_back(*d);
+    const auto ids = parse_id_list(trace_cells_arg);
+    if (!ids.has_value()) {
+      std::fprintf(stderr,
+                   "scenario_runner: --trace-cells needs comma-separated cell "
+                   "indices, got \"%s\"\n",
+                   trace_cells_arg.c_str());
+      return 2;
     }
+    opts.trace_cells = *ids;
   }
 
   if (smoke_sched) {
