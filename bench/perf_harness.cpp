@@ -1,10 +1,13 @@
 // Perf-regression harness (see BENCHMARKS.md).
 //
-// Times the hot simulation kernels twice — once through the device's
-// scalar per-word reference path (set_bulk_enabled(false)) and once
-// through the bulk fast paths — plus one end-to-end model, verifying on
-// every run that the two paths produce bit-exact outputs and identical
-// modeled cycle/energy totals. Results are written as BENCH_micro.json
+// Times the hot simulation kernels twice — once in the device's scalar
+// reference mode (set_bulk_enabled(false): every block op charges per
+// word, as the equivalent read()/write() sequence, and every charge run
+// is refused, so each loop charges through its per-op fallback) and once
+// with the bulk draws and charge runs on — plus one end-to-end model,
+// verifying on every run that the two modes produce bit-exact outputs and
+// identical modeled cycle/energy totals. "Scalar" is the granularity of
+// the charges: both modes compute values through the same host code. Results are written as BENCH_micro.json
 // and BENCH_e2e.json in the working directory so successive PRs leave a
 // measured trajectory.
 //

@@ -61,40 +61,42 @@ void pack_acc64(Span w, std::size_t idx, std::int64_t v) {
 
 // ------------------------------------------------------- conv window rows
 
-// The conv kernels' per-pixel loop, batched by output row. On the device
+// The conv kernels' per-pixel loop, charged by output row. On the device
 // each output pixel is one window gather plus one LEA MAC, and the model
 // charges, in order: cpu_ops(2g) for the gather loop, a g-word SRAM
 // gather read, a g-word write of the window into win_vec, and the MAC of
 // win_vec against kern_vec. Both conv kernels are stride 1, so the
 // windows of one row start at consecutive staged-input words.
 //
-// compute() convolves the whole row on the host, straight from the staged
-// input and the gathered kernel in SRAM. That is exact: every product fits
-// 32 bits and the sums are 64-bit, so any order gives the MAC's value, and
-// nothing in the row writes the input or the kernel. pixel() then replays
-// the pixel's four charges through the device's cost-only primitives. From
-// the first charge that would not take its bulk arm (near brown-out, or
-// with bulk disabled) the pixel runs the ops themselves, which keeps
-// word-granular brown-outs and the scalar reference mode unchanged.
+// run() charges the row's pixels as one charge loop
+// (Device::charge_loop) of those four draws, with pixel_per_op() — the
+// pixel through its real ops — as the fallback wherever a run stops
+// short, and convolves the whole row on the host, straight from the
+// staged input and the gathered kernel in SRAM. That is exact: every
+// product fits 32 bits and the sums are 64-bit, so any order gives the
+// MAC's value, and nothing in the row writes the input or the kernel. The
+// SRAM window buffer the runs skip writing is rewritten before a row that
+// ends normally exits; after a brown-out mid-row it may differ from the
+// per-op path's, but only until reboot() scrambles it.
 class WindowRow {
  public:
   // `gbuf` is the kernel's window staging buffer, one word per gather
   // offset.
   WindowRow(ExecCtx& ctx, ScratchArena& ar, Span gbuf)
       : dv_(ctx.dev), sp_(ctx.cm.sram), lp_(ctx.plan()), g_(gbuf.size()), gbuf_(gbuf),
-        arena_(ar) {
+        arena_(ar),
+        pixel_{dv_.cpu_ops_cost(2.0 * static_cast<double>(g_)),
+               dv_.block_read_cost(MemKind::kSram, g_), dv_.block_write_cost(MemKind::kSram, g_),
+               dv_.lea_mac_cost(g_)} {
     check(lp_.x_gather.size() == g_, "conv: window gather table / buffer mismatch");
   }
 
-  // Host convolution of the `n` windows starting at SRAM word `first`.
-  void compute(Addr first, std::size_t n) {
-    first_ = first;
-    n_ = n;
-    batched_ = dv_.bulk_enabled();
-    if (!batched_) return;  // the scalar reference runs every op
-    acc_ = ScratchArena::need(arena_.row_acc, n);
-    std::int64_t* const acc = acc_.data();
-    std::fill(acc, acc + n, std::int64_t{0});
+  // Charges the `n` windows starting at SRAM word `first` and returns
+  // their accumulators, one per pixel whose charges completed: all `n`
+  // unless the device browned out in the row.
+  std::span<const std::int64_t> run(Addr first, std::size_t n) {
+    const std::span<std::int64_t> acc = ScratchArena::need(arena_.row_acc, n);
+    std::fill(acc.begin(), acc.end(), std::int64_t{0});
     const auto x = dv_.sram().view(first, n - 1 + lp_.x_span);
     const auto k = dv_.sram().view(sp_.kern_vec, g_);
     for (std::size_t e = 0; e < g_; ++e) {
@@ -102,37 +104,29 @@ class WindowRow {
       const q15_t* xe = x.data() + lp_.x_gather[e];
       for (std::size_t p = 0; p < n; ++p) acc[p] += fx::mul_q30(xe[p], w);
     }
-  }
-
-  // Pixel p's charges, in the per-op order; returns its accumulator.
-  std::int64_t pixel(std::size_t p) {
-    const Addr win = first_ + p;
-    const double ops = 2.0 * static_cast<double>(g_);
-    const bool cpu = batched_ && dv_.charge_cpu_ops(ops);
-    const bool rd = cpu && dv_.charge_read(MemKind::kSram, g_);
-    const bool wr = rd && dv_.charge_write(MemKind::kSram, g_);
-    if (wr) {
+    const std::size_t done =
+        dv_.charge_loop(pixel_, n, [&](std::size_t p) { pixel_per_op(first + p, acc[p]); });
+    if (done == n) {
       // A row that exits normally leaves its last window in win_vec, as
       // the per-op loop does.
-      if (dv_.charge_mac(g_) && p + 1 == n_) {
-        gather_window(win, dv_.sram().mut_view(sp_.win_vec, g_));
-      }
-      return acc_[p];
+      gather_window(first + n - 1, dv_.sram().mut_view(sp_.win_vec, g_));
     }
-    if (!cpu) dv_.cpu_ops(ops);
-    if (rd) {
-      gather_window(win, gbuf_);  // its read was charged above
-    } else {
-      dv_.read_gather(MemKind::kSram, win, lp_.x_gather, lp_.x_span, gbuf_,
-                      /*offsets_in_span=*/true);
-    }
-    dv_.write_block(MemKind::kSram, sp_.win_vec, gbuf_);
-    const std::int64_t acc = dv_.lea_mac(sp_.win_vec, sp_.kern_vec, g_);
-    assert(!batched_ || dv_.browned_out() || acc == acc_[p]);
-    return acc;
+    return acc.first(done);
   }
 
  private:
+  // One pixel through the real ops: the charge runs' per-op fallback
+  // and, under set_bulk_enabled(false), which refuses every run, their
+  // test oracle (tests/charge_sequence_test.cpp).
+  void pixel_per_op(Addr win, [[maybe_unused]] std::int64_t want) {
+    dv_.cpu_ops(2.0 * static_cast<double>(g_));
+    dv_.read_gather(MemKind::kSram, win, lp_.x_gather, lp_.x_span, gbuf_,
+                    /*offsets_in_span=*/true);
+    dv_.write_block(MemKind::kSram, sp_.win_vec, gbuf_);
+    [[maybe_unused]] const std::int64_t acc = dv_.lea_mac(sp_.win_vec, sp_.kern_vec, g_);
+    assert(dv_.browned_out() || acc == want);
+  }
+
   // The window's effect alone (no charge): out[e] = sram[win + x_gather[e]].
   void gather_window(Addr win, Span out) {
     const auto src = dv_.sram().view(win, lp_.x_span);
@@ -145,10 +139,7 @@ class WindowRow {
   const std::size_t g_;
   const Span gbuf_;
   ScratchArena& arena_;
-  std::span<std::int64_t> acc_;
-  Addr first_ = 0;
-  std::size_t n_ = 0;
-  bool batched_ = false;
+  const dev::ChargePattern pixel_;
 };
 
 // ---------------------------------------------------------------- Conv2D
@@ -195,15 +186,15 @@ void run_conv2d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
     if (dv.browned_out()) return;
 
     // Window gather (SRAM -> SRAM, pruned positions skipped) + LEA MAC
-    // per output pixel.
-    row.compute(sp.input_stage + i * iw, ow);
-    for (std::size_t j = 0; j < ow; ++j) {
-      const std::int64_t acc = row.pixel(j);
-      if (dv.browned_out()) return;  // before ctx.stats sees a dead pixel
-      q15_t v = fx::narrow_q30(acc, rshift, ctx.stats);
+    // per output pixel. ctx.stats sees only the pixels charged before a
+    // brown-out.
+    const auto accs = row.run(sp.input_stage + i * iw, ow);
+    for (std::size_t j = 0; j < accs.size(); ++j) {
+      q15_t v = fx::narrow_q30(accs[j], rshift, ctx.stats);
       if (!q.bias.empty()) v = fx::add_sat(v, bias_f, ctx.stats);
       rowbuf[j] = v;
     }
+    if (dv.browned_out()) return;
     dv.cpu_ops(4.0 * static_cast<double>(ow));  // narrow + bias + store setup
     dv.write_block(MemKind::kSram, sp.row_stage, rowbuf);
 
@@ -243,14 +234,13 @@ void run_conv1d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
     const q15_t bias_f = q.bias.empty() ? q15_t{0} : dv.read(MemKind::kFram, ctx.img().b_base + f);
     if (dv.browned_out()) return;
 
-    row.compute(sp.input_stage, ol);
-    for (std::size_t i = 0; i < ol; ++i) {
-      const std::int64_t acc = row.pixel(i);
-      if (dv.browned_out()) return;
-      q15_t v = fx::narrow_q30(acc, rshift, ctx.stats);
+    const auto accs = row.run(sp.input_stage, ol);
+    for (std::size_t i = 0; i < accs.size(); ++i) {
+      q15_t v = fx::narrow_q30(accs[i], rshift, ctx.stats);
       if (!q.bias.empty()) v = fx::add_sat(v, bias_f, ctx.stats);
       rowbuf[i] = v;
     }
+    if (dv.browned_out()) return;
     dv.cpu_ops(4.0 * static_cast<double>(ol));
     dv.write_block(MemKind::kSram, sp.row_stage, rowbuf);
     move_words(dv, MemKind::kSram, sp.row_stage, MemKind::kFram, ctx.out_addr + f * ol, ol);

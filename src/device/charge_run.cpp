@@ -24,7 +24,7 @@ std::size_t Device::charge_run(const ChargePattern& p, std::size_t reps) {
   if (!bulk_enabled_ || browned_out_ || reps == 0) return 0;
   const std::span<const FixedOpCost> steps = p.steps();
   if (prepaid_open_) {
-    // Each draw must pass spend()'s inline test: within the budget left
+    // Each draw must pass spend_fixed()'s inline test: within the budget left
     // after the draws before it (the per-op sequence of subtractions), and
     // under the event cap.
     const std::size_t n = steps.size();

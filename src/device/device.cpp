@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <vector>
 
 #include "util/math.h"
 
@@ -75,12 +74,16 @@ void Device::cpu_ops(double n_ops) {
   // Kernels batch whole blocks of ALU work into one call; near brown-out,
   // fall back to op-granular spends so a dying burst's trace and supply
   // drain stop where per-op accounting would have stopped them.
-  if (charge_cpu_ops(n_ops)) return;
-  const CostModel& cm = cfg_.cost;
+  // (No reference mode: a burst is one draw in both.)
+  const FixedOpCost c = cpu_ops_cost(n_ops);
+  if (n_ops <= 1.0 || can_bulk_spend(c.joules)) {
+    spend_fixed(c);
+    return;
+  }
   double remaining = n_ops;
   while (remaining > 0.0 && !browned_out_) {
     const double step = std::min(1.0, remaining);
-    spend(Rail::kCpu, step * cm.cycles_cpu_op, 0.0, cm.p_cpu_active);
+    spend_fixed(cpu_ops_cost(step));
     remaining -= step;
   }
 }
@@ -129,7 +132,7 @@ void Device::read_block(MemKind mem, Addr a, std::span<fx::q15_t> out) {
   if (n == 0) return;
   // Near brown-out, replay the scalar sequence so the dying burst's trace
   // and supply drain stop at exactly the word the scalar path reaches.
-  if (!charge_read(mem, n)) {
+  if (!charge_block(block_read_cost(mem, n))) {
     for (std::size_t i = 0; i < n && !browned_out_; ++i) out[i] = read(mem, a + i);
     return;
   }
@@ -143,7 +146,7 @@ void Device::write_block(MemKind mem, Addr a, std::span<const fx::q15_t> v) {
   // Near brown-out, replay the scalar sequence: a failure then leaves the
   // same word-granular clean prefix (the FRAM intermittency contract) and
   // the same prefix-only trace/supply accounting.
-  if (!charge_write(mem, n)) {
+  if (!charge_block(block_write_cost(mem, n))) {
     for (std::size_t i = 0; i < n && !browned_out_; ++i) write(mem, a + i, v[i]);
     return;
   }
@@ -157,7 +160,7 @@ void Device::read_gather(MemKind mem, Addr base, std::span<const std::uint32_t> 
   const std::size_t n = offsets.size();
   check(out.size() == n, "read_gather: offsets/out size mismatch");
   if (n == 0) return;
-  if (!charge_read(mem, n)) {
+  if (!charge_block(block_read_cost(mem, n))) {
     for (std::size_t i = 0; i < n && !browned_out_; ++i) {
       out[i] = read(mem, base + offsets[i]);
     }
@@ -188,18 +191,18 @@ void Device::cpu_copy(MemKind src_mem, Addr src, MemKind dst_mem, Addr dst,
   const CostModel& cm = cfg_.cost;
   if (words == 0) return;
   const auto dn = static_cast<double>(words);
-  const double rd_cycles =
-      dn * (src_mem == MemKind::kSram ? cm.cycles_sram_word : cm.cycles_fram_word);
+  const FixedOpCost rd = block_read_cost(src_mem, words);
+  const FixedOpCost wr = block_write_cost(dst_mem, words);
+  // The headroom test covers the three draws as one: their cycles and
+  // their per-word joules summed.
   const double rd_extra = dn * (src_mem == MemKind::kSram ? cm.e_sram_read : cm.e_fram_read);
-  const double wr_cycles =
-      dn * (dst_mem == MemKind::kSram ? cm.cycles_sram_word : cm.cycles_fram_word);
   const double wr_extra = dn * (dst_mem == MemKind::kSram ? cm.e_sram_write : cm.e_fram_write);
-  const double total_joules =
-      spend_joules(2.0 * dn * cm.cycles_cpu_op + rd_cycles + wr_cycles, rd_extra + wr_extra,
-                   cm.p_cpu_active);
+  const FixedOpCost total =
+      fixed_cost(Rail::kCpu, 2.0 * dn * cm.cycles_cpu_op + rd.cycles + wr.cycles,
+                 rd_extra + wr_extra, cm.p_cpu_active);
   const bool word_granular =
       !bulk_enabled_ || (src_mem == dst_mem && ranges_overlap(src, dst, words)) ||
-      !can_bulk_spend(total_joules);
+      !can_bulk_spend(total.joules);
   if (word_granular) {
     for (std::size_t i = 0; i < words && !browned_out_; ++i) {
       cpu_ops(2);  // address update + loop check
@@ -210,63 +213,46 @@ void Device::cpu_copy(MemKind src_mem, Addr src, MemKind dst_mem, Addr dst,
   const auto s = region(src_mem).view(src, words);
   auto d = region(dst_mem).mut_view(dst, words);
   cpu_ops(2.0 * dn);
-  spend(src_mem == MemKind::kSram ? Rail::kSramRead : Rail::kFramRead, rd_cycles, rd_extra,
-        cm.p_cpu_active);
-  spend(dst_mem == MemKind::kSram ? Rail::kSramWrite : Rail::kFramWrite, wr_cycles, wr_extra,
-        cm.p_cpu_active);
+  spend_fixed(rd);
+  spend_fixed(wr);
   std::memcpy(d.data(), s.data(), words * sizeof(fx::q15_t));
 }
 
 void Device::dma_copy(MemKind src_mem, Addr src, MemKind dst_mem, Addr dst,
                       std::size_t words) {
-  if (!spend(Rail::kDma, cfg_.cost.cycles_dma_setup, 0.0, cfg_.cost.p_dma_active)) return;
+  const CostModel& cm = cfg_.cost;
+  if (!spend_fixed(fixed_cost(Rail::kDma, cm.cycles_dma_setup, 0.0, cm.p_dma_active))) return;
   MemoryRegion& s = region(src_mem);
   MemoryRegion& d = region(dst_mem);
-  const CostModel& cm = cfg_.cost;
   const double e_rd = src_mem == MemKind::kSram ? cm.e_sram_read : cm.e_fram_read;
   const double e_wr = dst_mem == MemKind::kSram ? cm.e_sram_write : cm.e_fram_write;
   if (bulk_enabled_ && words > 0 &&
       !(src_mem == dst_mem && ranges_overlap(src, dst, words))) {
     const auto dn = static_cast<double>(words);
-    const double cycles = dn * cm.cycles_dma_word;
-    const double extra = dn * (e_rd + e_wr);
+    const FixedOpCost c =
+        fixed_cost(Rail::kDma, dn * cm.cycles_dma_word, dn * (e_rd + e_wr), cm.p_dma_active);
     // Same near-brown-out rule as write_block: word-granular replay keeps
     // both the torn-FRAM prefix and the dying burst's accounting exact.
-    if (can_bulk_spend(spend_joules(cycles, extra, cm.p_dma_active))) {
+    if (can_bulk_spend(c.joules)) {
       const auto sv = s.view(src, words);
       auto dv = d.mut_view(dst, words);
-      spend(Rail::kDma, cycles, extra, cm.p_dma_active);
+      spend_fixed(c);
       std::memcpy(dv.data(), sv.data(), words * sizeof(fx::q15_t));
       return;
     }
   }
+  const FixedOpCost word = fixed_cost(Rail::kDma, cm.cycles_dma_word, e_rd + e_wr, cm.p_dma_active);
   for (std::size_t i = 0; i < words; ++i) {
     // Word effect applied only after its energy is paid: a brown-out mid
     // transfer leaves a clean prefix.
-    if (!spend(Rail::kDma, cm.cycles_dma_word, e_rd + e_wr, cm.p_dma_active)) return;
+    if (!spend_fixed(word)) return;
     d.poke(dst + i, s.peek(src + i));
   }
 }
 
 std::int64_t Device::lea_mac(Addr a, Addr b, std::size_t n, bool* overflow) {
-  return mac_block(a, b, n, overflow);
-}
-
-std::int64_t Device::mac_block(Addr a, Addr b, std::size_t n, bool* overflow) {
-  if (!charge_mac(n)) return 0;
+  if (!spend_fixed(lea_mac_cost(n))) return 0;
   std::int64_t acc = 0;
-  if (!bulk_enabled_) {
-    bool ovf = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += fx::mul_q30(sram_.peek(a + i), sram_.peek(b + i));
-      if (acc > std::numeric_limits<fx::q31_t>::max() ||
-          acc < std::numeric_limits<fx::q31_t>::min()) {
-        ovf = true;
-      }
-    }
-    if (overflow != nullptr) *overflow = ovf;
-    return acc;
-  }
   const auto va = sram_.view(a, n);
   const auto vb = sram_.view(b, n);
   if (overflow == nullptr) {
@@ -289,93 +275,66 @@ std::int64_t Device::mac_block(Addr a, Addr b, std::size_t n, bool* overflow) {
   return acc;
 }
 
-// The LEA ops charge one aggregated spend in BOTH modes (as the seed
-// implementation did), so the scalar arms below differ only in per-word
-// bounds-checked peek/poke — kept deliberately: set_bulk_enabled(false)
-// is the wall-clock reference the perf harness measures against, and it
-// must preserve the original per-word access pattern.
+// Each LEA op is one aggregated draw, and its operands are read and its
+// result written through SRAM views, in both modes: SRAM is scrambled at
+// reboot, so the all-or-nothing effect is unobservable (file comment).
 void Device::lea_add(Addr a, Addr b, Addr out, std::size_t n, fx::SatStats* stats) {
   const CostModel& cm = cfg_.cost;
-  if (!spend(Rail::kLea, cm.lea_setup + cm.lea_add_per_elem * static_cast<double>(n),
-             static_cast<double>(2 * n) * cm.e_sram_read +
-                 static_cast<double>(n) * cm.e_sram_write,
-             cm.p_lea_active)) {
+  const auto dn = static_cast<double>(n);
+  if (!spend_fixed(fixed_cost(Rail::kLea, cm.lea_setup + cm.lea_add_per_elem * dn,
+                              static_cast<double>(2 * n) * cm.e_sram_read + dn * cm.e_sram_write,
+                              cm.p_lea_active))) {
     return;
   }
-  if (bulk_enabled_) {
-    const auto va = sram_.view(a, n);
-    const auto vb = sram_.view(b, n);
-    auto vo = sram_.mut_view(out, n);
-    for (std::size_t i = 0; i < n; ++i) vo[i] = fx::add_sat(va[i], vb[i], stats);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    sram_.poke(out + i, fx::add_sat(sram_.peek(a + i), sram_.peek(b + i), stats));
-  }
+  const auto va = sram_.view(a, n);
+  const auto vb = sram_.view(b, n);
+  auto vo = sram_.mut_view(out, n);
+  for (std::size_t i = 0; i < n; ++i) vo[i] = fx::add_sat(va[i], vb[i], stats);
 }
 
 void Device::lea_mpy(Addr a, Addr b, Addr out, std::size_t n, fx::SatStats* stats) {
   const CostModel& cm = cfg_.cost;
-  if (!spend(Rail::kLea, cm.lea_setup + cm.lea_mpy_per_elem * static_cast<double>(n),
-             static_cast<double>(2 * n) * cm.e_sram_read +
-                 static_cast<double>(n) * cm.e_sram_write,
-             cm.p_lea_active)) {
+  const auto dn = static_cast<double>(n);
+  if (!spend_fixed(fixed_cost(Rail::kLea, cm.lea_setup + cm.lea_mpy_per_elem * dn,
+                              static_cast<double>(2 * n) * cm.e_sram_read + dn * cm.e_sram_write,
+                              cm.p_lea_active))) {
     return;
   }
-  if (bulk_enabled_) {
-    const auto va = sram_.view(a, n);
-    const auto vb = sram_.view(b, n);
-    auto vo = sram_.mut_view(out, n);
-    for (std::size_t i = 0; i < n; ++i) vo[i] = fx::mul_q15(va[i], vb[i], stats);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    sram_.poke(out + i, fx::mul_q15(sram_.peek(a + i), sram_.peek(b + i), stats));
-  }
+  const auto va = sram_.view(a, n);
+  const auto vb = sram_.view(b, n);
+  auto vo = sram_.mut_view(out, n);
+  for (std::size_t i = 0; i < n; ++i) vo[i] = fx::mul_q15(va[i], vb[i], stats);
 }
 
 void Device::lea_shift(Addr a, Addr out, std::size_t n, int left_shift, fx::SatStats* stats) {
   const CostModel& cm = cfg_.cost;
-  if (!spend(Rail::kLea, cm.lea_setup + cm.lea_shift_per_elem * static_cast<double>(n),
-             static_cast<double>(n) * (cm.e_sram_read + cm.e_sram_write), cm.p_lea_active)) {
+  if (!spend_fixed(fixed_cost(Rail::kLea,
+                              cm.lea_setup + cm.lea_shift_per_elem * static_cast<double>(n),
+                              static_cast<double>(n) * (cm.e_sram_read + cm.e_sram_write),
+                              cm.p_lea_active))) {
     return;
   }
-  if (bulk_enabled_) {
-    const auto va = sram_.view(a, n);
-    auto vo = sram_.mut_view(out, n);
-    for (std::size_t i = 0; i < n; ++i) vo[i] = fx::shift_sat(va[i], left_shift, stats);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    sram_.poke(out + i, fx::shift_sat(sram_.peek(a + i), left_shift, stats));
-  }
+  const auto va = sram_.view(a, n);
+  auto vo = sram_.mut_view(out, n);
+  for (std::size_t i = 0; i < n; ++i) vo[i] = fx::shift_sat(va[i], left_shift, stats);
 }
 
 void Device::lea_cmul(Addr a, Addr b, Addr out, std::size_t n, fx::SatStats* stats) {
   const CostModel& cm = cfg_.cost;
-  if (!spend(Rail::kLea, cm.lea_setup + cm.lea_cmul_per_elem * static_cast<double>(n),
-             static_cast<double>(4 * n) * cm.e_sram_read +
-             static_cast<double>(2 * n) * cm.e_sram_write,
-             cm.p_lea_active)) {
+  if (!spend_fixed(fixed_cost(Rail::kLea,
+                              cm.lea_setup + cm.lea_cmul_per_elem * static_cast<double>(n),
+                              static_cast<double>(4 * n) * cm.e_sram_read +
+                                  static_cast<double>(2 * n) * cm.e_sram_write,
+                              cm.p_lea_active))) {
     return;
   }
-  if (bulk_enabled_) {
-    const auto va = sram_.view(a, 2 * n);
-    const auto vb = sram_.view(b, 2 * n);
-    auto vo = sram_.mut_view(out, 2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const fx::cq15 r = fx::cmul({va[2 * i], va[2 * i + 1]}, {vb[2 * i], vb[2 * i + 1]}, stats);
-      vo[2 * i] = r.re;
-      vo[2 * i + 1] = r.im;
-    }
-    return;
-  }
+  const auto va = sram_.view(a, 2 * n);
+  const auto vb = sram_.view(b, 2 * n);
+  auto vo = sram_.mut_view(out, 2 * n);
   for (std::size_t i = 0; i < n; ++i) {
-    const fx::cq15 av{sram_.peek(a + 2 * i), sram_.peek(a + 2 * i + 1)};
-    const fx::cq15 bv{sram_.peek(b + 2 * i), sram_.peek(b + 2 * i + 1)};
-    const fx::cq15 r = fx::cmul(av, bv, stats);
-    sram_.poke(out + 2 * i, r.re);
-    sram_.poke(out + 2 * i + 1, r.im);
+    const fx::cq15 r = fx::cmul({va[2 * i], va[2 * i + 1]}, {vb[2 * i], vb[2 * i + 1]}, stats);
+    vo[2 * i] = r.re;
+    vo[2 * i + 1] = r.im;
   }
 }
 
@@ -388,63 +347,26 @@ double fft_cycles(const CostModel& cm, std::size_t n) {
 
 }  // namespace
 
-int Device::lea_fft(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats* stats) {
+// The transform runs in place over the 2n SRAM words at `a`, through a
+// reused complex scratch buffer.
+int Device::lea_transform(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats* stats,
+                          bool inverse) {
   const CostModel& cm = cfg_.cost;
   // The LEA streams the working set through its local SRAM bank; model
   // one read + one write per word per pass over log2(n) stages.
   const double passes = static_cast<double>(ilog2(n));
-  if (!spend(Rail::kLea, fft_cycles(cm, n),
-             static_cast<double>(2 * n) * passes * (cm.e_sram_read + cm.e_sram_write),
-             cm.p_lea_active)) {
+  if (!spend_fixed(fixed_cost(
+          Rail::kLea, fft_cycles(cm, n),
+          static_cast<double>(2 * n) * passes * (cm.e_sram_read + cm.e_sram_write),
+          cm.p_lea_active))) {
     return 0;
   }
-  if (bulk_enabled_) {
-    if (fft_scratch_.size() < n) fft_scratch_.resize(n);
-    const std::span<fx::cq15> buf(fft_scratch_.data(), n);
-    const auto words = sram_.mut_view(a, 2 * n);
-    std::memcpy(static_cast<void*>(buf.data()), words.data(), 2 * n * sizeof(fx::q15_t));
-    const int exp = dsp::fft_q15(buf, scaling, stats);
-    std::memcpy(words.data(), static_cast<const void*>(buf.data()), 2 * n * sizeof(fx::q15_t));
-    return exp;
-  }
-  std::vector<fx::cq15> buf(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    buf[i] = {sram_.peek(a + 2 * i), sram_.peek(a + 2 * i + 1)};
-  }
-  const int exp = dsp::fft_q15(buf, scaling, stats);
-  for (std::size_t i = 0; i < n; ++i) {
-    sram_.poke(a + 2 * i, buf[i].re);
-    sram_.poke(a + 2 * i + 1, buf[i].im);
-  }
-  return exp;
-}
-
-int Device::lea_ifft(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats* stats) {
-  const CostModel& cm = cfg_.cost;
-  const double passes = static_cast<double>(ilog2(n));
-  if (!spend(Rail::kLea, fft_cycles(cm, n),
-             static_cast<double>(2 * n) * passes * (cm.e_sram_read + cm.e_sram_write),
-             cm.p_lea_active)) {
-    return 0;
-  }
-  if (bulk_enabled_) {
-    if (fft_scratch_.size() < n) fft_scratch_.resize(n);
-    const std::span<fx::cq15> buf(fft_scratch_.data(), n);
-    const auto words = sram_.mut_view(a, 2 * n);
-    std::memcpy(static_cast<void*>(buf.data()), words.data(), 2 * n * sizeof(fx::q15_t));
-    const int exp = dsp::ifft_q15(buf, scaling, stats);
-    std::memcpy(words.data(), static_cast<const void*>(buf.data()), 2 * n * sizeof(fx::q15_t));
-    return exp;
-  }
-  std::vector<fx::cq15> buf(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    buf[i] = {sram_.peek(a + 2 * i), sram_.peek(a + 2 * i + 1)};
-  }
-  const int exp = dsp::ifft_q15(buf, scaling, stats);
-  for (std::size_t i = 0; i < n; ++i) {
-    sram_.poke(a + 2 * i, buf[i].re);
-    sram_.poke(a + 2 * i + 1, buf[i].im);
-  }
+  if (fft_scratch_.size() < n) fft_scratch_.resize(n);
+  const std::span<fx::cq15> buf(fft_scratch_.data(), n);
+  const auto words = sram_.mut_view(a, 2 * n);
+  std::memcpy(static_cast<void*>(buf.data()), words.data(), 2 * n * sizeof(fx::q15_t));
+  const int exp = inverse ? dsp::ifft_q15(buf, scaling, stats) : dsp::fft_q15(buf, scaling, stats);
+  std::memcpy(words.data(), static_cast<const void*>(buf.data()), 2 * n * sizeof(fx::q15_t));
   return exp;
 }
 
@@ -454,13 +376,13 @@ void Device::reboot() {
   sram_.scramble(scramble_rng_);
   // Boot sequence: clock/FRAM controller init, reset vector dispatch.
   // Charged to the CPU rail once back on.
-  spend(Rail::kCpu, 400.0, 0.0, cfg_.cost.p_cpu_active);
+  spend_fixed(fixed_cost(Rail::kCpu, 400.0, 0.0, cfg_.cost.p_cpu_active));
   notify_supply(SupplyEvent::kReboot);
 }
 
 double Device::sample_voltage() {
   // Comparator poll: trivial but not free.
-  spend(Rail::kCpu, 6.0, 0.0, cfg_.cost.p_cpu_active);
+  spend_fixed(fixed_cost(Rail::kCpu, 6.0, 0.0, cfg_.cost.p_cpu_active));
   settle_supply();  // the comparator must read the settled store
   return supply_ != nullptr ? supply_->voltage() : 3.3;
 }

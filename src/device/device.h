@@ -15,25 +15,25 @@
 // leave a partially written FRAM region — exactly the hazard the
 // intermittent runtimes must handle.
 // LEA operations read and write SRAM only, so their all-or-nothing
-// modelling is unobservable (SRAM is scrambled at reboot anyway). The
-// same argument covers the row-batched conv kernels (core/ace/kernels.cpp),
-// which compute an output row on the host and replay its per-pixel
-// charges through the cost-only charge_* primitives below: the charges
-// and their order are the per-pixel ops' exactly, and the SRAM window
-// buffer they skip writing is rewritten before the row exits normally.
-// After a brown-out mid-row that buffer may differ from the per-op
-// path's, but only until reboot() scrambles it.
+// modelling is unobservable (SRAM is scrambled at reboot anyway).
 //
-// The scalar CPU runtimes (SONIC, TILE) charge their MAC loops through
-// charge runs (charge_run below): whole repetitions of a fixed pattern of
-// fixed-cost charges, each drawn exactly as its op would draw it, with
-// the values computed afterwards in one host pass. A run charges only
-// repetitions whose every draw provably takes the arm the op would take
-// (buffered in an open prepaid window; trace only on bench power; settled
-// at once against an infallible supply) and otherwise hands the next
-// repetition back to the caller's per-op loop, which decides per op as
-// always. set_bulk_enabled(false) refuses every run: that per-op loop is
-// the fallback and the test oracle.
+// Loops of fixed-cost ops are charged through charge runs (charge_run
+// below): whole repetitions of a fixed pattern of fixed-cost charges,
+// each drawn exactly as its op would draw it, with the values computed
+// afterwards in one host pass. The scalar CPU runtimes (SONIC, TILE)
+// charge their MAC loops this way, and the conv kernels
+// (core/ace/kernels.cpp) their per-pixel window gather and LEA MAC. A run
+// charges only repetitions whose every draw provably takes the arm the op
+// would take (buffered in an open prepaid window; trace only on bench
+// power; settled at once against an infallible supply) and otherwise
+// hands the next repetition back to the caller's per-op loop, which
+// decides per op as always.
+//
+// set_bulk_enabled(false) is the reference mode: every block op charges
+// per word, as the equivalent read()/write() sequence would, and every
+// charge run is refused, so each loop charges through its per-op
+// fallback. The memory effects are the same in both modes; only the
+// granularity of the draws changes.
 //
 // Default geometry matches the evaluation board: 8 KB SRAM (4 K words),
 // 256 KB FRAM (128 K words), 16 MHz. The LEA owns no memory of its own; it
@@ -76,9 +76,10 @@ struct DeviceSlabs {
 };
 
 // The draw one fixed-cost op makes: a word read or write, the MPY32 MAC,
-// or a cpu_ops(n) burst on its single-draw arm (Device::read_cost and
-// friends). Each evaluates spend()'s exact expressions, so each cost
-// formula exists once.
+// a cpu_ops(n) burst or an n-word block op on its single-draw arm, an
+// n-element LEA MAC (Device::read_cost and friends). Every draw the device
+// makes is one of these, built by Device::fixed_cost, so each cost formula
+// exists once.
 struct FixedOpCost {
   Rail rail = Rail::kCpu;
   double cycles = 0.0, dt = 0.0, joules = 0.0;
@@ -190,10 +191,9 @@ class Device {
   // scalar path — see PowerSupply::headroom; outputs and cost totals are
   // unaffected.)
   //
-  // set_bulk_enabled(false) forces every bulk entry point through the
-  // scalar per-word loops — the reference mode the perf harness and the
-  // equivalence tests compare against.
-  bool bulk_enabled() const { return bulk_enabled_; }
+  // set_bulk_enabled(false) charges every bulk entry point per word and
+  // refuses every charge run — the reference mode the perf harness and
+  // the equivalence tests compare against (see the file comment).
   void set_bulk_enabled(bool on) { bulk_enabled_ = on; }
 
   // out[i] = mem[a + i], costed as out.size() scalar reads.
@@ -210,62 +210,17 @@ class Device {
   void read_gather(MemKind mem, Addr base, std::span<const std::uint32_t> offsets,
                    std::size_t span_words, std::span<fx::q15_t> out,
                    bool offsets_in_span = false);
-  // LEA MAC over SRAM operand blocks (identical cost and semantics to
-  // lea_mac, which delegates here): one bounds check per operand and a
-  // tight pointer loop instead of per-word peeks. The 32-bit excursion
-  // scan runs only when `overflow` is requested.
-  std::int64_t mac_block(Addr a, Addr b, std::size_t n, bool* overflow = nullptr);
   // CPU copy loop (the non-DMA arm of ACE's data-movement decision):
   // per word, 2 ALU ops + one read + one write, charged as three
   // aggregated events. Torn-prefix semantics preserved for FRAM
   // destinations as with write_block.
   void cpu_copy(MemKind src_mem, Addr src, MemKind dst_mem, Addr dst, std::size_t words);
 
-  // ---- cost-only charges ----------------------------------------------
-  // The one aggregated charge each bulk arm above makes, without its
-  // memory effect; the bulk arms themselves are built on these, so each
-  // cost formula exists once. A caller that computes the effect on the
-  // host replays an op's charge through them and stays charge-for-charge
-  // identical to calling the op. charge_cpu_ops/read/write return false,
-  // charging nothing, when the op would not take its bulk arm (bulk
-  // disabled, browned out, or the supply cannot provably cover the draw);
-  // the caller then runs the op itself, which decides the same way and
-  // takes its word-granular arm. They also return false when their own
-  // draw browned out; the op the caller then runs is inert. (cpu_ops has
-  // no scalar reference mode, so charge_cpu_ops ignores
-  // set_bulk_enabled.)
-  bool charge_cpu_ops(double n_ops) {
-    const FixedOpCost c = cpu_ops_cost(n_ops);
-    if (n_ops > 1.0 && !can_bulk_spend(c.joules)) return false;
-    return spend_fixed(c);
-  }
-  // read_block / read_gather
-  bool charge_read(MemKind mem, std::size_t n) {
-    const CostModel& cm = cfg_.cost;
-    const bool sram = mem == MemKind::kSram;
-    return charge_block(sram ? Rail::kSramRead : Rail::kFramRead,
-                        sram ? cm.cycles_sram_word : cm.cycles_fram_word,
-                        sram ? cm.e_sram_read : cm.e_fram_read, n);
-  }
-  // write_block
-  bool charge_write(MemKind mem, std::size_t n) {
-    const CostModel& cm = cfg_.cost;
-    const bool sram = mem == MemKind::kSram;
-    return charge_block(sram ? Rail::kSramWrite : Rail::kFramWrite,
-                        sram ? cm.cycles_sram_word : cm.cycles_fram_word,
-                        sram ? cm.e_sram_write : cm.e_fram_write, n);
-  }
-  // mac_block's charge: one LEA spend, no word-granular arm. False when
-  // the draw browned out (or the device already had).
-  bool charge_mac(std::size_t n) {
-    const CostModel& cm = cfg_.cost;
-    return spend(Rail::kLea, cm.lea_setup + cm.lea_mac_per_elem * static_cast<double>(n),
-                 static_cast<double>(2 * n) * cm.e_sram_read, cm.p_lea_active);
-  }
-
-  // ---- charge runs ------------------------------------------------------
-  // The draws of read(), write(), cpu_mac_cycles() and cpu_ops(n_ops).
-  // The word accesses and the MAC are construction-time images.
+  // ---- fixed-op costs and charge runs -----------------------------------
+  // The draws of read(), write(), cpu_mac_cycles() and cpu_ops(n_ops) —
+  // the word accesses and the MAC are construction-time images — and of
+  // the block ops and lea_mac on their single-draw arms. The ops draw
+  // exactly these, and charge-run patterns are made of them.
   const FixedOpCost& read_cost(MemKind mem) const {
     return mem == MemKind::kSram ? c_sram_rd_ : c_fram_rd_;
   }
@@ -276,6 +231,29 @@ class Device {
   FixedOpCost cpu_ops_cost(double n_ops) const {
     const CostModel& cm = cfg_.cost;
     return fixed_cost(Rail::kCpu, n_ops * cm.cycles_cpu_op, 0.0, cm.p_cpu_active);
+  }
+  // An n-word read_block/read_gather or write_block.
+  FixedOpCost block_read_cost(MemKind mem, std::size_t n) const {
+    const CostModel& cm = cfg_.cost;
+    const auto dn = static_cast<double>(n);
+    return mem == MemKind::kSram ? fixed_cost(Rail::kSramRead, dn * cm.cycles_sram_word,
+                                              dn * cm.e_sram_read, cm.p_cpu_active)
+                                 : fixed_cost(Rail::kFramRead, dn * cm.cycles_fram_word,
+                                              dn * cm.e_fram_read, cm.p_cpu_active);
+  }
+  FixedOpCost block_write_cost(MemKind mem, std::size_t n) const {
+    const CostModel& cm = cfg_.cost;
+    const auto dn = static_cast<double>(n);
+    return mem == MemKind::kSram ? fixed_cost(Rail::kSramWrite, dn * cm.cycles_sram_word,
+                                              dn * cm.e_sram_write, cm.p_cpu_active)
+                                 : fixed_cost(Rail::kFramWrite, dn * cm.cycles_fram_word,
+                                              dn * cm.e_fram_write, cm.p_cpu_active);
+  }
+  // An n-element lea_mac.
+  FixedOpCost lea_mac_cost(std::size_t n) const {
+    const CostModel& cm = cfg_.cost;
+    return fixed_cost(Rail::kLea, cm.lea_setup + cm.lea_mac_per_elem * static_cast<double>(n),
+                      static_cast<double>(2 * n) * cm.e_sram_read, cm.p_lea_active);
   }
 
   // Charges whole repetitions of `p`, at most `reps`, and returns how
@@ -297,16 +275,21 @@ class Device {
 
   // Charges `reps` repetitions of a loop body whose draws are `p`:
   // through charge runs where they apply, and per_op(i) — repetition i
-  // through the body's real ops — where a run stops short. Returns early
-  // once the device is browned out; the body's effects are the caller's
-  // to compute afterwards (they are discarded after a brown-out).
+  // through the body's real ops — where a run stops short. Returns the
+  // repetitions charged before the device browned out: `reps` when it did
+  // not, else the index of the repetition whose draw browned out (a run
+  // never does). The body's effects are the caller's to compute
+  // afterwards.
   template <class PerOp>
-  void charge_loop(const ChargePattern& p, std::size_t reps, PerOp&& per_op) {
+  std::size_t charge_loop(const ChargePattern& p, std::size_t reps, PerOp&& per_op) {
     std::size_t i = 0;
     while (i < reps && !browned_out_) {
       i += charge_run(p, reps - i);
-      if (i < reps) per_op(i++);
+      if (i == reps) break;
+      per_op(i);
+      if (!browned_out_) ++i;
     }
+    return i;
   }
 
   // ---- DMA ------------------------------------------------------------
@@ -317,7 +300,8 @@ class Device {
   // ---- LEA vector ops (SRAM operands only) ------------------------------
   // MAC: sum of products over n q15 elements, 64-bit simulation accumulator
   // (Q30 units). The real block has a 32-bit accumulator; overflow beyond
-  // it is reported through `overflow` when provided.
+  // it is reported through `overflow` when provided (the per-element
+  // excursion scan runs only then).
   std::int64_t lea_mac(Addr a, Addr b, std::size_t n, bool* overflow = nullptr);
 
   // Element-wise ops.
@@ -330,8 +314,12 @@ class Device {
 
   // In-place FFT/IFFT over n interleaved complex elements at `a`
   // (2n words). Returns the scaling exponent increment (see dsp/fft.h).
-  int lea_fft(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats* stats = nullptr);
-  int lea_ifft(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats* stats = nullptr);
+  int lea_fft(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats* stats = nullptr) {
+    return lea_transform(a, n, scaling, stats, /*inverse=*/false);
+  }
+  int lea_ifft(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats* stats = nullptr) {
+    return lea_transform(a, n, scaling, stats, /*inverse=*/true);
+  }
 
   // ---- power ------------------------------------------------------------
   // Reboot after a power failure: clears the brown-out latch, SRAM
@@ -349,7 +337,7 @@ class Device {
   double sample_voltage();
 
   // ---- prepaid-headroom settlement --------------------------------------
-  // Against a prepay_safe() supply, spend() arms a window from
+  // Against a prepay_safe() supply, spend_fixed() arms a window from
   // PowerSupply::prepaid_budget() and buffers draws against a local
   // accumulator instead of routing each through virtual consume(). The
   // buffered draws are replayed in order (consume_batch) at settlement
@@ -367,29 +355,10 @@ class Device {
   // (PowerSupply::prepaid_budget) covers the worst-case replay rounding.
   static constexpr std::size_t kPrepaidMaxEvents = 4096;
 
-  // Every costed op funnels through here, ~10M times per fleet-bench
-  // device-second — so the common case (an open prepaid window with
-  // budget to spare) is inline: cost arithmetic, trace bookkeeping, and
-  // one buffered event. Everything else (the brown-out latch, settlement,
-  // arming a new window, per-op consume near brown-out, bench power) is
-  // the out-of-line tail. Returns false when the op must not apply its
-  // effect: its own draw browned out, or the device already had. The
-  // inline arm returns a constant true, so an op's `if (spend(...))`
-  // folds away on the fast path.
-  bool spend(Rail rail, double cycles, double extra_energy_joules,
-             double active_power_watts) {
-    const double dt = cfg_.cost.seconds(cycles);
-    const double joules = active_power_watts * dt + extra_energy_joules;
-    if (prepaid_open_ && joules <= prepaid_budget_ &&
-        prepaid_.size() < kPrepaidMaxEvents) {
-      trace_.add(rail, joules, cycles);
-      prepaid_budget_ -= joules;
-      prepaid_.push_back({joules, dt});
-      return true;
-    }
-    return spend_slow(rail, cycles, joules, dt);
-  }
   bool spend_slow(Rail rail, double cycles, double joules, double dt);
+  // lea_fft and lea_ifft: the same draw, then the transform in place.
+  int lea_transform(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats* stats,
+                    bool inverse);
 
   // A charge run buffers or settles its SpendEvents kRunChunkReps
   // repetitions at a time, copied from run_events(p): p's events repeated
@@ -397,18 +366,25 @@ class Device {
   static constexpr std::size_t kRunChunkReps = 32;
   const SpendEvent* run_events(const ChargePattern& p);
 
-  // What spend() computes for a fixed-cycle op — the scalar word
-  // accesses and the MPY32 MAC run millions of times with constant cost,
-  // so the division and energy arithmetic are done once, with identical
-  // rounding (the exact spend() expressions).
+  // The draw of `cycles` at `active_power_watts` plus extra joules: the
+  // one cost formula every draw is built from. The scalar word accesses
+  // and the MPY32 MAC run millions of times with constant cost, so their
+  // images are computed once, at construction.
   FixedOpCost fixed_cost(Rail rail, double cycles, double extra_energy_joules,
                          double active_power_watts) const {
     const double dt = cfg_.cost.seconds(cycles);
     return {rail, cycles, dt, active_power_watts * dt + extra_energy_joules};
   }
-  // spend() for a fixed-cost op. Forced inline: read() and write() run it
-  // per word, and left to its heuristics the compiler stops inlining it
-  // there.
+  // Every costed op draws through here, ~10M times per fleet-bench
+  // device-second — so the common case (an open prepaid window with
+  // budget to spare) is inline: trace bookkeeping and one buffered event.
+  // Everything else (the brown-out latch, settlement, arming a new window,
+  // per-op consume near brown-out, bench power) is the out-of-line tail.
+  // Returns false when the op must not apply its effect: its own draw
+  // browned out, or the device already had. The inline arm returns a
+  // constant true, so an op's `if (spend_fixed(...))` folds away on the
+  // fast path. Forced inline: read() and write() run it per word, and
+  // left to its heuristics the compiler stops inlining it there.
   [[gnu::always_inline]] bool spend_fixed(const FixedOpCost& c) {
     if (prepaid_open_ && c.joules <= prepaid_budget_ &&
         prepaid_.size() < kPrepaidMaxEvents) {
@@ -432,20 +408,13 @@ class Device {
     return can_bulk_spend_slow(joules);
   }
   bool can_bulk_spend_slow(double joules);
-  // A bulk memory op's charge: n words at `word_cycles` and `word_joules`.
-  bool charge_block(Rail rail, double word_cycles, double word_joules, std::size_t n) {
-    const CostModel& cm = cfg_.cost;
-    const auto dn = static_cast<double>(n);
-    const double cycles = dn * word_cycles;
-    const double extra = dn * word_joules;
-    if (!bulk_enabled_ || !can_bulk_spend(spend_joules(cycles, extra, cm.p_cpu_active))) {
-      return false;
-    }
-    return spend(rail, cycles, extra, cm.p_cpu_active);
-  }
-  // Total joules spend() would draw for `cycles` at `watts` plus extras.
-  double spend_joules(double cycles, double extra_energy_joules, double watts) const {
-    return watts * cfg_.cost.seconds(cycles) + extra_energy_joules;
+  // A block op's bulk arm: draws `c` and returns true when the op takes
+  // it. False, having charged nothing, when the op must take its per-word
+  // arm instead (reference mode, a latched device, or headroom that
+  // cannot provably cover the draw); false too when the draw itself
+  // browned out, and the per-word arm is then inert.
+  bool charge_block(const FixedOpCost& c) {
+    return bulk_enabled_ && can_bulk_spend(c.joules) && spend_fixed(c);
   }
 
   DeviceConfig cfg_;

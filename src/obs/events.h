@@ -91,11 +91,12 @@ class EventTrace {
   explicit EventTrace(std::size_t capacity = 0) { set_capacity(capacity); }
 
   // Per-kind counters are ALWAYS maintained; the ring only when capacity
-  // is nonzero. Changing capacity clears the ring (not the counters).
+  // is nonzero. Changing capacity clears the ring (not the counters). The
+  // capacity is a bound, not an allocation: the ring grows with the
+  // events recorded, up to it.
   void set_capacity(std::size_t capacity) {
     cap_ = capacity;
     ring_.clear();
-    ring_.reserve(cap_);
     head_ = 0;
     dropped_ = 0;
   }

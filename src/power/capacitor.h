@@ -160,55 +160,14 @@ class CapacitorSupply : public dev::PowerSupply {
   }
 
   bool consume(double joules, double dt) override {
-    // Harvest income accrues over the same window the load draws.
-    integrate_step(dt);
-    on_time_ += dt;
-    energy_ -= joules;
-    if (energy_ < energy_at(cfg_.v_off)) {
-      energy_ = std::max(energy_, 0.0);
-      on_ = false;
-      ++failures_;
-      return false;
-    }
-    return true;
+    const dev::SpendEvent ev{joules, dt};
+    return settle(&ev, 1) == 1;
   }
-
-  // Batch settlement for the device's prepaid-headroom window: the exact
-  // per-event arithmetic of consume(), with the harvest power read from
-  // the hardened income-segment cache instead of a virtual power_at per
-  // draw.
+  // Batch settlement for the device's prepaid-headroom window: the same
+  // per-event arithmetic as consume(), which settles through the same
+  // body.
   std::size_t consume_batch(const dev::SpendEvent* ev, std::size_t n) override {
-    const double e_max = energy_at(cfg_.v_max);
-    const double e_off = energy_at(cfg_.v_off);
-    // Members hoisted into locals for the whole batch: the rare segment
-    // recompute makes a virtual power_at call, and keeping the running
-    // state in registers means that call cannot force per-event member
-    // reloads. Arithmetic and its order are exactly consume()'s.
-    double e = energy_, t = now_, on_t = on_time_;
-    double seg_p = seg_p_, seg_end = seg_end_;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!(t < seg_end)) {
-        now_ = t;  // the segment recompute reads the supply clock
-        seg_p = seg_p_ = source_.power_at(t);
-        seg_end = seg_end_ = hardened_segment_end(seg_p);
-      }
-      e = std::min(e + seg_p * ev[i].dt, e_max);
-      t += ev[i].dt;
-      on_t += ev[i].dt;
-      e -= ev[i].joules;
-      if (e < e_off) {
-        energy_ = std::max(e, 0.0);
-        now_ = t;
-        on_time_ = on_t;
-        on_ = false;
-        ++failures_;
-        return i;
-      }
-    }
-    energy_ = e;
-    now_ = t;
-    on_time_ = on_t;
-    return n;
+    return settle(ev, n);
   }
 
   bool prepay_safe() const override { return true; }
@@ -316,10 +275,50 @@ class CapacitorSupply : public dev::PowerSupply {
  private:
   double energy_at(double v) const { return 0.5 * cfg_.capacitance_f * v * v; }
 
-  // The one reference integration step both off-time loops, idle parking
-  // and consume() share: income accrues at the instantaneous power over
-  // dt, the regulator clamps the store at v_max, time advances. The
-  // analytic fast paths reproduce chains of these bit for bit.
+  // Settles n draws in order; returns the index of the one that browned
+  // out, or n. Per draw: harvest income accrues over the window the load
+  // draws (integrate_step's arithmetic, at the hardened income-segment
+  // cache's power), then the load's energy leaves the store. Members are
+  // hoisted into locals for the whole batch: the rare segment recompute
+  // makes a virtual power_at call, and keeping the running state in
+  // registers means that call cannot force per-event member reloads.
+  // Forced inline so consume(), the per-op path near brown-out, stays one
+  // straight-line body.
+  [[gnu::always_inline]] std::size_t settle(const dev::SpendEvent* ev, std::size_t n) {
+    const double e_max = energy_at(cfg_.v_max);
+    const double e_off = energy_at(cfg_.v_off);
+    double e = energy_, t = now_, on_t = on_time_;
+    double seg_p = seg_p_, seg_end = seg_end_;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!(t < seg_end)) {
+        now_ = t;  // the segment recompute reads the supply clock
+        seg_p = seg_p_ = source_.power_at(t);
+        seg_end = seg_end_ = hardened_segment_end(seg_p);
+      }
+      e = std::min(e + seg_p * ev[i].dt, e_max);
+      t += ev[i].dt;
+      on_t += ev[i].dt;
+      e -= ev[i].joules;
+      if (e < e_off) {
+        energy_ = std::max(e, 0.0);
+        now_ = t;
+        on_time_ = on_t;
+        on_ = false;
+        ++failures_;
+        return i;
+      }
+    }
+    energy_ = e;
+    now_ = t;
+    on_time_ = on_t;
+    return n;
+  }
+
+  // The one reference integration step both off-time loops and idle
+  // parking share, and settle() repeats per draw: income accrues at the
+  // instantaneous power over dt, the regulator clamps the store at v_max,
+  // time advances. The analytic fast paths reproduce chains of these bit
+  // for bit.
   void integrate_step(double dt) {
     energy_ = std::min(energy_ + segment_power() * dt, energy_at(cfg_.v_max));
     now_ += dt;

@@ -21,11 +21,10 @@ class ContinuousPower : public dev::PowerSupply {
   explicit ContinuousPower(double volts = 3.3) : volts_(volts) {}
 
   bool consume(double joules, double dt) override {
-    energy_drawn_ += joules;
-    now_ += dt;
-    return true;
+    const dev::SpendEvent ev{joules, dt};
+    return ContinuousPower::consume_batch(&ev, 1) == 1;
   }
-  // The same sums, in the same order, as one consume() per event.
+  // Every draw succeeds; the sums run in draw order.
   std::size_t consume_batch(const dev::SpendEvent* ev, std::size_t n) override {
     double drawn = energy_drawn_;
     double now = now_;

@@ -63,6 +63,9 @@ class FailureScheduleSupply : public dev::PowerSupply {
     plan_cycle();
   }
 
+  // consume() and consume_batch() keep separate bodies on purpose: they
+  // differ in what a due failure does (consume() fires it; a batch
+  // defers it), which is what keeps the prepaid contract honest.
   bool consume(double joules, double dt) override {
     energy_drawn_ += joules;
     now_ += dt;

@@ -79,10 +79,12 @@ void validate(const FleetConfig& cfg) {
   check(!cfg.groups.empty(), "fleet config: need at least one group");
   check(cfg.offset_spread_s >= 0.0, "fleet config: spread must be >= 0");
   std::set<std::string> names;
+  long long population = 0;  // summed in 64 bits: total_devices() is an int
   for (const auto& g : cfg.groups) {
     const std::string where = "fleet group \"" + g.name + "\"";
     check(names.insert(g.name).second, where + ": duplicate group name");
     check(g.count >= 1, where + ": count must be >= 1");
+    population += g.count;
     check(std::isfinite(g.capacitance_f) && g.capacitance_f > 0.0,
           where + ": capacitance must be finite and > 0");
     check(g.max_off_s > 0.0, where + ": max_off must be > 0");
@@ -98,6 +100,10 @@ void validate(const FleetConfig& cfg) {
       sched::parse_adaptive_spec(g.sched_spec);  // throws on malformed spec
     }
   }
+  check(population <= std::numeric_limits<int>::max(),
+        "fleet config: population of " + std::to_string(population) +
+            " devices exceeds the limit of " +
+            std::to_string(std::numeric_limits<int>::max()));
 }
 
 // The model variants a group's runtime executes: adaptive ships both.

@@ -1,5 +1,5 @@
 // Bulk-vs-scalar device-access equivalence: the bulk fast paths
-// (read_block / write_block / read_gather / mac_block / cpu_copy /
+// (read_block / write_block / read_gather / lea_mac / cpu_copy /
 // dma_copy, and the kernels built on them) must be observationally
 // identical to the scalar per-word reference path — same memory contents,
 // same modeled cycle and energy totals per rail, and the same
@@ -116,7 +116,7 @@ TEST(BulkAccess, BlockReadWriteGatherMacMatchScalar) {
     d.read_block(MemKind::kSram, 512, std::span<q15_t>(out.data(), 256));
     d.read_gather(MemKind::kSram, 0, offsets, 256,
                   std::span<q15_t>(out.data() + 256, offsets.size()));
-    mac = d.mac_block(0, 512, 256, &ovf);
+    mac = d.lea_mac(0, 512, 256, &ovf);
   };
   bulk.set_bulk_enabled(true);
   scalar.set_bulk_enabled(false);
@@ -420,14 +420,14 @@ TEST(VecMacOverflow, TransientOverflowStaysFlagged) {
   const MacResult r = vec_mac(a, b);
   EXPECT_EQ(r.acc_q30, 65536);  // back in range
   EXPECT_TRUE(r.overflowed_q31);
-  // Device mac_block reports the same decision.
+  // Device lea_mac reports the same decision.
   dev::Device d;
   for (std::size_t i = 0; i < a.size(); ++i) {
     d.sram().poke(i, a[i]);
     d.sram().poke(64 + i, b[i]);
   }
   bool ovf = false;
-  const std::int64_t acc = d.mac_block(0, 64, a.size(), &ovf);
+  const std::int64_t acc = d.lea_mac(0, 64, a.size(), &ovf);
   EXPECT_EQ(acc, r.acc_q30);
   EXPECT_TRUE(ovf);
 }

@@ -21,6 +21,12 @@
 // 10 uF square harvest, where runs buffer into prepaid windows and
 // brown-outs land inside a MAC loop.
 //
+// Charge runs settle a run's draws with an infallible supply through one
+// consume_batch() call; a supply that is not infallible makes every run
+// stop short, so each repetition draws through its per-op fallback, one
+// consume() per op. ChargeRuns.EveryRuntimeMatchesPerOpSettlement holds
+// the two to bit-identity for every runtime that charges loops as runs.
+//
 // Every case also runs under a second scramble seed and must reproduce
 // the hash, the output and every RunStats field. That is the
 // crash-consistency contract seen end to end: what SRAM holds after a
@@ -249,6 +255,8 @@ struct OracleRun {
   flex::RunStats stats;
   dev::EnergyTrace trace;
   std::vector<obs::Event> events;
+  std::uint64_t digest = 0;  // the settled draws, in order (ChargeRecorder)
+  long draws = 0;
 };
 
 OracleRun run_scalar_runtime(models::Task task, const std::string& runtime, bool bulk) {
@@ -323,6 +331,89 @@ TEST(ChargeRuns, ScalarRuntimesMatchPerOpOracle) {
         ++commits;
       }
       EXPECT_GT(commits, 100) << name;
+    }
+  }
+}
+
+// ContinuousPower that does not report infallible(): the device then
+// refuses every charge run (bulk stays on), and each repetition draws
+// through the loop body's real ops, settled one consume() at a time.
+class FallibleContinuousPower : public power::ContinuousPower {
+ public:
+  bool infallible() const override { return false; }
+};
+
+OracleRun run_on_supply(models::Task task, const std::string& runtime,
+                        power::ContinuousPower& supply) {
+  const bool compressed = runtime == "ace" || runtime == "flex";
+  Rng rng(0x5e0);
+  const quant::QuantModel qm = models::make_deployed_qmodel(task, compressed, rng);
+  nn::Tensor x(qm.layers.front().in_shape);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(-0.9, 0.9));
+  }
+  const auto input = quant::quantize_input(qm, x);
+
+  dev::Device dev(models::deployment_device_config(compressed));
+  ChargeRecorder rec(supply);
+  dev.attach_supply(&rec);
+  const auto cm = ace::compile(qm, dev);
+  obs::EventTrace events(std::size_t{1} << 18);
+  flex::RunOptions opts;
+  opts.trace = &events;
+  const auto policy = runtime == "tile"    ? flex::make_tile_policy()
+                      : runtime == "sonic" ? flex::make_sonic_policy()
+                      : runtime == "ace"   ? flex::make_ace_policy()
+                                           : flex::make_flex_policy();
+  OracleRun run;
+  run.stats = flex::IntermittentExecutor(*policy).run(dev, cm, input, opts);
+  run.trace = dev.trace();
+  run.events = events.snapshot();
+  run.digest = rec.digest(dev);
+  run.draws = rec.events();
+  EXPECT_EQ(events.dropped(), 0) << runtime << ": ring too small";
+  return run;
+}
+
+// Every runtime whose loops charge through charge runs — SONIC's and
+// TILE's MAC loops, ACE's and FLEX's conv rows (conv2d on MNIST, conv1d
+// on HAR) — must leave the same bits whether its runs settle in batches
+// or every repetition settles per op, down to the order of the draws.
+TEST(ChargeRuns, EveryRuntimeMatchesPerOpSettlement) {
+  for (const models::Task task : {models::Task::kMnist, models::Task::kHar}) {
+    for (const std::string runtime : {"sonic", "tile", "ace", "flex"}) {
+      const std::string name = std::string(models::task_name(task)) + "/" + runtime;
+      power::ContinuousPower s_runs;
+      FallibleContinuousPower s_per_op;
+      const OracleRun runs = run_on_supply(task, runtime, s_runs);
+      const OracleRun per_op = run_on_supply(task, runtime, s_per_op);
+      ASSERT_TRUE(runs.stats.completed()) << name;
+      expect_same_stats(runs.stats, per_op.stats, name.c_str());
+      EXPECT_EQ(s_runs.now(), s_per_op.now()) << name;
+      EXPECT_EQ(s_runs.energy_drawn(), s_per_op.energy_drawn()) << name;
+      EXPECT_EQ(runs.draws, per_op.draws) << name;
+      EXPECT_EQ(runs.digest, per_op.digest) << name << ": a draw moved, merged or changed";
+      for (std::size_t r = 0; r < static_cast<std::size_t>(dev::Rail::kCount); ++r) {
+        const auto rail = static_cast<dev::Rail>(r);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(runs.trace.energy(rail)),
+                  std::bit_cast<std::uint64_t>(per_op.trace.energy(rail)))
+            << name << " rail " << r;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(runs.trace.cycles(rail)),
+                  std::bit_cast<std::uint64_t>(per_op.trace.cycles(rail)))
+            << name << " rail " << r;
+      }
+      ASSERT_EQ(runs.events.size(), per_op.events.size()) << name;
+      long commits = 0;
+      for (std::size_t i = 0; i < runs.events.size(); ++i) {
+        const obs::Event& ea = runs.events[i];
+        const obs::Event& eb = per_op.events[i];
+        ASSERT_EQ(ea.kind, eb.kind) << name << " event " << i;
+        ASSERT_EQ(ea.a, eb.a) << name << " event " << i;
+        ASSERT_EQ(ea.b, eb.b) << name << " event " << i;
+        ASSERT_EQ(ea.t_s, eb.t_s) << name << " event " << i;
+        commits += ea.kind == obs::EventKind::kCommit ? 1 : 0;
+      }
+      EXPECT_GT(commits, 0) << name;
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,6 +51,21 @@ TEST(EventTrace, RingWrapsOldestFirstAndCountsDrops) {
     EXPECT_EQ(snap[i].a, 6 + i);
     EXPECT_DOUBLE_EQ(snap[i].t_s, 6.0 + i);
   }
+}
+
+// The capacity bounds the ring; it allocates nothing up front, so a
+// capacity no host could hold (--trace-capacity at its maximum) records
+// like any capacity the events fit in.
+TEST(EventTrace, HugeCapacityIsABoundNotAnAllocation) {
+  EventTrace t(SIZE_MAX);
+  EXPECT_EQ(t.capacity(), SIZE_MAX);
+  for (int i = 0; i < 5; ++i) t.record(i * 1.0, EK::kCommit, i);
+  EXPECT_EQ(t.dropped(), 0);
+  const auto snap = t.snapshot();
+  ASSERT_EQ(snap.size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(snap[i].a, i);
+  t.set_capacity(SIZE_MAX);  // a re-bound clears the ring, again allocating nothing
+  EXPECT_TRUE(t.snapshot().empty());
 }
 
 TEST(EventTrace, ClearResetsCountersRingAndDrops) {

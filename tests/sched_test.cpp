@@ -617,6 +617,10 @@ TEST(FleetConfig, RejectsMalformedEntries) {
       {"fleet seed=1 seed=2\ngroup count=1\n", "duplicate key \"seed\""},
       {"group count=1 sched=adaptive:rich=1e-3 sched=adaptive\n", "duplicate key \"sched\""},
       {"group count=1 bogus=1\n", "unknown key \"bogus\""},
+      // Every count is in range, but the population overflows an int.
+      {"group name=a count=1000000000\ngroup name=b count=1000000000\n"
+       "group name=c count=1000000000\n",
+       "population of 3000000000 devices"},
   };
   for (const auto& row : named) {
     try {
