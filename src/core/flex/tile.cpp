@@ -176,7 +176,8 @@ class TilePolicy : public RuntimePolicy {
 
 TileSpec parse_tile_spec(const std::string& key) {
   TileSpec spec;
-  check(key.substr(0, key.find(':')) == "tile", "tile spec must start with \"tile\": " + key);
+  check_input(key.substr(0, key.find(':')) == "tile",
+              "tile spec must start with \"tile\": " + key);
   SpecArgs a(key);
   spec.tile_elems = a.integer<std::size_t>("t", spec.tile_elems, 1, 4096);
   a.finish();

@@ -22,7 +22,7 @@ Task parse_task(const std::string& name) {
   if (name == "mnist") return Task::kMnist;
   if (name == "har") return Task::kHar;
   if (name == "okg") return Task::kOkg;
-  fail("unknown task \"" + name + "\" (mnist|har|okg)");
+  fail_input("unknown task \"" + name + "\" (mnist|har|okg)");
 }
 
 ModelInfo model_info(Task t) {

@@ -139,6 +139,12 @@ inline double threshold_partial(double t_s, double step) {
 
 }  // namespace detail
 
+// The smallest capacitance a config, scenario or contract world may ask
+// for: 1 nF, below any real storage element (the smallest committed
+// capacitor is 50 nF). A femtofarad "capacitor" would only make every
+// draw a brown-out.
+constexpr double kMinCapacitanceF = 1e-9;
+
 struct CapacitorConfig {
   double capacitance_f = 100e-6;  // the paper's 100 uF
   double v_on = 3.3;              // boot threshold
@@ -280,7 +286,7 @@ class CapacitorSupply : public dev::PowerSupply {
   // draws (integrate_step's arithmetic, at the hardened income-segment
   // cache's power), then the load's energy leaves the store. Members are
   // hoisted into locals for the whole batch: the rare segment recompute
-  // makes a virtual power_at call, and keeping the running state in
+  // makes a virtual power_seek call, and keeping the running state in
   // registers means that call cannot force per-event member reloads.
   // Forced inline so consume(), the per-op path near brown-out, stays one
   // straight-line body.
@@ -292,7 +298,7 @@ class CapacitorSupply : public dev::PowerSupply {
     for (std::size_t i = 0; i < n; ++i) {
       if (!(t < seg_end)) {
         now_ = t;  // the segment recompute reads the supply clock
-        seg_p = seg_p_ = source_.power_at(t);
+        seg_p = seg_p_ = source_.power_seek(t, cursor_);
         seg_end = seg_end_ = hardened_segment_end(seg_p);
       }
       e = std::min(e + seg_p * ev[i].dt, e_max);
@@ -332,7 +338,7 @@ class CapacitorSupply : public dev::PowerSupply {
   // to the uncached reference behavior.
   double segment_power() {
     if (!(now_ < seg_end_)) {
-      seg_p_ = source_.power_at(now_);
+      seg_p_ = source_.power_seek(now_, cursor_);
       seg_end_ = hardened_segment_end(seg_p_);
     }
     return seg_p_;
@@ -459,6 +465,8 @@ class CapacitorSupply : public dev::PowerSupply {
   // goes backward, so staleness is impossible.
   double seg_p_ = 0.0;
   double seg_end_ = -std::numeric_limits<double>::infinity();
+  // This supply's lookup state in the (possibly shared) source.
+  SourceCursor cursor_;
   bool on_ = true;
   bool starved_ = false;
   long failures_ = 0;

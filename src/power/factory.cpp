@@ -57,7 +57,7 @@ std::unique_ptr<HarvestSource> make_solar(const std::string&, SpecArgs& a) {
 
 std::unique_ptr<HarvestSource> make_trace(const std::string& spec, SpecArgs& a) {
   const std::string path = a.str("path");
-  check(!path.empty(), "harvest spec \"" + spec + "\": trace needs path=FILE");
+  check_input(!path.empty(), "harvest spec \"" + spec + "\": trace needs path=FILE");
   const std::string interp_s = a.str("interp", "linear");
   TraceInterp interp;
   if (interp_s == "linear") {
@@ -65,7 +65,7 @@ std::unique_ptr<HarvestSource> make_trace(const std::string& spec, SpecArgs& a) 
   } else if (interp_s == "zoh") {
     interp = TraceInterp::kZeroOrderHold;
   } else {
-    fail("harvest spec \"" + spec + "\": interp must be linear or zoh");
+    fail_input("harvest spec \"" + spec + "\": interp must be linear or zoh");
   }
   return std::make_unique<TraceHarvestSource>(load_trace_csv(path), interp,
                                               a.num("loop", 1.0) != 0.0,
@@ -106,7 +106,7 @@ std::unique_ptr<HarvestSource> make_harvest_source(const std::string& spec) {
       return src;
     }
   }
-  fail("harvest spec \"" + spec + "\": unknown kind \"" + kind + "\"");
+  fail_input("harvest spec \"" + spec + "\": unknown kind \"" + kind + "\"");
 }
 
 }  // namespace ehdnn::power

@@ -17,11 +17,25 @@
 
 namespace ehdnn::power {
 
+// A reader's lookup state for power_seek: the loop cycle and the sample
+// interval its last lookup landed in. Sources are shared read-only (one
+// base source serves every fleet worker), so the state a lookup reuses
+// lives with the reader, e.g. one per CapacitorSupply.
+struct SourceCursor {
+  double cycle = 0.0;        // loop quotient of the last lookup
+  std::size_t interval = 0;  // upper sample index of the last lookup; 0 = none
+};
+
 class HarvestSource {
  public:
   virtual ~HarvestSource() = default;
   // Instantaneous harvested power (watts) at absolute time t (seconds).
   virtual double power_at(double t) const = 0;
+
+  // power_at(t), bit for bit, starting from where `c` says the last
+  // lookup was; cheaper when successive t are close. power_at stays the
+  // oracle. The default ignores the cursor.
+  virtual double power_seek(double t, SourceCursor&) const { return power_at(t); }
 
   // Piecewise-constant contract: a time no earlier than the next instant
   // strictly after `t` at which power_at may change. Semantics:
@@ -199,6 +213,9 @@ class TimeOffsetSource : public HarvestSource {
   TimeOffsetSource(const HarvestSource& inner, double offset_s)
       : inner_(inner), offset_(offset_s) {}
   double power_at(double t) const override { return inner_.power_at(t + offset_); }
+  double power_seek(double t, SourceCursor& c) const override {
+    return inner_.power_seek(t + offset_, c);
+  }
   // The inner boundary mapped back through the offset. Both the forward
   // map (t + offset) and the inverse below round, so the candidate can be
   // a few ulp off the exact boundary — within the slop the piecewise

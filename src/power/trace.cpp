@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/math.h"
 #include "util/parse.h"
 
 namespace ehdnn::power {
@@ -43,7 +44,7 @@ bool looks_like_data(const std::string& line) {
 
 [[noreturn]] void bad_row(const std::string& origin, std::size_t lineno,
                           const std::string& why) {
-  fail("power trace " + origin + " line " + std::to_string(lineno) + ": " + why);
+  fail_input("power trace " + origin + " line " + std::to_string(lineno) + ": " + why);
 }
 
 }  // namespace
@@ -91,13 +92,13 @@ PowerTrace parse_trace_csv(std::istream& in, const std::string& origin) {
     }
     tr.points.push_back({t, w});
   }
-  check(!tr.points.empty(), "power trace " + origin + ": no samples");
+  check_input(!tr.points.empty(), "power trace " + origin + ": no samples");
   return tr;
 }
 
 PowerTrace load_trace_csv(const std::string& path) {
   std::ifstream f(path);
-  check(f.good(), "power trace: cannot open " + path);
+  check_input(f.good(), "power trace: cannot open " + path);
   return parse_trace_csv(f, path);
 }
 
@@ -109,8 +110,6 @@ TraceHarvestSource::TraceHarvestSource(PowerTrace trace, TraceInterp interp, boo
 }
 
 double TraceHarvestSource::power_at(double t) const {
-  const auto& pts = trace_.points;
-  const double t0 = pts.front().t;
   const double span = trace_.span_s();
   // Map absolute time onto the trace's local clock.
   double u = t;
@@ -118,14 +117,34 @@ double TraceHarvestSource::power_at(double t) const {
     u = std::fmod(t, span);
     if (u < 0.0) u += span;
   }
+  std::size_t hi = 0;
+  return power_local(u, hi);
+}
+
+double TraceHarvestSource::power_seek(double t, SourceCursor& c) const {
+  const double span = trace_.span_s();
+  double u = t;
+  if (loop_ && span > 0.0) {
+    u = fmod_walk(t, span, c.cycle);
+    if (u < 0.0) u += span;
+  }
+  return power_local(u, c.interval);
+}
+
+double TraceHarvestSource::power_local(double u, std::size_t& hi) const {
+  const auto& pts = trace_.points;
+  const double t0 = pts.front().t;
   u += t0;
   if (u <= t0) return scale_ * pts.front().watts;
   if (u >= pts.back().t) return scale_ * pts.back().watts;
 
-  // First sample strictly after u; pts[hi-1].t <= u < pts[hi].t.
-  const auto it = std::upper_bound(pts.begin(), pts.end(), u,
-                                   [](double v, const TracePoint& p) { return v < p.t; });
-  const std::size_t hi = static_cast<std::size_t>(it - pts.begin());
+  // pts[hi-1].t <= u < pts[hi].t: keep the interval when it still holds
+  // u, otherwise find the first sample strictly after u.
+  if (hi == 0 || !(pts[hi - 1].t <= u && u < pts[hi].t)) {
+    const auto it = std::upper_bound(pts.begin(), pts.end(), u,
+                                     [](double v, const TracePoint& p) { return v < p.t; });
+    hi = static_cast<std::size_t>(it - pts.begin());
+  }
   const TracePoint& a = pts[hi - 1];
   if (interp_ == TraceInterp::kZeroOrderHold) return scale_ * a.watts;
   const TracePoint& b = pts[hi];

@@ -56,6 +56,10 @@ class TraceHarvestSource : public HarvestSource {
                               bool loop = true, double scale = 1.0);
 
   double power_at(double t) const override;
+  // The cursor keeps the loop quotient (the fold is util/math.h's
+  // fmod_walk) and the sample interval, and searches only when the local
+  // time leaves that interval.
+  double power_seek(double t, SourceCursor& c) const override;
   // Piecewise-constant only under zero-order hold: boundaries fall on the
   // trace's sample times (and the loop seam). Linear interpolation varies
   // continuously, so it opts out (returns t).
@@ -65,6 +69,11 @@ class TraceHarvestSource : public HarvestSource {
   bool loops() const { return loop_; }
 
  private:
+  // The power at loop-folded time `u` (seconds from the first sample).
+  // `hi` is the upper index of the interval to try first (0 = none); it
+  // is left at the interval that holds u.
+  double power_local(double u, std::size_t& hi) const;
+
   PowerTrace trace_;
   TraceInterp interp_;
   bool loop_;

@@ -1,6 +1,7 @@
 #include "sched/adaptive.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -38,9 +39,16 @@ std::unique_ptr<flex::RuntimePolicy> make_tier_policy(const std::string& key) {
 
 // ------------------------------------------------------- CompletionModel
 
+namespace {
+std::atomic<long> g_calibrations{0};
+}  // namespace
+
+long CompletionModel::calibrations_run() { return g_calibrations.load(); }
+
 CompletionModel CompletionModel::calibrate(const ace::CompiledModel& compressed,
                                            const ace::CompiledModel* dense,
                                            const dev::DeviceConfig& dcfg) {
+  ++g_calibrations;
   // Scratch replica: same geometry and cost model, bench power, fresh
   // FRAM. The compiled image is rebuilt from the variants' QuantModel
   // copies, so the calibration runs are the executor's own exact modeled
@@ -77,6 +85,15 @@ CompletionModel CompletionModel::calibrate(const ace::CompiledModel& compressed,
     m.tiers_.push_back({s.key, s.dense, s.persistent, st.energy_j, st.on_seconds});
   }
   return m;
+}
+
+const CompletionModel& CompletionSlot::get(const ace::CompiledModel& compressed,
+                                           const ace::CompiledModel* dense,
+                                           const dev::DeviceConfig& dcfg) {
+  std::call_once(once_, [&] {
+    model_.emplace(CompletionModel::calibrate(compressed, dense, dcfg));
+  });
+  return *model_;
 }
 
 const CompletionModel::Tier* CompletionModel::tier(const std::string& key) const {
@@ -175,10 +192,12 @@ struct AdaptivePolicy::Impl {
   bool ready = false;
 
   // Deadline-mode state: the calibrated completion model (lazy — only
-  // sel=deadline / admit=budget ever pay for the calibration runs) and
-  // the observed per-cycle checkpoint overhead that refines its FLEX
-  // prediction (prior: the worst-case checkpoint energy).
-  std::optional<CompletionModel> cmpl;
+  // sel=deadline / admit=budget ever pay for the calibration runs; read
+  // from the image's slot, or a private one) and the observed per-cycle
+  // checkpoint overhead that refines its FLEX prediction (prior: the
+  // worst-case checkpoint energy).
+  std::shared_ptr<CompletionSlot> slot;
+  const CompletionModel* cmpl = nullptr;
   double ovh_flex_ema = 0.0;
   long ovh_flex_n = 0;
   double last_ckpt_e = 0.0;
@@ -252,7 +271,9 @@ struct AdaptivePolicy::Impl {
     cur = -1;
     inner_fresh_pending = false;
     ready = false;
-    cmpl.reset();  // a new image invalidates the calibration
+    // A new image invalidates the calibration.
+    slot = provisioned ? image.completion : nullptr;
+    cmpl = nullptr;
     flex_ckpt_j = -1.0;
     sonic_unit_j = -1.0;
   }
@@ -294,10 +315,10 @@ struct AdaptivePolicy::Impl {
   }
 
   void ensure_calibrated(const ace::CompiledModel& armed, const dev::DeviceConfig& dcfg) {
-    if (cmpl.has_value()) return;
+    if (cmpl != nullptr) return;
+    if (slot == nullptr) slot = std::make_shared<CompletionSlot>();
     const ace::CompiledModel& comp = provisioned ? *image.compressed : armed;
-    cmpl.emplace(
-        CompletionModel::calibrate(comp, provisioned ? image.dense : nullptr, dcfg));
+    cmpl = &slot->get(comp, provisioned ? image.dense : nullptr, dcfg);
   }
 
   // THE static burst-vs-checkpoint constraint, shared by per-boot
@@ -636,11 +657,11 @@ double AdaptivePolicy::predict_optimistic_s(const dev::Device& dev,
 }
 
 const CompletionModel* AdaptivePolicy::completion_model() const {
-  return impl_->cmpl.has_value() ? &*impl_->cmpl : nullptr;
+  return impl_->cmpl;
 }
 
 double AdaptivePolicy::reclaimable_energy_j() const {
-  return impl_->cmpl.has_value() ? impl_->cmpl->min_energy_j() : 0.0;
+  return impl_->cmpl != nullptr ? impl_->cmpl->min_energy_j() : 0.0;
 }
 
 void AdaptivePolicy::set_decision_log(std::vector<TierDecision>* log) {
@@ -660,7 +681,8 @@ bool provision_adaptive(flex::RuntimePolicy& policy, const DeploymentImage& imag
 
 double provision_deployment(flex::RuntimePolicy& policy, const dev::CostModel& cost,
                             const ace::CompiledModel& primary,
-                            const ace::CompiledModel* dense, double burst_energy_j) {
+                            const ace::CompiledModel* dense, double burst_energy_j,
+                            std::shared_ptr<CompletionSlot> completion) {
   double worst_ck = flex::worst_checkpoint_energy(primary, cost);
   if (dense != nullptr) {
     worst_ck = std::max(worst_ck, flex::worst_checkpoint_energy(*dense, cost));
@@ -669,6 +691,7 @@ double provision_deployment(flex::RuntimePolicy& policy, const dev::CostModel& c
   img.compressed = &primary;
   img.dense = dense;
   img.burst_energy_j = burst_energy_j;
+  img.completion = std::move(completion);
   provision_adaptive(policy, img);
   return worst_ck;
 }
@@ -682,8 +705,8 @@ AdaptivePolicy* as_adaptive(flex::RuntimePolicy* policy) {
 }
 
 AdaptiveSpec parse_adaptive_spec(const std::string& spec) {
-  check(spec.substr(0, spec.find(':')) == "adaptive",
-        "adaptive spec \"" + spec + "\": expected adaptive[:key=value,...]");
+  check_input(spec.substr(0, spec.find(':')) == "adaptive",
+              "adaptive spec \"" + spec + "\": expected adaptive[:key=value,...]");
   SpecArgs a(spec);
   AdaptiveSpec s;
 
@@ -706,7 +729,7 @@ AdaptiveSpec parse_adaptive_spec(const std::string& spec) {
   } else if (sel == "deadline") {
     s.sel = TierSelect::kDeadline;
   } else {
-    fail("adaptive spec \"" + spec + "\": sel must be income or deadline");
+    fail_input("adaptive spec \"" + spec + "\": sel must be income or deadline");
   }
   const std::string admit = a.str("admit", "all");
   if (admit == "all") {
@@ -714,7 +737,7 @@ AdaptiveSpec parse_adaptive_spec(const std::string& spec) {
   } else if (admit == "budget") {
     s.admit = Admission::kBudget;
   } else {
-    fail("adaptive spec \"" + spec + "\": admit must be all or budget");
+    fail_input("adaptive spec \"" + spec + "\": admit must be all or budget");
   }
   constexpr double kInf = std::numeric_limits<double>::infinity();
   s.admit_slack_s = a.num("slack", s.admit_slack_s, 0.0, kInf);

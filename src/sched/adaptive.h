@@ -36,6 +36,8 @@
 
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,10 +106,14 @@ AdaptiveSpec parse_adaptive_spec(const std::string& spec);
 // collapses to {ace, flex} over the compressed image. burst_energy_j is
 // the capacitor's usable per-burst energy (power::CapacitorSupply::
 // burst_energy()); infinity means "unknown/unbounded" (bench power).
+// `completion` is where the policy reads its CompletionModel from; null
+// means the policy keeps a private one (see CompletionSlot).
+class CompletionSlot;
 struct DeploymentImage {
   const ace::CompiledModel* compressed = nullptr;
   const ace::CompiledModel* dense = nullptr;
   double burst_energy_j = std::numeric_limits<double>::infinity();
+  std::shared_ptr<CompletionSlot> completion;
 };
 
 // Per-tier completion-time prediction: how long (wall-clock supply time)
@@ -163,8 +169,28 @@ class CompletionModel {
   // control reports as reclaimed when it skips one).
   double min_energy_j() const;
 
+  // Calibrations run in this process so far (every calibrate() call).
+  static long calibrations_run();
+
  private:
   std::vector<Tier> tiers_;
+};
+
+// A CompletionModel calibrated on first use and shared by every policy
+// provisioned with this slot: a fleet group's template hands one slot to
+// each device it builds, so a group calibrates once, on the first device
+// whose scheduler asks, and no group calibrates eagerly. get() is
+// thread-safe (fleet workers run devices of one group concurrently).
+// Sharing is exact because the devices of a group differ only in their
+// scramble seed, and calibration does not depend on it.
+class CompletionSlot {
+ public:
+  const CompletionModel& get(const ace::CompiledModel& compressed,
+                             const ace::CompiledModel* dense, const dev::DeviceConfig& dcfg);
+
+ private:
+  std::once_flag once_;
+  std::optional<CompletionModel> model_;
 };
 
 // One tier decision, as witnessed by the contract checker's enumeration
@@ -260,9 +286,12 @@ bool provision_adaptive(flex::RuntimePolicy& policy, const DeploymentImage& imag
 // worst-case FLEX checkpoint energy across the shipped variants — the
 // budget the caller's voltage-monitor threshold must cover. `dense` may
 // be null (fixed runtimes, or an unprovisioned single-variant image).
+// `completion` is the shared calibration slot of the image (null: the
+// policy keeps a private one).
 double provision_deployment(flex::RuntimePolicy& policy, const dev::CostModel& cost,
                             const ace::CompiledModel& primary,
-                            const ace::CompiledModel* dense, double burst_energy_j);
+                            const ace::CompiledModel* dense, double burst_energy_j,
+                            std::shared_ptr<CompletionSlot> completion = nullptr);
 
 // Downcast accessor for diagnostics (nullptr for fixed policies). The
 // mutable overload is what the job queue's admission control uses

@@ -168,8 +168,8 @@ SpecArgs world_args(const std::string& line, const char* kind) {
   std::vector<std::string> tokens;
   for (std::string t; is >> t;) tokens.push_back(t);
   const std::string where = "contract world \"" + line + "\"";
-  ehdnn::check(!tokens.empty() && tokens.front() == kind,
-               where + ": expected a line starting with '" + kind + "'");
+  ehdnn::check_input(!tokens.empty() && tokens.front() == kind,
+                     where + ": expected a line starting with '" + kind + "'");
   return SpecArgs(where, std::span(tokens).subspan(1));
 }
 
@@ -184,7 +184,7 @@ World parse_world(const std::string& line) {
   World w;
   w.id = a.integer("id", w.id, -kMaxId, kMaxId);
   w.source = a.str("src");
-  w.cap_f = a.num("cap", w.cap_f, SpecArgs::kPositive, kInf);
+  w.cap_f = a.num("cap", w.cap_f, power::kMinCapacitanceF, kInf);
   w.v_on = a.num("von", w.v_on, SpecArgs::kPositive, kInf);
   w.period_s = a.num("period", w.period_s, SpecArgs::kPositive, kInf);
   w.deadline_s = a.num("dl", w.deadline_s, SpecArgs::kPositive, kInf);
@@ -204,8 +204,8 @@ RelockWorld parse_relock_world(const std::string& line) {
   w.lo_w = a.num("lo", w.lo_w, 0.0, kInf);
   w.hi_w = a.num("hi", w.hi_w, 0.0, kInf);
   a.finish();
-  ehdnn::check(w.p1_s != w.p2_s && w.hi_w > w.lo_w,
-               "contract world \"" + line + "\": need p1 != p2 and hi > lo");
+  ehdnn::check_input(w.p1_s != w.p2_s && w.hi_w > w.lo_w,
+                     "contract world \"" + line + "\": need p1 != p2 and hi > lo");
   return w;
 }
 

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "util/check.h"
+#include "util/math.h"
 #include "util/spec.h"
 
 namespace ehdnn::sched {
@@ -175,6 +176,7 @@ class PeriodicForecaster : public HarvestForecaster {
   static constexpr std::size_t kMaxHistory = 512;
   static constexpr std::size_t kGrid = 96;  // resampling resolution
   static constexpr long kDetectEvery = 8;   // detection amortization
+  static constexpr int kSlots = 8;          // fold candidates per detection
 
   void detect() {
     if (history_.size() < 8) {
@@ -198,17 +200,21 @@ class PeriodicForecaster : public HarvestForecaster {
       const double hist_var = var_of_history(hist_mean);
       double best_p = 0.0;
       double best_d = std::numeric_limits<double>::infinity();
+      std::size_t best_slot = 0;
+      std::size_t slot = 0;
       for (const double e : {-0.02, -0.01, 0.0, 0.01, 0.02}) {
         const double p = period_s_ * (1.0 + e);
-        const double d = phase_dispersion(p, hist_var);
+        const double d = phase_dispersion(p, hist_var, slot);
         if (d < best_d) {
           best_d = d;
           best_p = p;
+          best_slot = slot;
         }
+        ++slot;
       }
       if (best_d <= 1.0 - conf_) {
         period_s_ = best_p;
-        build_table(best_p, hist_mean);
+        build_table(best_slot, hist_mean);
         return;
       }
       period_s_ = 0.0;  // the source stopped folding cleanly: re-derive
@@ -264,35 +270,31 @@ class PeriodicForecaster : public HarvestForecaster {
     // smallest candidate that folds as cleanly as the best one. A
     // candidate must average enough samples per period to fill its bins,
     // or a tiny period would fold every sample into its own bin and win
-    // with artificial zero dispersion.
+    // with artificial zero dispersion. Candidate k folds into slot k - 1;
+    // the bin-filling test only gets stricter as k grows, so the
+    // candidates are exactly k < k_end.
     const double n_hist = static_cast<double>(history_.size());
     const double hist_mean = mean_of_history();
     const double hist_var = var_of_history(hist_mean);
-    double best_period = 0.0;
+    double disp[kSlots] = {};
+    int k_end = 1;
+    int best_k = 0;
     double best_disp = std::numeric_limits<double>::infinity();
-    double smallest_ok = 0.0;
-    for (int k = 1; k <= 8; ++k) {
-      const double p = p0 / static_cast<double>(k);
+    for (; k_end <= kSlots; ++k_end) {
+      const double p = p0 / static_cast<double>(k_end);
       if (n_hist * p / span < static_cast<double>(bins_)) break;
-      const double d = phase_dispersion(p, hist_var);
-      if (d < best_disp) {
-        best_disp = d;
-        best_period = p;
+      disp[k_end - 1] = phase_dispersion(p, hist_var, static_cast<std::size_t>(k_end - 1));
+      if (disp[k_end - 1] < best_disp) {
+        best_disp = disp[k_end - 1];
+        best_k = k_end;
       }
     }
-    if (best_period <= 0.0 || best_disp > 1.0 - conf_) return;
-    for (int k = 8; k >= 1; --k) {
-      const double p = p0 / static_cast<double>(k);
-      if (n_hist * p / span < static_cast<double>(bins_)) continue;
-      if (phase_dispersion(p, hist_var) <= std::max(best_disp * 1.2, best_disp + 0.02)) {
-        smallest_ok = p;
-        break;
-      }
-    }
-    const double period = smallest_ok > 0.0 ? smallest_ok : best_period;
+    if (best_k == 0 || best_disp > 1.0 - conf_) return;
+    int k = k_end - 1;  // the smallest period that folds nearly as cleanly
+    while (k > best_k && !(disp[k - 1] <= std::max(best_disp * 1.2, best_disp + 0.02))) --k;
 
-    build_table(period, hist_mean);
-    period_s_ = period;
+    build_table(static_cast<std::size_t>(k - 1), hist_mean);
+    period_s_ = p0 / static_cast<double>(k);
   }
 
   double mean_of_history() const {
@@ -309,19 +311,23 @@ class PeriodicForecaster : public HarvestForecaster {
 
   // Normalized within-phase-bin variance of the history folded at period
   // `p`: ~0 when p (or a multiple) is the true period, ~1 when folding
-  // scrambles the signal.
-  // Scratch buffers are members: detect() runs on every sample and calls
-  // this up to ~20 times per re-derivation — no per-call allocations.
-  double phase_dispersion(double p, double var) const {
+  // scrambles the signal. The fold's per-bin sums and counts are kept in
+  // candidate slot `slot`, so build_table reuses the winner's fold. The
+  // history is time-ordered, so fmod_walk's quotient follows it.
+  double phase_dispersion(double p, double var, std::size_t slot) {
     if (var <= 1e-30) return 1.0;
-    auto& sum = scratch_sum_;
-    auto& sum2 = scratch_sum2_;
-    auto& cnt = scratch_cnt_;
-    sum.assign(bins_, 0.0);
-    sum2.assign(bins_, 0.0);
-    cnt.assign(bins_, 0);
+    fold_sum_.resize(kSlots * bins_);
+    fold_cnt_.resize(kSlots * bins_);
+    scratch_sum2_.resize(bins_);
+    double* const sum = &fold_sum_[slot * bins_];
+    long* const cnt = &fold_cnt_[slot * bins_];
+    double* const sum2 = scratch_sum2_.data();
+    std::fill_n(sum, bins_, 0.0);
+    std::fill_n(cnt, bins_, 0L);
+    std::fill_n(sum2, bins_, 0.0);
+    double k = 0.0;
     for (const Sample& s : history_) {
-      double phase = std::fmod(s.t, p) / p;
+      double phase = fmod_walk(s.t, p, k) / p;
       if (phase < 0.0) phase += 1.0;
       std::size_t b = static_cast<std::size_t>(phase * static_cast<double>(bins_));
       if (b >= bins_) b = bins_ - 1;
@@ -340,25 +346,17 @@ class PeriodicForecaster : public HarvestForecaster {
     return (within / static_cast<double>(n)) / var;
   }
 
-  void build_table(double period, double mean) {
-    // Phase-indexed income table: per-phase means of the RAW samples
-    // (each weighted once — reboot-dense phases do not flood the quiet
-    // ones because the bins are phase-local anyway).
-    table_.assign(bins_, 0.0);
-    auto& counts = scratch_cnt_;
-    counts.assign(bins_, 0);
-    for (const Sample& s : history_) {
-      double phase = std::fmod(s.t, period) / period;
-      if (phase < 0.0) phase += 1.0;
-      std::size_t b = static_cast<std::size_t>(phase * static_cast<double>(bins_));
-      if (b >= bins_) b = bins_ - 1;
-      table_[b] += s.w;
-      ++counts[b];
-    }
+  // Phase-indexed income table from the fold in `slot`: per-phase means
+  // of the RAW samples (each weighted once — reboot-dense phases do not
+  // flood the quiet ones because the bins are phase-local anyway).
+  void build_table(std::size_t slot, double mean) {
+    const double* const sum = &fold_sum_[slot * bins_];
+    const long* const cnt = &fold_cnt_[slot * bins_];
+    table_.resize(bins_);
     for (std::size_t b = 0; b < bins_; ++b) {
       // Unvisited phases (the device never rebooted there) fall back to
       // the history mean rather than claiming zero income.
-      table_[b] = counts[b] > 0 ? table_[b] / static_cast<double>(counts[b]) : mean;
+      table_[b] = cnt[b] > 0 ? sum[b] / static_cast<double>(cnt[b]) : mean;
     }
   }
 
@@ -368,8 +366,10 @@ class PeriodicForecaster : public HarvestForecaster {
   double est_;  // EMA fallback while no period is confirmed
   std::deque<Sample> history_;
   std::vector<double> table_;  // phase-indexed means (empty when unlocked)
-  mutable std::vector<double> scratch_sum_, scratch_sum2_;
-  mutable std::vector<long> scratch_cnt_;
+  // Fold scratch, no per-call allocation: per-candidate bin sums and
+  // counts (kSlots x bins), and one shared sum-of-squares row.
+  std::vector<double> fold_sum_, scratch_sum2_;
+  std::vector<long> fold_cnt_;
   double period_s_ = 0.0;
   long samples_ = 0;
 };
@@ -455,7 +455,8 @@ std::unique_ptr<HarvestForecaster> make_forecaster(const std::string& spec) {
   }
   std::string known;
   for (const auto& k : kKindTable) known += std::string(known.empty() ? "" : "|") + k.kind;
-  fail("forecaster spec \"" + spec + "\": unknown kind \"" + kind + "\" (" + known + ")");
+  fail_input("forecaster spec \"" + spec + "\": unknown kind \"" + kind + "\" (" + known +
+             ")");
 }
 
 }  // namespace ehdnn::sched

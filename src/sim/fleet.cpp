@@ -76,34 +76,34 @@ struct FleetDevice {
 double json_deadline(double v) { return std::isfinite(v) ? v : -1.0; }
 
 void validate(const FleetConfig& cfg) {
-  check(!cfg.groups.empty(), "fleet config: need at least one group");
-  check(cfg.offset_spread_s >= 0.0, "fleet config: spread must be >= 0");
+  check_input(!cfg.groups.empty(), "fleet config: need at least one group");
+  check_input(cfg.offset_spread_s >= 0.0, "fleet config: spread must be >= 0");
   std::set<std::string> names;
   long long population = 0;  // summed in 64 bits: total_devices() is an int
   for (const auto& g : cfg.groups) {
     const std::string where = "fleet group \"" + g.name + "\"";
-    check(names.insert(g.name).second, where + ": duplicate group name");
-    check(g.count >= 1, where + ": count must be >= 1");
+    check_input(names.insert(g.name).second, where + ": duplicate group name");
+    check_input(g.count >= 1, where + ": count must be >= 1");
     population += g.count;
-    check(std::isfinite(g.capacitance_f) && g.capacitance_f > 0.0,
-          where + ": capacitance must be finite and > 0");
-    check(g.max_off_s > 0.0, where + ": max_off must be > 0");
-    check(g.max_reboots >= 1, where + ": reboots must be >= 1");
-    check(g.max_futile >= 0, where + ": max_futile must be >= 0");
-    check(g.agenda.jobs >= 1, where + ": jobs must be >= 1");
-    check(g.agenda.period_s > 0.0, where + ": agenda period must be > 0");
-    check(g.agenda.deadline_s > 0.0, where + ": deadline must be > 0");
+    check_input(std::isfinite(g.capacitance_f) && g.capacitance_f > 0.0,
+                where + ": capacitance must be finite and > 0");
+    check_input(g.max_off_s > 0.0, where + ": max_off must be > 0");
+    check_input(g.max_reboots >= 1, where + ": reboots must be >= 1");
+    check_input(g.max_futile >= 0, where + ": max_futile must be >= 0");
+    check_input(g.agenda.jobs >= 1, where + ": jobs must be >= 1");
+    check_input(g.agenda.period_s > 0.0, where + ": agenda period must be > 0");
+    check_input(g.agenda.deadline_s > 0.0, where + ": deadline must be > 0");
     runtime_uses_compressed_model(g.agenda.runtime);  // throws on unknown key
     if (!g.sched_spec.empty()) {
-      check(runtime_is_adaptive(g.agenda.runtime),
-            where + ": sched= only applies to the adaptive runtime");
+      check_input(runtime_is_adaptive(g.agenda.runtime),
+                  where + ": sched= only applies to the adaptive runtime");
       sched::parse_adaptive_spec(g.sched_spec);  // throws on malformed spec
     }
   }
-  check(population <= std::numeric_limits<int>::max(),
-        "fleet config: population of " + std::to_string(population) +
-            " devices exceeds the limit of " +
-            std::to_string(std::numeric_limits<int>::max()));
+  check_input(population <= std::numeric_limits<int>::max(),
+              "fleet config: population of " + std::to_string(population) +
+                  " devices exceeds the limit of " +
+                  std::to_string(std::numeric_limits<int>::max()));
 }
 
 // The model variants a group's runtime executes: adaptive ships both.
@@ -124,9 +124,13 @@ void group_variants(const FleetGroup& g, bool* need_compressed, bool* need_dense
 // produced) and (b) shares the immutable CompiledModel by pointer. This
 // removes the per-device O(model) compile + weight copy from the hot
 // admission path and collapses the group's model storage to one copy.
+// An adaptive group's devices also share one CompletionSlot: the first
+// device whose scheduler needs the completion model calibrates it for
+// the whole group.
 struct GroupTemplate {
   std::shared_ptr<const ace::CompiledModel> cm_primary;
   std::shared_ptr<const ace::CompiledModel> cm_dense;  // adaptive only
+  std::shared_ptr<sched::CompletionSlot> completion;   // adaptive only
   std::unique_ptr<dev::Device> image;  // post-compile FRAM/SRAM snapshot
 };
 
@@ -244,6 +248,7 @@ FleetWorld build_world(const FleetConfig& cfg) {
       tpl.cm_dense = std::make_shared<const ace::CompiledModel>(
           ace::compile(w.qms.at({static_cast<int>(g.task), false}), *tpl.image,
                        /*co_resident=*/true));
+      tpl.completion = std::make_shared<sched::CompletionSlot>();
     }
   }
 
@@ -303,7 +308,7 @@ std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig&
   }
   const double worst_ck = sched::provision_deployment(
       *fd->policy, fd->device.cost(), *fd->cm_primary, fd->cm_dense.get(),
-      fd->supply.burst_energy());
+      fd->supply.burst_energy(), tpl.completion);
   fd->opts.max_reboots = g.max_reboots;
   fd->opts.max_futile_boots = g.max_futile;
   fd->opts.flex_v_warn = power::warn_voltage_for(fd->supply.config(), worst_ck + 5e-6, 3.0);
@@ -784,15 +789,16 @@ FleetConfig parse_fleet_config(std::istream& is) {
     SpecArgs a(where, std::span(tokens).subspan(1));
 
     if (tokens[0] == "fleet") {
-      check(!saw_fleet_line, where + ": duplicate fleet line");
+      check_input(!saw_fleet_line, where + ": duplicate fleet line");
       saw_fleet_line = true;
       cfg.source = a.str("source", cfg.source);
       cfg.offset_spread_s = a.num("spread", cfg.offset_spread_s, 0.0, kInf);
       cfg.seed = a.integer<std::uint64_t>("seed", cfg.seed, 0,
                                           std::numeric_limits<std::uint64_t>::max());
       const std::string detail = a.str("detail", cfg.per_device_detail ? "full" : "aggregate");
-      check(detail == "full" || detail == "aggregate",
-            where + ": detail must be \"full\" or \"aggregate\", got \"" + detail + "\"");
+      check_input(detail == "full" || detail == "aggregate",
+                  where + ": detail must be \"full\" or \"aggregate\", got \"" + detail +
+                      "\"");
       cfg.per_device_detail = detail == "full";
     } else if (tokens[0] == "group") {
       FleetGroup g;
@@ -800,7 +806,7 @@ FleetConfig parse_fleet_config(std::istream& is) {
       g.count = a.integer("count", g.count, 1, 1'000'000'000);
       g.task = models::parse_task(a.str("task", task_key(g.task)));
       g.agenda.runtime = a.str("runtime", g.agenda.runtime);
-      g.capacitance_f = a.num("cap", g.capacitance_f, kPos, kInf);
+      g.capacitance_f = a.num("cap", g.capacitance_f, power::kMinCapacitanceF, kInf);
       g.max_off_s = a.num("max_off", g.max_off_s, kPos, kInf);
       g.max_reboots = a.integer("reboots", g.max_reboots, 1L, kMaxRunLimit);
       g.max_futile = a.integer("max_futile", g.max_futile, 0L, kMaxRunLimit);
@@ -815,7 +821,7 @@ FleetConfig parse_fleet_config(std::istream& is) {
       g.fram_words = a.integer<std::size_t>("fram", g.fram_words, 0, 1'000'000'000'000);
       cfg.groups.push_back(std::move(g));
     } else {
-      fail(where + ": expected \"fleet\" or \"group\", got \"" + tokens[0] + "\"");
+      fail_input(where + ": expected \"fleet\" or \"group\", got \"" + tokens[0] + "\"");
     }
     a.finish();
   }
@@ -825,7 +831,7 @@ FleetConfig parse_fleet_config(std::istream& is) {
 
 FleetConfig parse_fleet_config_file(const std::string& path) {
   std::ifstream f(path);
-  check(f.good(), "fleet config: cannot read " + path);
+  check_input(f.good(), "fleet config: cannot read " + path);
   return parse_fleet_config(f);
 }
 

@@ -77,8 +77,8 @@ const RuntimeEntry& runtime_entry(const std::string& key) {
         // Validate spec arguments HERE so every resolver — the sweep, the
         // fuzzer, and fleet-config validation — rejects a malformed tile
         // spec (t=0, t=-4, unknown keys) before any device is built.
-        check(base == "tile",
-              "scenario: runtime \"" + base + "\" takes no spec arguments (\"" + key + "\")");
+        check_input(base == "tile", "scenario: runtime \"" + base +
+                                        "\" takes no spec arguments (\"" + key + "\")");
         flex::parse_tile_spec(key);
       }
       return rk;
@@ -86,7 +86,7 @@ const RuntimeEntry& runtime_entry(const std::string& key) {
   }
   std::string known;
   for (const auto& rk : kRuntimeTable) known += std::string(known.empty() ? "" : "|") + rk.key;
-  fail("scenario: unknown runtime \"" + key + "\" (" + known + ")");
+  fail_input("scenario: unknown runtime \"" + key + "\" (" + known + ")");
 }
 
 // `src` is the scenario's shared (immutable) harvest source, or nullptr
@@ -205,17 +205,17 @@ ScenarioSpec parse_scenario_arg(const std::string& arg) {
   // NAME=SOURCE[;key=value...] — the first '=' ends the name (harvest
   // specs contain '=' themselves), ';' separates scenario options.
   const std::size_t eq = arg.find('=');
-  check(eq != std::string::npos && eq > 0,
-        "scenario \"" + arg + "\": expected NAME=SOURCE[;key=value...]");
+  check_input(eq != std::string::npos && eq > 0,
+              "scenario \"" + arg + "\": expected NAME=SOURCE[;key=value...]");
   ScenarioSpec sc;
   sc.name = arg.substr(0, eq);
   const std::vector<std::string> items = split(arg.substr(eq + 1), ';');
   sc.source = items.front();
-  check(!sc.source.empty(), "scenario \"" + arg + "\": empty source spec");
+  check_input(!sc.source.empty(), "scenario \"" + arg + "\": empty source spec");
   // The fleet config's bounds for the same keys.
   SpecArgs a("scenario \"" + arg + "\"", std::span(items).subspan(1));
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  sc.capacitance_f = a.num("cap", sc.capacitance_f, SpecArgs::kPositive, kInf);
+  sc.capacitance_f = a.num("cap", sc.capacitance_f, power::kMinCapacitanceF, kInf);
   sc.max_off_s = a.num("max_off", sc.max_off_s, SpecArgs::kPositive, kInf);
   sc.max_reboots = a.integer("reboots", sc.max_reboots, 0L, 1'000'000'000'000'000L);
   sc.max_futile = a.integer("max_futile", sc.max_futile, 0L, 1'000'000'000'000'000L);

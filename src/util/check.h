@@ -17,6 +17,25 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
+// A rejected user input: a config or trace file, a spec, a command-line
+// value. The message names the input and what is wrong with it, and
+// carries no source location, because the fault is in the input, not in
+// the simulator. The tools print it as one line and exit 2; any other
+// Error is an internal fault (file:line, exit 1).
+class UserError : public Error {
+ public:
+  using Error::Error;
+};
+
+// check() and fail() for user input: they throw UserError(msg).
+inline void check_input(bool cond, const std::string& msg) {
+  if (!cond) [[unlikely]] {
+    throw UserError(msg);
+  }
+}
+
+[[noreturn]] inline void fail_input(const std::string& msg) { throw UserError(msg); }
+
 namespace detail {
 // Out-of-line cold throw path: keeps check() itself down to a predicted
 // branch, with no message materialization on the success path.

@@ -45,8 +45,9 @@ CliParser& CliParser::int_min(std::string flag, std::string metavar, std::string
   return value(std::move(flag), std::move(metavar), std::move(help),
                [out, min, f](const std::string& v) {
                  const auto n = parse_int(v, min, std::numeric_limits<int>::max());
-                 check(n.has_value(), f + " needs an integer >= " + std::to_string(min) +
-                                          " that fits an int, got \"" + v + "\"");
+                 check_input(n.has_value(), f + " needs an integer >= " +
+                                                std::to_string(min) +
+                                                " that fits an int, got \"" + v + "\"");
                  *out = *n;
                });
 }
@@ -57,7 +58,7 @@ CliParser& CliParser::num(std::string flag, std::string metavar, std::string hel
   return value(std::move(flag), std::move(metavar), std::move(help),
                [out, f](const std::string& v) {
                  const auto d = parse_double(v);
-                 check(d.has_value(), f + " needs a number, got \"" + v + "\"");
+                 check_input(d.has_value(), f + " needs a number, got \"" + v + "\"");
                  *out = *d;
                });
 }
@@ -69,8 +70,8 @@ CliParser& CliParser::seed(std::string flag, std::string metavar, std::string he
                [out, f](const std::string& v) {
                  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
                  const auto n = parse_int(v, std::uint64_t{0}, kMax);
-                 check(n.has_value(),
-                       f + " needs an unsigned 64-bit integer, got \"" + v + "\"");
+                 check_input(n.has_value(),
+                             f + " needs an unsigned 64-bit integer, got \"" + v + "\"");
                  *out = *n;
                });
 }
@@ -109,14 +110,14 @@ int CliParser::parse(int argc, char** argv) {
           return 2;
         }
         if (o->on_value) {
-          check(i + 1 < argc, arg + " needs a value");
+          check_input(i + 1 < argc, arg + " needs a value");
           o->on_value(argv[++i]);
         } else {
           o->on_flag();
           if (o->is_terminal) return 0;
         }
       } else {
-        check(static_cast<bool>(on_positional_),
+        check_input(static_cast<bool>(on_positional_),
               "unexpected argument \"" + arg + "\" (see --help)");
         on_positional_(arg);
       }

@@ -13,7 +13,7 @@
 // An item splits at its first '=', so values may hold '=' and ','. A key
 // given twice is an error, and so is a key no accessor consumed
 // (finish()): a typo or a repeat is never silently replaced by a default
-// or by the last value.
+// or by the last value. Every rejection is a UserError.
 #pragma once
 
 #include <cmath>
@@ -40,10 +40,10 @@ class SpecArgs {
     for (const std::string& item : items) {
       if (item.empty()) continue;
       const std::size_t eq = item.find('=');
-      check(eq != std::string::npos && eq > 0,
+      check_input(eq != std::string::npos && eq > 0,
             where_ + ": expected key=value, got \"" + item + "\"");
       const std::string key = item.substr(0, eq);
-      check(kv_.emplace(key, item.substr(eq + 1)).second,
+      check_input(kv_.emplace(key, item.substr(eq + 1)).second,
             where_ + ": duplicate key \"" + key + "\"");
     }
   }
@@ -61,7 +61,7 @@ class SpecArgs {
   void require(std::initializer_list<const char*> keys) const {
     for (const char* key : keys) {
       const auto it = kv_.find(key);
-      check(it != kv_.end() && !it->second.empty(),
+      check_input(it != kv_.end() && !it->second.empty(),
             where_ + ": missing key \"" + std::string(key) + "\"");
     }
   }
@@ -72,7 +72,7 @@ class SpecArgs {
     // strtod accepts "nan" and "inf"; no key means either, and a NaN
     // slips past every later range check (all comparisons are false).
     const auto v = parse_double(*text);
-    check(v.has_value() && std::isfinite(*v),
+    check_input(v.has_value() && std::isfinite(*v),
           where_ + ": bad number for " + key + ": \"" + *text + "\"");
     return *v;
   }
@@ -89,7 +89,7 @@ class SpecArgs {
     };
     const std::string range = (lo == kPositive ? "(0" : "[" + text(lo)) + ", " +
                               (std::isinf(hi) ? "inf)" : text(hi) + "]");
-    fail(where_ + ": " + key + " must be in " + range + ", got " + text(v));
+    fail_input(where_ + ": " + key + " must be in " + range + ", got " + text(v));
   }
 
   // An integer key in [lo, hi] (parse_int's grammar); `fallback` when
@@ -99,7 +99,7 @@ class SpecArgs {
     const std::string* text = take(key);
     if (text == nullptr) return fallback;
     const auto v = parse_int(*text, lo, hi);
-    check(v.has_value(), where_ + ": " + key + " must be an integer in [" +
+    check_input(v.has_value(), where_ + ": " + key + " must be an integer in [" +
                              std::to_string(lo) + ", " + std::to_string(hi) + "], got \"" +
                              *text + "\"");
     return *v;
@@ -113,7 +113,7 @@ class SpecArgs {
   // Call after the accessors: every given key must have been consumed.
   void finish() const {
     for (const auto& [k, v] : kv_) {
-      check(used_.count(k) != 0, where_ + ": unknown key \"" + k + "\"");
+      check_input(used_.count(k) != 0, where_ + ": unknown key \"" + k + "\"");
     }
   }
 

@@ -108,6 +108,9 @@ TEST(ContractEnum, MalformedWorldLinesThrow) {
        "sched=adaptive:sel=deadline,admit=budget",
        "bad number for cap"},
       {"relock id=0 p1=0.4 p2=0.8 hi=inf lo=5e-5", "bad number for hi"},
+      {"world id=0 src=const:w=1e-3 cap=1e-30 von=3.3 period=0.4 dl=0.3 jobs=6 "
+       "sched=adaptive:sel=deadline,admit=budget",
+       "cap must be in [1e-09, inf)"},  // the 1 nF capacitor floor
   };
   for (const auto& row : named) {
     try {
@@ -117,7 +120,7 @@ TEST(ContractEnum, MalformedWorldLinesThrow) {
         parse_world(row.line);
       }
       ADD_FAILURE() << row.line << " accepted";
-    } catch (const Error& e) {
+    } catch (const UserError& e) {
       EXPECT_NE(std::string(e.what()).find(row.error), std::string::npos)
           << row.line << ": " << e.what();
     }

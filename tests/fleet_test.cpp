@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "sched/adaptive.h"
 #include "sim/fleet.h"
 #include "sim/fleet_flags.h"
 #include "sim/scenario.h"
@@ -272,6 +273,35 @@ TEST(Fleet, RejectsUnknownRuntime) {
   FleetConfig cfg = tiny_fleet();
   cfg.groups[0].agenda.runtime = "warp-drive";
   EXPECT_THROW(run_fleet(cfg), Error);
+}
+
+// Every adaptive group calibrates its completion model once, on its
+// first device that asks; a group pinned to the tile tier by its burst
+// budget (micro-cap) never asks.
+TEST(Fleet, CalibratesOncePerGroupTemplate) {
+  FleetConfig cfg;
+  cfg.source = "square:hi=4e-3,lo=0.2e-3,period=0.02,duty=0.5";
+  cfg.offset_spread_s = 0.02;
+  for (const char* name : {"a", "b", "micro"}) {
+    FleetGroup g;
+    g.name = name;
+    g.count = 3;
+    g.task = models::Task::kMnist;
+    g.agenda.runtime = "adaptive";
+    g.agenda.jobs = 1;
+    g.agenda.period_s = 0.25;
+    g.capacitance_f = std::string(name) == "micro" ? 0.05e-6 : 10e-6;
+    g.max_reboots = 2000;
+    g.sched_spec = "adaptive:sel=deadline,fc=periodic";
+    cfg.groups.push_back(g);
+  }
+  for (const int jobs : {1, 3}) {
+    FleetRunOptions ropts;
+    ropts.jobs = jobs;
+    const long before = sched::CompletionModel::calibrations_run();
+    run_fleet(cfg, ropts);
+    EXPECT_EQ(sched::CompletionModel::calibrations_run() - before, 2) << jobs << " workers";
+  }
 }
 
 TEST(Fleet, BaselinesRerunThePopulation) {

@@ -17,6 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -281,6 +284,61 @@ TEST(CompletionModelProperty, PredictionsDegradeMonotonicallyWithIncome) {
   const CompletionModel::Tier* sonic_tier = m.tier("sonic");
   ASSERT_NE(sonic_tier, nullptr);
   EXPECT_TRUE(std::isfinite(m.predict_s(*sonic_tier, 1e-6, 0.1e-3, 0.0)));
+}
+
+// A fleet group shares one calibration among devices that differ only in
+// their scramble seed, so the seed must not move a calibrated bit.
+TEST(CompletionModelProperty, CalibrationIgnoresTheScrambleSeed) {
+  Rng rng(0x5c);
+  const auto qm_c = testutil::mixed_model(rng);
+  const auto qm_d = testutil::dense_model(rng);
+  dev::Device dev;
+  const auto cm_c = ace::compile(qm_c, dev);
+  const auto cm_d = ace::compile(qm_d, dev, /*co_resident=*/true);
+  dev::DeviceConfig a = dev.config();
+  dev::DeviceConfig b = a;
+  a.scramble_seed = 1;
+  b.scramble_seed = 0x9e3779b97f4a7c15ull;
+  const CompletionModel ma = CompletionModel::calibrate(cm_c, &cm_d, a);
+  const CompletionModel mb = CompletionModel::calibrate(cm_c, &cm_d, b);
+  ASSERT_EQ(ma.tiers().size(), 5u);
+  ASSERT_EQ(ma.tiers().size(), mb.tiers().size());
+  for (std::size_t i = 0; i < ma.tiers().size(); ++i) {
+    const auto& ta = ma.tiers()[i];
+    const auto& tb = mb.tiers()[i];
+    EXPECT_EQ(ta.key, tb.key);
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    EXPECT_EQ(bits(ta.energy_j), bits(tb.energy_j)) << ta.key;
+    EXPECT_EQ(bits(ta.on_s), bits(tb.on_s)) << ta.key;
+  }
+}
+
+// Policies provisioned with one slot calibrate once and read one model; a
+// policy provisioned without a slot calibrates its own.
+TEST(CompletionModelProperty, PoliciesSharingASlotCalibrateOnce) {
+  Rng rng(0x5d);
+  const auto qm_c = testutil::mixed_model(rng);
+  const auto qm_d = testutil::dense_model(rng);
+  dev::Device image;
+  const auto cm_c = ace::compile(qm_c, image);
+  const auto cm_d = ace::compile(qm_d, image, /*co_resident=*/true);
+  const auto slot = std::make_shared<CompletionSlot>();
+  const long before = CompletionModel::calibrations_run();
+
+  std::vector<const CompletionModel*> models;
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    dev::DeviceConfig dcfg = image.config();
+    dcfg.scramble_seed = seed;
+    dev::Device dev(dcfg);
+    AdaptivePolicy policy(parse_adaptive_spec("adaptive:sel=deadline"));
+    provision_deployment(policy, dev.cost(), cm_c, &cm_d, 1e-3, seed == 13u ? nullptr : slot);
+    EXPECT_EQ(policy.completion_model(), nullptr);  // lazy: nothing asked yet
+    EXPECT_GT(policy.predict_optimistic_s(dev, cm_c), 0.0);
+    models.push_back(policy.completion_model());
+  }
+  EXPECT_EQ(CompletionModel::calibrations_run() - before, 2);
+  EXPECT_EQ(models[0], models[1]);
+  EXPECT_NE(models[0], models[2]);
 }
 
 }  // namespace

@@ -617,16 +617,20 @@ TEST(FleetConfig, RejectsMalformedEntries) {
       {"fleet seed=1 seed=2\ngroup count=1\n", "duplicate key \"seed\""},
       {"group count=1 sched=adaptive:rich=1e-3 sched=adaptive\n", "duplicate key \"sched\""},
       {"group count=1 bogus=1\n", "unknown key \"bogus\""},
+      // Below the 1 nF capacitor floor.
+      {"group count=1 cap=1e-30\n", "cap must be in [1e-09, inf)"},
       // Every count is in range, but the population overflows an int.
       {"group name=a count=1000000000\ngroup name=b count=1000000000\n"
        "group name=c count=1000000000\n",
        "population of 3000000000 devices"},
   };
+  // Each is a UserError: one line, no source location.
   for (const auto& row : named) {
     try {
       parse(row.text);
       ADD_FAILURE() << row.text << " accepted";
-    } catch (const Error& e) {
+    } catch (const UserError& e) {
+      EXPECT_EQ(std::string(e.what()).find("check failed"), std::string::npos) << e.what();
       EXPECT_NE(std::string(e.what()).find(row.error), std::string::npos)
           << row.text << ": " << e.what();
     }

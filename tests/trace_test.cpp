@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "power/factory.h"
 #include "power/trace.h"
 #include "sim/scenario.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace ehdnn::power {
 namespace {
@@ -34,38 +39,38 @@ TEST(TraceCsv, ParsesRowsHeaderAndComments) {
 }
 
 TEST(TraceCsv, EmptyFileThrows) {
-  EXPECT_THROW(parse(""), Error);
-  EXPECT_THROW(parse("# only comments\n\n"), Error);
-  EXPECT_THROW(parse("time_s,power_w\n"), Error);  // header, no samples
+  EXPECT_THROW(parse(""), UserError);
+  EXPECT_THROW(parse("# only comments\n\n"), UserError);
+  EXPECT_THROW(parse("time_s,power_w\n"), UserError);  // header, no samples
 }
 
 TEST(TraceCsv, MalformedRowsThrow) {
-  EXPECT_THROW(parse("0.0,1e-3\nbogus,2e-3\n"), Error);      // bad time
-  EXPECT_THROW(parse("0.0,1e-3\n0.5,watts\n"), Error);       // bad power
-  EXPECT_THROW(parse("0.0,1e-3\n0.5\n"), Error);             // missing field
-  EXPECT_THROW(parse("0.0,1e-3\n0.5,2e-3 trailing\n"), Error);
-  EXPECT_THROW(parse("0.0,1e-3\n0.5,-2e-3\n"), Error);       // negative power
-  EXPECT_THROW(parse("0.0,1e-3\n0.5,inf\n"), Error);         // non-finite
+  EXPECT_THROW(parse("0.0,1e-3\nbogus,2e-3\n"), UserError);      // bad time
+  EXPECT_THROW(parse("0.0,1e-3\n0.5,watts\n"), UserError);       // bad power
+  EXPECT_THROW(parse("0.0,1e-3\n0.5\n"), UserError);             // missing field
+  EXPECT_THROW(parse("0.0,1e-3\n0.5,2e-3 trailing\n"), UserError);
+  EXPECT_THROW(parse("0.0,1e-3\n0.5,-2e-3\n"), UserError);       // negative power
+  EXPECT_THROW(parse("0.0,1e-3\n0.5,inf\n"), UserError);         // non-finite
   // A second header mid-file is a malformed row, not a header.
-  EXPECT_THROW(parse("0.0,1e-3\ntime_s,power_w\n"), Error);
+  EXPECT_THROW(parse("0.0,1e-3\ntime_s,power_w\n"), UserError);
   // Only ONE leading non-numeric row is tolerated (the header): a file
   // with a systematically wrong delimiter must throw, not silently
   // degrade to whatever rows happen to contain a comma.
-  EXPECT_THROW(parse("0.0;1e-3\n0.5;2e-3\n1.0,5e-3\n"), Error);
-  EXPECT_THROW(parse("time_s,power_w\nunits,mw\n0.0,1e-3\n"), Error);
+  EXPECT_THROW(parse("0.0;1e-3\n0.5;2e-3\n1.0,5e-3\n"), UserError);
+  EXPECT_THROW(parse("time_s,power_w\nunits,mw\n0.0,1e-3\n"), UserError);
   // A row that starts numerically is data, never a header: a typo in the
   // FIRST sample of a headerless trace must throw, not drop the sample.
-  EXPECT_THROW(parse("0.0,1e-3x\n0.5,2e-3\n"), Error);
-  EXPECT_THROW(parse("0.0;1e-3\n0.5,2e-3\n"), Error);
+  EXPECT_THROW(parse("0.0,1e-3x\n0.5,2e-3\n"), UserError);
+  EXPECT_THROW(parse("0.0;1e-3\n0.5,2e-3\n"), UserError);
 }
 
 TEST(TraceCsv, NonMonotonicTimestampsThrow) {
-  EXPECT_THROW(parse("0.0,1e-3\n0.5,2e-3\n0.4,3e-3\n"), Error);  // decreasing
-  EXPECT_THROW(parse("0.0,1e-3\n0.0,2e-3\n"), Error);            // duplicate
+  EXPECT_THROW(parse("0.0,1e-3\n0.5,2e-3\n0.4,3e-3\n"), UserError);  // decreasing
+  EXPECT_THROW(parse("0.0,1e-3\n0.0,2e-3\n"), UserError);            // duplicate
 }
 
 TEST(TraceCsv, MissingFileThrows) {
-  EXPECT_THROW(load_trace_csv("/nonexistent/definitely_not_here.csv"), Error);
+  EXPECT_THROW(load_trace_csv("/nonexistent/definitely_not_here.csv"), UserError);
 }
 
 TEST(TraceSourceReplay, LinearInterpolation) {
@@ -122,6 +127,67 @@ TEST(TraceSourceReplay, ScaleMultipliesPower) {
   TraceHarvestSource s(parse("0.0,1e-3\n1.0,3e-3\n"), TraceInterp::kLinear,
                        /*loop=*/false, /*scale=*/2.0);
   EXPECT_DOUBLE_EQ(s.power_at(0.5), 4e-3);
+}
+
+// power_seek with one cursor, fed `times` in order, equals the stateless
+// power_at bit for bit.
+void expect_seek_matches(const HarvestSource& s, const std::vector<double>& times) {
+  SourceCursor c;
+  for (const double t : times) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(s.power_seek(t, c)),
+              std::bit_cast<std::uint64_t>(s.power_at(t)))
+        << "t = " << t;
+  }
+}
+
+// A 57-point trace starting at t0, like traces/rf_office.csv.
+PowerTrace random_trace(double t0, std::uint64_t seed) {
+  Rng rng(seed);
+  PowerTrace tr;
+  double t = t0;
+  for (int i = 0; i < 57; ++i) {
+    tr.points.push_back({t, rng.uniform(0.0, 5e-3)});
+    t += rng.uniform(0.01, 0.3);
+  }
+  return tr;
+}
+
+TEST(TraceSourceCursor, MatchesPowerAtAcrossLoopsSamplesAndSeams) {
+  for (const double t0 : {0.0, 10.0}) {
+    const PowerTrace tr = random_trace(t0, 0xc0de + static_cast<std::uint64_t>(t0));
+    const double span = tr.span_s();
+    // Every sample time and the seam, as a replay time, in many loop
+    // cycles, each with its neighbours one ulp either side.
+    std::vector<double> times;
+    for (int cycle = 0; cycle < 400; ++cycle) {
+      for (const TracePoint& pt : tr.points) {
+        const double t = static_cast<double>(cycle) * span + (pt.t - t0);
+        times.push_back(std::nextafter(t, -1e300));
+        times.push_back(t);
+        times.push_back(std::nextafter(t, 1e300));
+      }
+    }
+    // Dense forward steps, like a supply settling small draws.
+    for (double t = 1000.0 * span; t < 1003.0 * span; t += 1e-4) times.push_back(t);
+    // Negative times and a cursor that jumps backward.
+    for (const double t : {-0.25 * span, -3.5 * span, 7.0 * span, 2.0 * span, 0.5, 0.0,
+                           -0.0, 1e6 * span, 3.0 * span}) {
+      times.push_back(t);
+    }
+    for (const TraceInterp interp : {TraceInterp::kLinear, TraceInterp::kZeroOrderHold}) {
+      for (const bool loop : {true, false}) {
+        TraceHarvestSource s(tr, interp, loop, /*scale=*/0.7);
+        expect_seek_matches(s, times);
+        // Through a device's offset view, which forwards the cursor.
+        expect_seek_matches(TimeOffsetSource(s, 0.123), times);
+      }
+    }
+  }
+}
+
+TEST(TraceSourceCursor, SinglePointTraceIgnoresTheLoop) {
+  TraceHarvestSource s(parse("5.0,2e-3\n"), TraceInterp::kLinear, /*loop=*/true);
+  expect_seek_matches(s, {0.0, 1.0, -1.0, 1e9});
 }
 
 TEST(Factory, BuildsEveryKind) {
@@ -218,12 +284,13 @@ TEST(ScenarioArg, RejectsMalformed) {
       {"x=const:w=1e-3;max_off=inf", "bad number for max_off"},
       {"x=const:w=1e-3;cap=1e-6;cap=2e-6", "duplicate key \"cap\""},
       {"x=const:w=1e-3;volts=3", "unknown key \"volts\""},
+      {"x=const:w=1e-3;cap=1e-30", "cap must be in [1e-09, inf)"},  // the 1 nF floor
   };
   for (const auto& row : named) {
     try {
       sim::parse_scenario_arg(row.arg);
       ADD_FAILURE() << row.arg << " accepted";
-    } catch (const Error& e) {
+    } catch (const UserError& e) {
       EXPECT_NE(std::string(e.what()).find(row.error), std::string::npos)
           << row.arg << ": " << e.what();
     }

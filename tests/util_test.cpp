@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -152,6 +154,59 @@ TEST(Math, DivCeil) {
   EXPECT_EQ(div_ceil(10, 5), 2u);
   EXPECT_EQ(div_ceil(11, 5), 3u);
   EXPECT_EQ(div_ceil(1, 5), 1u);
+}
+
+// fmod_walk is the periodic forecaster's fold: it must equal std::fmod bit
+// for bit (a sign of zero included) however its quotient guess stands.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(FmodWalk, MatchesFmodAtAndAroundMultiplesOfThePeriod) {
+  for (const double p : {0.1, 1.0 / 3.0, 0.75, 2.0, 0.0123456789, 7.3e-5}) {
+    double k = 0.0;
+    for (const double t : {0.0, -0.0}) {
+      EXPECT_EQ(bits(fmod_walk(t, p, k)), bits(std::fmod(t, p))) << p;
+    }
+    // Times walk forward through 3000 periods: each multiple of p as
+    // rounded, with its neighbours one ulp either side.
+    for (int n = 0; n < 3000; ++n) {
+      const double m = static_cast<double>(n) * p;
+      for (const double t : {std::nextafter(m, -1.0), m, std::nextafter(m, 1e300)}) {
+        if (t < 0.0) continue;
+        ASSERT_EQ(bits(fmod_walk(t, p, k)), bits(std::fmod(t, p))) << p << " " << t;
+      }
+    }
+    // Negative times and backward jumps take std::fmod and re-seed k.
+    for (const double t : {-0.5 * p, -3.0 * p, 1e6 * p, 2.5 * p, -1e-300, 0.0}) {
+      EXPECT_EQ(bits(fmod_walk(t, p, k)), bits(std::fmod(t, p))) << p << " " << t;
+    }
+  }
+}
+
+TEST(FmodWalk, MatchesFmodOverForecasterHistories) {
+  // 512-sample time-ordered histories like the forecaster's: gaps below
+  // a period, an occasional gap of several periods, and repeated times
+  // (a clamped clock), folded at candidate periods around the truth.
+  Rng rng(0xf01d);
+  for (int trial = 0; trial < 40; ++trial) {
+    const double period = rng.uniform(0.01, 5.0);
+    std::vector<double> ts;
+    double t = rng.uniform(0.0, 100.0);
+    for (int i = 0; i < 512; ++i) {
+      const double u = rng.uniform();
+      if (u >= 0.1) {
+        t += rng.uniform(0.0, period / 10.0);
+      } else if (u >= 0.05) {
+        t += rng.uniform(1.0, 6.0) * period;
+      }  // else the time repeats
+      ts.push_back(t);
+    }
+    for (const double p : {period * 0.98, period, period / 3.0, period * 1.02}) {
+      double k = 0.0;
+      for (const double ti : ts) {
+        ASSERT_EQ(bits(fmod_walk(ti, p, k)), bits(std::fmod(ti, p))) << p << " " << ti;
+      }
+    }
+  }
 }
 
 // parse_int rejects junk, non-finite, fractional and out-of-range fields

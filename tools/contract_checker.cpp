@@ -10,7 +10,8 @@
 //
 // Output is deterministic: byte-identical across runs and --jobs N (no
 // host clocks, results reduced in world order). Exit 0 on PASS, 1 on any
-// violation, 2 on a malformed command line.
+// violation or internal fault, 2 on malformed input (a flag or a world
+// line), reported as one line.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
                      "formal admission/tier/forecast contracts (CONTRACTS.md).");
   p.value("--depth", "bounded|full", "grid depth (default bounded: the <60 s ctest subset)",
           [&](const std::string& v) {
-            ehdnn::check(v == "bounded" || v == "full",
+            ehdnn::check_input(v == "bounded" || v == "full",
                          "--depth must be bounded or full");
             depth = v;
           })
@@ -122,7 +123,7 @@ int main(int argc, char** argv) {
     std::ostream* os = &std::cout;
     if (!out_path.empty()) {
       of.open(out_path, std::ios::binary);
-      ehdnn::check(of.good(), "cannot open --out " + out_path);
+      ehdnn::check_input(of.good(), "cannot open --out " + out_path);
       os = &of;
     }
 
@@ -141,8 +142,11 @@ int main(int argc, char** argv) {
     const contract::Report rep = contract::check_depth(d, jobs);
     contract::write_report(*os, rep, depth);
     return rep.pass() ? 0 : 1;
-  } catch (const ehdnn::Error& e) {
+  } catch (const ehdnn::UserError& e) {
     std::cerr << "contract_checker: " << e.what() << "\n";
     return 2;
+  } catch (const ehdnn::Error& e) {
+    std::cerr << "contract_checker: " << e.what() << "\n";
+    return 1;
   }
 }

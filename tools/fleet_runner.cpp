@@ -22,6 +22,9 @@
 //   ./build/fleet_runner --config big.cfg --shards 4 --shard 0 --out s0.part
 //   ...                                             --shard 3 --out s3.part
 //   ./build/fleet_runner --merge --out FLEET.json s0.part s1.part s2.part s3.part
+//
+// Exit 0 on success, 2 on malformed input (a flag, a config line, a spec,
+// a trace file), reported as one line, and 1 on an internal fault.
 
 #include <cstdint>
 #include <cstdio>
@@ -87,13 +90,14 @@ int main(int argc, char** argv) {
   };
   auto to_num = [](const char* flag, const std::string& v) {
     const auto d = parse_double(v);
-    check(d.has_value(), std::string(flag) + " needs a number, got \"" + v + "\"");
+    check_input(d.has_value(), std::string(flag) + " needs a number, got \"" + v + "\"");
     return *d;
   };
   auto to_int = []<class Int>(const char* flag, const std::string& v, Int lo, Int hi) {
     const auto n = parse_int(v, lo, hi);
-    check(n.has_value(), std::string(flag) + " needs an integer in [" + std::to_string(lo) +
-                             ", " + std::to_string(hi) + "], got \"" + v + "\"");
+    check_input(n.has_value(), std::string(flag) + " needs an integer in [" +
+                                   std::to_string(lo) + ", " + std::to_string(hi) +
+                                   "], got \"" + v + "\"");
     return *n;
   };
   p.value("--devices", "N", "population size (flag-built fleets)",
@@ -196,14 +200,14 @@ int main(int argc, char** argv) {
     auto write_traces = [&](const sim::FleetReport& r) {
       if (!trace_out.empty()) {
         std::ofstream tf(trace_out);
-        check(tf.good(), "cannot write " + trace_out);
+        check_input(tf.good(), "cannot write " + trace_out);
         obs::write_chrome_trace(tf, r.traces);
         std::fprintf(stderr, "fleet_runner: %zu trace tracks -> %s\n", r.traces.size(),
                      trace_out.c_str());
       }
       if (!trace_text_out.empty()) {
         std::ofstream tf(trace_text_out);
-        check(tf.good(), "cannot write " + trace_text_out);
+        check_input(tf.good(), "cannot write " + trace_text_out);
         obs::write_text_trace(tf, r.traces);
         std::fprintf(stderr, "fleet_runner: %zu trace tracks -> %s\n", r.traces.size(),
                      trace_text_out.c_str());
@@ -213,7 +217,7 @@ int main(int argc, char** argv) {
     if (merge) {
       const sim::FleetReport r = sim::merge_fleet_shards(merge_inputs);
       std::ofstream f(out_path);
-      check(f.good(), "cannot write " + out_path);
+      check_input(f.good(), "cannot write " + out_path);
       sim::write_fleet_json(f, r);
       write_traces(r);
       std::fprintf(stderr, "fleet_runner: merged %zu shards, %d devices -> %s\n",
@@ -231,7 +235,7 @@ int main(int argc, char** argv) {
 
     if (shard >= 0 || shards > 1) {
       std::ofstream f(out_path);
-      check(f.good(), "cannot write " + out_path);
+      check_input(f.good(), "cannot write " + out_path);
       sim::FleetEngine(cfg).run_shard(f, shard, shards, ropts);
       std::fprintf(stderr, "fleet_runner: shard %d/%d -> %s\n", shard, shards,
                    out_path.c_str());
@@ -252,7 +256,7 @@ int main(int argc, char** argv) {
     const sim::FleetReport r = sim::run_fleet(cfg, ropts);
 
     std::ofstream f(out_path);
-    check(f.good(), "cannot write " + out_path);
+    check_input(f.good(), "cannot write " + out_path);
     sim::write_fleet_json(f, r);
     write_traces(r);
     std::fprintf(stderr,
@@ -288,6 +292,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "fleet_runner: baseline %-8s %d completed, %d in deadline\n",
                    b.runtime.c_str(), b.jobs_completed, b.jobs_in_deadline);
     }
+  } catch (const UserError& e) {
+    std::fprintf(stderr, "fleet_runner: %s\n", e.what());
+    return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "fleet_runner: %s\n", e.what());
     return 1;

@@ -15,6 +15,10 @@
 // power, the paper's constant-harvest regime, a square duty cycle, bursty
 // Poisson RF, a solar-day ramp, and the committed traces/*.csv files.
 // --smoke runs a two-scenario ace/flex MNIST sweep (the ctest entry).
+//
+// Exit 0 on success, 2 on malformed input (a flag, a scenario, a spec, a
+// trace file), reported as one line, and 1 on an internal fault or a
+// failed smoke expectation.
 
 #include <cstdint>
 #include <cstdio>
@@ -134,8 +138,8 @@ int main(int argc, char** argv) {
   p.value("--trace-capacity", "N", "events retained per traced cell",
           [&](const std::string& v) {
             const auto n = parse_int(v, 1L, std::numeric_limits<long>::max());
-            check(n.has_value(),
-                  "--trace-capacity needs a positive integer, got \"" + v + "\"");
+            check_input(n.has_value(),
+                        "--trace-capacity needs a positive integer, got \"" + v + "\"");
             opts.trace_capacity = *n;
           });
   add_listing_flags(p);
@@ -191,21 +195,21 @@ int main(int argc, char** argv) {
     std::ofstream f(out_path);
     if (!f.good()) {
       std::fprintf(stderr, "scenario_runner: cannot write %s\n", out_path.c_str());
-      return 1;
+      return 2;
     }
     sim::write_scenarios_json(f, m);
     std::fprintf(stderr, "scenario_runner: wrote %zu cells to %s\n", m.cells.size(),
                  out_path.c_str());
     if (!trace_out.empty()) {
       std::ofstream tf(trace_out);
-      check(tf.good(), "cannot write " + trace_out);
+      check_input(tf.good(), "cannot write " + trace_out);
       obs::write_chrome_trace(tf, m.traces);
       std::fprintf(stderr, "scenario_runner: %zu trace tracks -> %s\n", m.traces.size(),
                    trace_out.c_str());
     }
     if (!trace_text_out.empty()) {
       std::ofstream tf(trace_text_out);
-      check(tf.good(), "cannot write " + trace_text_out);
+      check_input(tf.good(), "cannot write " + trace_text_out);
       obs::write_text_trace(tf, m.traces);
       std::fprintf(stderr, "scenario_runner: %zu trace tracks -> %s\n", m.traces.size(),
                    trace_text_out.c_str());
@@ -261,6 +265,9 @@ int main(int argc, char** argv) {
                    "scenario_runner: sched smoke ok (both adaptive modes complete "
                    "everywhere flex does; ace DNFs office-rf)\n");
     }
+  } catch (const UserError& e) {
+    std::fprintf(stderr, "scenario_runner: %s\n", e.what());
+    return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "scenario_runner: %s\n", e.what());
     return 1;
