@@ -27,15 +27,12 @@ Device::Device(DeviceConfig cfg, DeviceSlabs* slabs)
                 : MemoryRegion(MemKind::kFram, cfg.fram_words)),
       scramble_rng_(cfg.scramble_seed) {}
 
-// The inline fast path in device.h already buffered the draw when the
-// open window could take it; this tail sees only window-refused draws.
-// A latched device has no window open, so every op lands here and the
-// latch is tested first. Otherwise: charge the trace, settle, then either
-// arm a fresh window or fall back to per-op consume.
-bool Device::spend_slow(Rail rail, double cycles, double joules, double dt) {
-  if (browned_out_) return false;
-  trace_.add(rail, joules, cycles);
-  if (supply_ == nullptr) return true;
+// Settles the open window, then arms a fresh one from the supply's
+// budget, or, near brown-out (or against a supply that opted out),
+// settles the draw per op, so the failure lands on exactly the op it
+// would have. That op's charge stays on the trace; its effect does not
+// apply.
+bool Device::spend_windowed(double joules, double dt) {
   if (prepaid_open_) {
     settle_supply();
   }
@@ -48,9 +45,6 @@ bool Device::spend_slow(Rail rail, double cycles, double joules, double dt) {
       return true;
     }
   }
-  // Near brown-out (or against a supply that opted out): per-op
-  // settlement, so the failure lands on exactly the op it would have.
-  // That op's charge stays on the trace; its effect does not apply.
   browned_out_ = !supply_->consume(joules, dt);
   return !browned_out_;
 }
@@ -59,9 +53,12 @@ void Device::settle_supply() {
   if (!prepaid_open_) return;
   prepaid_open_ = false;
   prepaid_budget_ = 0.0;
-  const std::size_t n = prepaid_.size();
-  const std::size_t done = supply_->consume_batch(prepaid_.data(), n);
+  const SpendBatch batch{prepaid_, prepaid_runs_};
+  const std::size_t n = prepaid_.size() + (kPrepaidMaxEvents - prepaid_cap_);
+  const std::size_t done = supply_->consume_batch(batch);
   prepaid_.clear();
+  prepaid_runs_.clear();
+  prepaid_cap_ = kPrepaidMaxEvents;
   if (done != n) {
     // The budget guarantee (prepaid_budget's slack) makes this
     // unreachable; a brown-out here would mean ops whose architectural

@@ -44,7 +44,6 @@
 #include <array>
 #include <cstdint>
 #include <initializer_list>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -90,18 +89,22 @@ struct FixedOpCost {
 // repeats: one loop iteration's draws, in the order its ops make them.
 class ChargePattern {
  public:
-  static constexpr std::size_t kMaxSteps = 4;
+  static constexpr std::size_t kMaxSteps = SpendRun::kMaxSteps;
   ChargePattern(std::initializer_list<FixedOpCost> steps) : n_(steps.size()) {
     check(n_ >= 1 && n_ <= kMaxSteps, "ChargePattern: 1 to 4 charges");
     std::copy(steps.begin(), steps.end(), steps_.begin());
+    for (std::size_t i = 0; i < n_; ++i) draws_[i] = {steps_[i].joules, steps_[i].dt};
   }
   std::span<const FixedOpCost> steps() const { return {steps_.data(), n_}; }
+  // `reps` repetitions of the pattern as one settlement entry.
+  SpendRun run(std::size_t reps, std::size_t at) const { return {draws_, n_, reps, at}; }
   bool operator==(const ChargePattern& o) const {
     return std::ranges::equal(steps(), o.steps());
   }
 
  private:
   std::array<FixedOpCost, kMaxSteps> steps_{};
+  std::array<SpendEvent, kMaxSteps> draws_{};  // steps_' (joules, dt)
   std::size_t n_;
 };
 static_assert(ChargePattern::kMaxSteps <= EnergyTrace::kRepeatedRails);
@@ -179,17 +182,18 @@ class Device {
   void write(MemKind mem, Addr a, fx::q15_t v);
 
   // ---- bulk CPU accesses ----------------------------------------------
-  // Block transfers with the exact cost model of the equivalent scalar
-  // read()/write() sequence, charged as ONE bounds check and ONE
+  // Block transfers charged with the cycles and joules of the equivalent
+  // scalar read()/write() sequence, as ONE bounds check and ONE
   // aggregated cost/energy event per call instead of one per word. When
   // the supply's headroom cannot cover a whole block, every bulk entry
   // point falls back to the scalar per-word sequence, so a brown-out
   // mid-block leaves the same word-granular clean FRAM prefix AND the
   // same prefix-only trace/supply accounting the scalar path would.
-  // (Under a *time-varying* harvest source the aggregated draw samples
-  // income once per block, so later failure timing may shift vs. the
-  // scalar path — see PowerSupply::headroom; outputs and cost totals are
-  // unaffected.)
+  // The aggregated draw is not the per-word sequence's model on a
+  // capacitor: it integrates harvest income and meets the v_max clamp
+  // once per block, so later failure instants, reboots and energy totals
+  // differ from the per-word path (see PowerSupply::headroom); inference
+  // outputs do not.
   //
   // set_bulk_enabled(false) charges every bulk entry point per word and
   // refuses every charge run — the reference mode the perf harness and
@@ -259,13 +263,15 @@ class Device {
   // Charges whole repetitions of `p`, at most `reps`, and returns how
   // many it charged. Every draw is the one its op would make — the same
   // trace additions in the same order, the same prepaid-window budget
-  // test and event cap, the same SpendEvents — and a repetition is charged
-  // only when all its draws provably take the arm the ops would take:
-  //   * inside an open prepaid window, buffered against its budget;
+  // test and event cap, the same settled draws — and a repetition is
+  // charged only when all its draws provably take the arm the ops would
+  // take:
+  //   * inside an open prepaid window, buffered against its budget as
+  //     one SpendRun entry;
   //   * on bench power (no supply), trace only;
   //   * on an infallible() supply with no window (ContinuousPower),
-  //     settled with it, in order, through consume_batch() before it
-  //     returns.
+  //     settled with it, as one SpendRun, through consume_batch()
+  //     before it returns.
   // Anywhere else — a fallible supply with no window open, a window that
   // cannot take the next repetition, a latched device,
   // set_bulk_enabled(false) — it stops short, never inside a repetition.
@@ -340,7 +346,8 @@ class Device {
   // Against a prepay_safe() supply, spend_fixed() arms a window from
   // PowerSupply::prepaid_budget() and buffers draws against a local
   // accumulator instead of routing each through virtual consume(). The
-  // buffered draws are replayed in order (consume_batch) at settlement
+  // buffered draws — single draws, and each charge run as one SpendRun
+  // entry — are replayed in order (consume_batch) at settlement
   // points — slice boundaries (the executor calls settle_supply), voltage
   // samples, and any state-dependent query — so supply-side arithmetic,
   // income sampling, and failure instants are bit-identical to per-op
@@ -353,18 +360,28 @@ class Device {
  private:
   // Settlement windows are bounded so the supply's budget slack
   // (PowerSupply::prepaid_budget) covers the worst-case replay rounding.
+  // The bound counts settled draws: a run's entry counts reps * n.
   static constexpr std::size_t kPrepaidMaxEvents = 4096;
 
-  bool spend_slow(Rail rail, double cycles, double joules, double dt);
+  // spend_fixed()'s tail: the draws its inline arm refused. A latched
+  // device has no window open, so every op lands here and the latch is
+  // tested first. Then the trace is charged and, against a supply, the
+  // draw settles alone (consume) or through the window (spend_windowed).
+  // The per-op arm is here, in the header, so that read() and write() on
+  // a supply without windows (ContinuousPower) inline it whatever the
+  // compiler decides for the window code.
+  bool spend_slow(Rail rail, double cycles, double joules, double dt) {
+    if (browned_out_) return false;
+    trace_.add(rail, joules, cycles);
+    if (supply_ == nullptr) return true;
+    if (prepaid_open_ || prepay_supported_) return spend_windowed(joules, dt);
+    browned_out_ = !supply_->consume(joules, dt);
+    return !browned_out_;
+  }
+  bool spend_windowed(double joules, double dt);
   // lea_fft and lea_ifft: the same draw, then the transform in place.
   int lea_transform(Addr a, std::size_t n, dsp::FftScaling scaling, fx::SatStats* stats,
                     bool inverse);
-
-  // A charge run buffers or settles its SpendEvents kRunChunkReps
-  // repetitions at a time, copied from run_events(p): p's events repeated
-  // that often, rebuilt only when the pattern differs from the last one's.
-  static constexpr std::size_t kRunChunkReps = 32;
-  const SpendEvent* run_events(const ChargePattern& p);
 
   // The draw of `cycles` at `active_power_watts` plus extra joules: the
   // one cost formula every draw is built from. The scalar word accesses
@@ -379,7 +396,7 @@ class Device {
   // device-second — so the common case (an open prepaid window with
   // budget to spare) is inline: trace bookkeeping and one buffered event.
   // Everything else (the brown-out latch, settlement, arming a new window,
-  // per-op consume near brown-out, bench power) is the out-of-line tail.
+  // per-op consume near brown-out, bench power) is the tail, spend_slow.
   // Returns false when the op must not apply its effect: its own draw
   // browned out, or the device already had. The inline arm returns a
   // constant true, so an op's `if (spend_fixed(...))` folds away on the
@@ -387,7 +404,7 @@ class Device {
   // left to its heuristics the compiler stops inlining it there.
   [[gnu::always_inline]] bool spend_fixed(const FixedOpCost& c) {
     if (prepaid_open_ && c.joules <= prepaid_budget_ &&
-        prepaid_.size() < kPrepaidMaxEvents) {
+        prepaid_.size() < prepaid_cap_) {
       trace_.add(c.rail, c.joules, c.cycles);
       prepaid_budget_ -= c.joules;
       prepaid_.push_back({c.joules, c.dt});
@@ -431,9 +448,12 @@ class Device {
   bool infallible_ = false;        // cached supply->infallible()
   bool prepaid_open_ = false;
   double prepaid_budget_ = 0.0;    // remaining armed budget (joules)
+  // The open window: its single draws, and its charge runs as entries
+  // that settle between them. prepaid_cap_ bounds prepaid_.size(): the
+  // event cap less the draws the runs already hold.
   std::vector<SpendEvent> prepaid_;
-  std::optional<ChargePattern> run_pattern_;
-  std::vector<SpendEvent> run_events_;
+  std::vector<SpendRun> prepaid_runs_;
+  std::size_t prepaid_cap_ = kPrepaidMaxEvents;
   std::vector<fx::cq15> fft_scratch_;  // reused by lea_fft/lea_ifft
 };
 

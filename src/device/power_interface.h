@@ -9,8 +9,10 @@
 // simulates the off period and the reboot.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <limits>
+#include <span>
 
 namespace ehdnn::dev {
 
@@ -20,6 +22,55 @@ struct SpendEvent {
   double joules = 0.0;
   double dt = 0.0;
 };
+
+// A charge run (Device::charge_run) as one settlement entry: `reps`
+// repetitions of the draws steps[0, n), in that order, so reps * n draws.
+struct SpendRun {
+  static constexpr std::size_t kMaxSteps = 4;
+  std::array<SpendEvent, kMaxSteps> steps{};
+  std::size_t n = 0;
+  std::size_t reps = 0;
+  std::size_t at = 0;  // settles after the batch's first `at` single draws
+};
+
+// The draws one settlement replays: the single draws in order, with each
+// run settled after the first `at` of them (runs in order of `at`).
+struct SpendBatch {
+  std::span<const SpendEvent> draws;
+  std::span<const SpendRun> runs;
+
+  std::size_t size() const {
+    std::size_t n = draws.size();
+    for (const SpendRun& r : runs) n += r.reps * r.n;
+    return n;
+  }
+};
+
+// Calls draw(ev) for each draw of `b` in settlement order, a run's draws
+// expanded, until a call returns false. Returns the index of that draw,
+// or b.size() when every call returned true. Forced inline, so a
+// caller's running sums stay in registers (ContinuousPower settles every
+// charge run of the continuous-power runs through it).
+template <class Draw>
+[[gnu::always_inline]] inline std::size_t for_each_draw(const SpendBatch& b, Draw&& draw) {
+  std::size_t idx = 0, pos = 0;
+  for (const SpendRun& r : b.runs) {
+    for (; pos < r.at; ++pos, ++idx) {
+      if (!draw(b.draws[pos])) return idx;
+    }
+    // One flat loop over the run's draws (a step index that wraps), so a
+    // short pattern costs no inner-loop exit per repetition.
+    const std::size_t n = r.reps * r.n;
+    for (std::size_t k = 0, i = 0; k < n; ++k, ++idx) {
+      if (!draw(r.steps[i])) return idx;
+      i = i + 1 == r.n ? 0 : i + 1;
+    }
+  }
+  for (; pos < b.draws.size(); ++pos, ++idx) {
+    if (!draw(b.draws[pos])) return idx;
+  }
+  return idx;
+}
 
 // Execution landmarks the intermittent runtimes announce to the supply.
 // Physical supplies ignore them; schedule-driven supplies (the
@@ -44,17 +95,15 @@ class PowerSupply {
   virtual bool consume(double joules, double dt) = 0;
 
   // Settle a batch of recorded draws, equivalent to calling consume() once
-  // per event in order. Returns the index of the first event that browned
-  // out, or `n` when every draw succeeded. Overrides may cache
-  // source-segment state across the batch but must preserve per-event
-  // arithmetic and failure instants exactly — the prepaid window's
+  // per draw in settlement order. Returns the index of the first draw
+  // that browned out, or b.size() when every draw succeeded. Overrides may
+  // cache source-segment state across the batch and settle a run's
+  // repetitions in closed form, but must reproduce the per-draw
+  // arithmetic and failure instants exactly: the prepaid window's
   // contract is that buffering then settling is indistinguishable from
   // immediate per-op settlement.
-  virtual std::size_t consume_batch(const SpendEvent* ev, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!consume(ev[i].joules, ev[i].dt)) return i;
-    }
-    return n;
+  virtual std::size_t consume_batch(const SpendBatch& b) {
+    return for_each_draw(b, [&](const SpendEvent& e) { return consume(e.joules, e.dt); });
   }
 
   // True when the device may run a prepaid-headroom window against this
@@ -91,13 +140,14 @@ class PowerSupply {
   // one aggregated event: if the block's energy fits the headroom, the
   // draw provably succeeds (income only adds). Near brown-out the device
   // falls back to word-granular accounting so blocks tear — and charge
-  // the supply — exactly like the scalar path. Note the aggregated draw samples
-  // harvest income once over the block window instead of per word, so
-  // under a time-varying source the stored-energy trajectory — and hence
-  // *later* failure timing — may differ slightly from the scalar path;
-  // device-side cost totals and (by the runtimes' checkpoint contract)
-  // inference outputs are unaffected. Supplies that never fail report
-  // infinity.
+  // the supply — exactly like the scalar path. The aggregated draw is its
+  // own model, not the per-word sequence's: on a capacitor it integrates
+  // harvest income and meets the v_max clamp once per block instead of
+  // once per word, so the stored-energy trajectory differs, and with it
+  // later failure instants, reboots, checkpoints and a run's energy
+  // totals (FLEET_MICROCAP: 0.03117 J aggregated against 0.03414 J per
+  // word). Inference outputs stay the same by the runtimes' checkpoint
+  // contract. Supplies that never fail report infinity.
   virtual double headroom() const { return std::numeric_limits<double>::infinity(); }
 
   virtual bool on() const = 0;

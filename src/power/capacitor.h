@@ -9,9 +9,10 @@
 // Off-time and idle-time integration is defined by a 50 us stepped
 // reference loop (integrate_step). For piecewise-constant harvest sources
 // (HarvestSource::next_change_s) the supply fast-forwards whole
-// constant-income segments in closed form — bit-for-bit identical to the
-// stepped loop (see the binade fast-forward notes below) — collapsing
-// O(off_time / 50us) work to O(segments x binades).
+// constant-income segments in closed form (util/ulp_run.h) — bit-for-bit
+// identical to the stepped loop — collapsing O(off_time / 50us) work to
+// O(segments x binades). Settlement fast-forwards a charge run's
+// repetitions the same way while the income segment holds.
 #pragma once
 
 #include <algorithm>
@@ -21,83 +22,11 @@
 #include "device/power_interface.h"
 #include "obs/events.h"
 #include "power/harvest.h"
+#include "util/ulp_run.h"
 
 namespace ehdnn::power {
 
 namespace detail {
-
-// ---- exact fast-forward of the stepped integrator ----------------------
-//
-// The reference loop repeatedly applies x -> fl(x + d) with d constant
-// while an income segment holds (d = P * step). Under round-to-nearest-
-// even, while x stays inside one power-of-two binade the update has a
-// closed form: fl(x + d) = x + q, where q is d rounded to the binade's
-// ulp grid — independent of x, EXCEPT when d falls exactly on a half-ulp
-// tie (nearest-even then depends on the running mantissa parity; the tie
-// is detected and the caller falls back to literal stepping). Working in
-// integer ulp units, n steps advance x by exactly n*q, so a whole segment
-// collapses to a handful of integer ops per binade while reproducing the
-// reference loop bit for bit.
-struct UlpSeq {
-  double ulp = 0.0;       // grid spacing of x's binade
-  long long x = 0;        // current value, in ulp units (exact)
-  long long q = 0;        // per-step increment, in ulp units (exact)
-  bool pure = false;      // false: tie/degenerate — take literal steps
-};
-
-inline constexpr long long kSeqInf = std::numeric_limits<long long>::max();
-inline constexpr double kBinadeTop = 9007199254740992.0;  // 2^53
-
-inline UlpSeq seq_of(double x, double d) {
-  UlpSeq s;
-  if (!(x > 0.0) || !std::isfinite(x) || !(d >= 0.0) || !std::isfinite(d)) return s;
-  int ex = 0;
-  std::frexp(x, &ex);
-  if (ex < -1000 || ex > 1000) return s;  // denormal/extreme: literal steps
-  s.ulp = std::ldexp(1.0, ex - 53);
-  const double r = d / s.ulp;  // exact: ulp is a power of two
-  if (!(r < 4.5e15)) return s;
-  const double k = std::floor(r);
-  const double f = r - k;  // exact
-  if (f == 0.5) return s;  // half-ulp tie: rounding is parity-dependent
-  s.x = static_cast<long long>(x / s.ulp);
-  s.q = static_cast<long long>(f < 0.5 ? k : k + 1.0);
-  s.pure = true;
-  return s;
-}
-
-// Value after n in-binade steps. Exact: x + n*q <= 2^53 (caller-capped),
-// and (integer <= 2^53) * (power of two) is exactly representable.
-inline double seq_value(const UlpSeq& s, long long n) {
-  return static_cast<double>(s.x + n * s.q) * s.ulp;
-}
-
-// Steps that provably stay in closed form: results up to the binade top
-// (2^53 ulps) round on the same grid.
-inline long long seq_cap(const UlpSeq& s) {
-  const long long top = static_cast<long long>(kBinadeTop);
-  return s.q > 0 ? (top - s.x) / s.q : kSeqInf;
-}
-
-// Smallest n with value_n >= limit (the loop-exit count for a
-// `while (x < limit)` condition); kSeqInf if unreachable in this binade.
-inline long long seq_stop_at(const UlpSeq& s, double limit) {
-  const double ld = limit / s.ulp;  // exact power-of-two divide
-  if (!(ld <= kBinadeTop)) return kSeqInf;  // beyond the binade (or inf)
-  const long long lc = static_cast<long long>(std::ceil(ld));
-  if (s.x >= lc) return 0;
-  return s.q > 0 ? (lc - s.x + s.q - 1) / s.q : kSeqInf;
-}
-
-// Largest n with every step result <= limit (clamp must not engage inside
-// a chunk); kSeqInf when the limit lies beyond this binade.
-inline long long seq_pure_below(const UlpSeq& s, double limit) {
-  const double ld = limit / s.ulp;
-  if (!(ld <= kBinadeTop)) return kSeqInf;
-  const long long lf = static_cast<long long>(std::floor(ld));
-  if (lf < s.x) return 0;
-  return s.q > 0 ? (lf - s.x) / s.q : kSeqInf;
-}
 
 // Smallest double y with fl(y - t0) >= delta — turns the reference loop's
 // per-step `now_ - t0 >= delta` test into a plain threshold on now_.
@@ -165,23 +94,48 @@ class CapacitorSupply : public dev::PowerSupply {
     energy_ = energy_at(cfg_.v_on);  // starts charged to the boot threshold
   }
 
+  // The reference settlement of one draw (draw() below). consume_batch()
+  // reproduces a sequence of these bit for bit; the per-draw loop and
+  // consume() are its oracle (recharge_equiv_test, charge_sequence_test).
   bool consume(double joules, double dt) override {
-    const dev::SpendEvent ev{joules, dt};
-    return settle(&ev, 1) == 1;
+    Chains s = load();
+    const bool ok = draw(s, joules, dt);
+    store(s, ok);
+    return ok;
   }
-  // Batch settlement for the device's prepaid-headroom window: the same
-  // per-event arithmetic as consume(), which settles through the same
-  // body.
-  std::size_t consume_batch(const dev::SpendEvent* ev, std::size_t n) override {
-    return settle(ev, n);
+  // Batch settlement for the device's prepaid-headroom window and its
+  // charge runs: single draws per draw, runs through settle_run().
+  std::size_t consume_batch(const dev::SpendBatch& b) override {
+    Chains s = load();
+    std::size_t idx = 0, pos = 0;
+    bool ok = true;
+    for (std::size_t r = 0; ok && r <= b.runs.size(); ++r) {
+      const bool tail = r == b.runs.size();
+      const std::size_t end = tail ? b.draws.size() : b.runs[r].at;
+      // The inner loop makes no call while the segment holds, so the
+      // chains stay in registers there.
+      while (ok && pos < end) {
+        hold_segment(s);
+        do {
+          ok = spend(s, b.draws[pos].joules, b.draws[pos].dt);
+          if (!ok) break;
+          ++pos;
+          ++idx;
+        } while (pos < end && s.t < s.seg_end);
+      }
+      if (ok && !tail) ok = settle_run(s, b.runs[r], idx);
+    }
+    store(s, ok);
+    return idx;
   }
 
   bool prepay_safe() const override { return true; }
 
   // Headroom shaved by a slack covering worst-case settlement rounding:
-  // the device caps windows at 4096 events, each adding at most half an
-  // ulp of energy_'s scale (~2^-53 * e_max) of drift, so 1e-11 * e_max
-  // over-covers by >20x. Within the budget, replay can never brown out.
+  // the device caps windows at 4096 settled draws, each adding at most
+  // half an ulp of energy_'s scale (~2^-53 * e_max) of drift, so
+  // 1e-11 * e_max over-covers by >20x. Within the budget, replay can never
+  // brown out; a run settled in closed form lands on the same values.
   double prepaid_budget() const override {
     return std::max(0.0, headroom() - 1e-11 * energy_at(cfg_.v_max));
   }
@@ -281,47 +235,134 @@ class CapacitorSupply : public dev::PowerSupply {
  private:
   double energy_at(double v) const { return 0.5 * cfg_.capacitance_f * v * v; }
 
-  // Settles n draws in order; returns the index of the one that browned
-  // out, or n. Per draw: harvest income accrues over the window the load
-  // draws (integrate_step's arithmetic, at the hardened income-segment
-  // cache's power), then the load's energy leaves the store. Members are
-  // hoisted into locals for the whole batch: the rare segment recompute
-  // makes a virtual power_seek call, and keeping the running state in
-  // registers means that call cannot force per-event member reloads.
-  // Forced inline so consume(), the per-op path near brown-out, stays one
-  // straight-line body.
-  [[gnu::always_inline]] std::size_t settle(const dev::SpendEvent* ev, std::size_t n) {
-    const double e_max = energy_at(cfg_.v_max);
-    const double e_off = energy_at(cfg_.v_off);
-    double e = energy_, t = now_, on_t = on_time_;
-    double seg_p = seg_p_, seg_end = seg_end_;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!(t < seg_end)) {
-        now_ = t;  // the segment recompute reads the supply clock
-        seg_p = seg_p_ = source_.power_seek(t, cursor_);
-        seg_end = seg_end_ = hardened_segment_end(seg_p);
+  // Settlement's running state, hoisted out of the members for a whole
+  // batch: the store, the supply clock, the on-time, the income-segment
+  // cache and the thresholds. The rare segment recompute makes a virtual
+  // power_seek call; keeping the state in locals means that call cannot
+  // force per-draw member reloads.
+  struct Chains {
+    double e, t, on_t, seg_p, seg_end, e_max, e_off;
+  };
+  [[gnu::always_inline]] Chains load() const {
+    return {energy_, now_, on_time_, seg_p_, seg_end_, energy_at(cfg_.v_max),
+            energy_at(cfg_.v_off)};
+  }
+  // A brown-out drains the store into the dying device.
+  [[gnu::always_inline]] void store(const Chains& s, bool ok) {
+    energy_ = ok ? s.e : std::max(s.e, 0.0);
+    now_ = s.t;
+    on_time_ = s.on_t;
+    if (!ok) {
+      on_ = false;
+      ++failures_;
+    }
+  }
+
+  // One draw: harvest income accrues over the window the load draws
+  // (integrate_step's arithmetic, at the hardened income-segment cache's
+  // power), then the load's energy leaves the store. False when the draw
+  // browned out. Forced inline so consume(), the per-op path near
+  // brown-out, stays one straight-line body.
+  [[gnu::always_inline]] bool draw(Chains& s, double joules, double dt) {
+    hold_segment(s);
+    return spend(s, joules, dt);
+  }
+  // Recomputes the segment cache once s.t has reached its end.
+  [[gnu::always_inline]] void hold_segment(Chains& s) {
+    if (!(s.t < s.seg_end)) {
+      now_ = s.t;  // the segment recompute reads the supply clock
+      s.seg_p = seg_p_ = source_.power_seek(s.t, cursor_);
+      s.seg_end = seg_end_ = hardened_segment_end(s.seg_p);
+    }
+  }
+  // draw() at a clock inside the cached segment.
+  [[gnu::always_inline]] static bool spend(Chains& s, double joules, double dt) {
+    s.e = std::min(s.e + s.seg_p * dt, s.e_max);
+    s.t += dt;
+    s.on_t += dt;
+    s.e -= joules;
+    return !(s.e < s.e_off);
+  }
+
+  // A run's reps * n draws, `idx` counting them: whole repetitions in
+  // closed form where run_closed_form() applies, the others per draw. A
+  // source without constant segments (a linearly interpolated trace)
+  // never has t < seg_end here, so its runs settle per draw.
+  [[gnu::always_inline]] bool settle_run(Chains& s, const dev::SpendRun& r,
+                                         std::size_t& idx) {
+    std::size_t left = r.reps;
+    while (left > 0) {
+      if (s.t < s.seg_end) {
+        const Advance a = run_closed_form(s, r, left);
+        if (a.reps > 0) {
+          s.e = a.e;
+          s.t = a.t;
+          s.on_t = a.on_t;
+          left -= a.reps;
+          idx += a.reps * r.n;
+          continue;
+        }
       }
-      e = std::min(e + seg_p * ev[i].dt, e_max);
-      t += ev[i].dt;
-      on_t += ev[i].dt;
-      e -= ev[i].joules;
-      if (e < e_off) {
-        energy_ = std::max(e, 0.0);
-        now_ = t;
-        on_time_ = on_t;
-        on_ = false;
-        ++failures_;
-        return i;
+      for (std::size_t i = 0; i < r.n; ++i, ++idx) {
+        if (!draw(s, r.steps[i].joules, r.steps[i].dt)) return false;
+      }
+      --left;
+    }
+    return true;
+  }
+
+  // Settles up to `left` whole repetitions of `r` in closed form on the
+  // three chains draw() advances: the store, which each draw moves by
+  // + p_i (the same seg_p * dt_i product draw() rounds) and then - j_i;
+  // the clock; and the on-time. It applies only while every draw stays in
+  // the cached segment (t < seg_end), the v_max clamp cannot engage
+  // (e < e_max) and no draw takes the store below e_off, so each draw is
+  // draw()'s and none fails. Returns the repetitions settled (0 when the
+  // closed form does not reach one) and the chains after them. Out of
+  // line and by value, so the per-draw loops keep the chains in
+  // registers.
+  struct Advance {
+    std::size_t reps = 0;
+    double e = 0.0, t = 0.0, on_t = 0.0;
+  };
+  [[gnu::noinline]] Advance run_closed_form(const Chains s, const dev::SpendRun& r,
+                                            std::size_t left) {
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    RunForm& f = form_;
+    if (!(f.seg_p == s.seg_p && same_steps(f.run, r) && f.e.rebase(s.e) &&
+          f.t.rebase(s.t) && f.on.rebase(s.on_t))) {
+      double de[2 * dev::SpendRun::kMaxSteps];
+      double dt[dev::SpendRun::kMaxSteps];
+      for (std::size_t i = 0; i < r.n; ++i) {
+        dt[i] = r.steps[i].dt;
+        de[2 * i] = s.seg_p * dt[i];
+        de[2 * i + 1] = -r.steps[i].joules;
+      }
+      f.run = r;
+      f.seg_p = s.seg_p;
+      f.e = UlpRun(s.e, de, 2 * r.n);
+      f.t = UlpRun(s.t, dt, r.n);
+      f.on = UlpRun(s.on_t, dt, r.n);
+    }
+    long long k = f.e.reps_within(s.e_off, s.e_max, static_cast<long long>(left));
+    k = f.t.reps_within(-inf, s.seg_end, k);
+    k = f.on.reps_within(-inf, inf, k);
+    if (k == 0) return {};
+    return {static_cast<std::size_t>(k), f.e.after(k), f.t.after(k), f.on.after(k)};
+  }
+
+  static bool same_steps(const dev::SpendRun& a, const dev::SpendRun& b) {
+    if (a.n != b.n) return false;
+    for (std::size_t i = 0; i < a.n; ++i) {
+      if (a.steps[i].joules != b.steps[i].joules || a.steps[i].dt != b.steps[i].dt) {
+        return false;
       }
     }
-    energy_ = e;
-    now_ = t;
-    on_time_ = on_t;
-    return n;
+    return true;
   }
 
   // The one reference integration step both off-time loops and idle
-  // parking share, and settle() repeats per draw: income accrues at the
+  // parking share, and draw() repeats per draw: income accrues at the
   // instantaneous power over dt, the regulator clamps the store at v_max,
   // time advances. The analytic fast paths reproduce chains of these bit
   // for bit.
@@ -371,12 +412,14 @@ class CapacitorSupply : public dev::PowerSupply {
   }
 
   // Closed-form recharge: per constant-income segment, fast-forward the
-  // (energy, now) step sequences in lockstep until the first of: v_on
-  // reached, starvation threshold hit, or segment end. Bit-exact vs the
-  // stepped loop; any case the closed form cannot cover exactly (binade
-  // crossing, rounding tie, opted-out source) falls back to literal
-  // reference steps.
+  // (energy, now) step chains in lockstep (UlpRun) while the energy stays
+  // below v_on and the clamp, and the clock below the starvation
+  // threshold and the segment end. Bit-exact vs the stepped loop; any
+  // step the closed form cannot cover exactly (binade crossing, rounding
+  // tie, the step that ends the stretch, an opted-out source) is a
+  // literal reference step.
   void recharge_analytic(double t0, double e_on) {
+    constexpr double inf = std::numeric_limits<double>::infinity();
     const double step = cfg_.recharge_step_s;
     const double e_max = energy_at(cfg_.v_max);
     const double starve_at = detail::threshold_diff_ge(t0, cfg_.max_off_s);
@@ -386,38 +429,30 @@ class CapacitorSupply : public dev::PowerSupply {
         starved_ = true;
         return;
       }
-      const double p = segment_power();
-      const double seg = seg_end_;
-      if (!(seg > now_)) {
+      const double income = segment_power() * step;
+      if (!(seg_end_ > now_)) {
         integrate_step(step);
         continue;
       }
-      const detail::UlpSeq se = detail::seq_of(energy_, p * step);
-      const detail::UlpSeq sn = detail::seq_of(now_, step);
-      if (!se.pure || !sn.pure) {
+      const UlpRun se(energy_, &income, 1);
+      const UlpRun sn(now_, &step, 1);
+      long long n = se.reps_within(-inf, std::min(e_on, e_max));
+      n = sn.reps_within(-inf, std::min(starve_at, seg_end_), n);
+      if (n <= 0 || n == UlpRun::kUnbounded) {
         integrate_step(step);
         continue;
       }
-      long long n = detail::seq_cap(se);
-      n = std::min(n, detail::seq_cap(sn));
-      n = std::min(n, detail::seq_pure_below(se, e_max));  // no clamp mid-chunk
-      n = std::min(n, detail::seq_stop_at(se, e_on));
-      n = std::min(n, detail::seq_stop_at(sn, starve_at));
-      n = std::min(n, detail::seq_stop_at(sn, seg));  // power holds while now < seg
-      if (n <= 0 || n == detail::kSeqInf) {
-        integrate_step(step);
-        continue;
-      }
-      energy_ = detail::seq_value(se, n);
-      now_ = detail::seq_value(sn, n);
+      energy_ = se.after(n);
+      now_ = sn.after(n);
     }
   }
 
-  // Closed-form idle parking. Adds a third lockstep sequence for the
+  // Closed-form idle parking. Adds a third lockstep chain for the
   // idle_time_ accumulator (the reference loop adds `step` to it each
   // iteration, so its rounding trajectory must be reproduced too) and the
   // final-partial-step boundary of min(step, t_s - now_).
   void idle_analytic(double t_s) {
+    constexpr double inf = std::numeric_limits<double>::infinity();
     const double step = cfg_.recharge_step_s;
     const double e_max = energy_at(cfg_.v_max);
     const double partial_at = detail::threshold_partial(t_s, step);
@@ -427,32 +462,26 @@ class CapacitorSupply : public dev::PowerSupply {
         now_ = t_s;
         return;
       }
-      const double p = segment_power();
-      const double seg = seg_end_;
-      const detail::UlpSeq se = detail::seq_of(energy_, p * step);
-      const detail::UlpSeq sn = detail::seq_of(now_, step);
-      const detail::UlpSeq si = detail::seq_of(idle_time_, step);
-      long long n = 0;
-      if (seg > now_ && se.pure && sn.pure && si.pure) {
-        n = detail::seq_cap(se);
-        n = std::min(n, detail::seq_cap(sn));
-        n = std::min(n, detail::seq_cap(si));
-        n = std::min(n, detail::seq_pure_below(se, e_max));
-        n = std::min(n, detail::seq_stop_at(se, e_max));  // bulk path check
-        n = std::min(n, detail::seq_stop_at(sn, partial_at));
-        n = std::min(n, detail::seq_stop_at(sn, seg));
+      const double income = segment_power() * step;
+      if (seg_end_ > now_) {
+        const UlpRun se(energy_, &income, 1);
+        const UlpRun sn(now_, &step, 1);
+        const UlpRun si(idle_time_, &step, 1);
+        long long n = se.reps_within(-inf, e_max);  // no clamp; the full-store exit untaken
+        n = sn.reps_within(-inf, std::min(partial_at, seg_end_), n);
+        n = si.reps_within(-inf, inf, n);
+        if (n > 0 && n != UlpRun::kUnbounded) {
+          energy_ = se.after(n);
+          now_ = sn.after(n);
+          idle_time_ = si.after(n);
+          continue;
+        }
       }
-      if (n <= 0 || n == detail::kSeqInf) {
-        // One literal reference iteration (handles the partial final
-        // step, clamping, ties and binade crossings exactly).
-        const double dt = std::min(step, t_s - now_);
-        integrate_step(dt);
-        idle_time_ += dt;
-        continue;
-      }
-      energy_ = detail::seq_value(se, n);
-      now_ = detail::seq_value(sn, n);
-      idle_time_ = detail::seq_value(si, n);
+      // One literal reference iteration (handles the partial final step,
+      // clamping, ties and binade crossings exactly).
+      const double dt = std::min(step, t_s - now_);
+      integrate_step(dt);
+      idle_time_ += dt;
     }
   }
 
@@ -474,6 +503,15 @@ class CapacitorSupply : public dev::PowerSupply {
   double off_time_ = 0.0;
   double idle_time_ = 0.0;
   obs::EventTrace* obs_trace_ = nullptr;  // lifecycle-event sink (may be null)
+  // The last run's closed form (run_closed_form). Its chains' addends in
+  // ulps depend only on the run's draws, the segment's power and each
+  // chain's binade, so the next run reuses them when all three match.
+  struct RunForm {
+    dev::SpendRun run;  // its draws; reps and at are not read
+    double seg_p = std::numeric_limits<double>::quiet_NaN();
+    UlpRun e, t, on;
+  };
+  RunForm form_;
 };
 
 }  // namespace ehdnn::power

@@ -4,10 +4,10 @@
 //
 // It reports infallible(), so the device settles each charge run
 // (Device::charge_run) through consume_batch() before the run returns,
-// and stays out of the prepaid window (prepay_safe() is false): a window
-// would settle only at slice boundaries and voltage samples, so every
-// supply-clock stamp in between (obs_now_s, the commit events) would
-// freeze at the last settlement.
+// one draw at a time in order, and stays out of the prepaid window
+// (prepay_safe() is false): a window would settle only at slice
+// boundaries and voltage samples, so every supply-clock stamp in between
+// (obs_now_s, the commit events) would freeze at the last settlement.
 #pragma once
 
 #include <algorithm>
@@ -21,17 +21,19 @@ class ContinuousPower : public dev::PowerSupply {
   explicit ContinuousPower(double volts = 3.3) : volts_(volts) {}
 
   bool consume(double joules, double dt) override {
-    const dev::SpendEvent ev{joules, dt};
-    return ContinuousPower::consume_batch(&ev, 1) == 1;
+    energy_drawn_ += joules;
+    now_ += dt;
+    return true;
   }
-  // Every draw succeeds; the sums run in draw order.
-  std::size_t consume_batch(const dev::SpendEvent* ev, std::size_t n) override {
+  // Every draw succeeds; the sums run in draw order, as consume()'s do.
+  std::size_t consume_batch(const dev::SpendBatch& b) override {
     double drawn = energy_drawn_;
     double now = now_;
-    for (std::size_t i = 0; i < n; ++i) {
-      drawn += ev[i].joules;
-      now += ev[i].dt;
-    }
+    const std::size_t n = dev::for_each_draw(b, [&](const dev::SpendEvent& e) {
+      drawn += e.joules;
+      now += e.dt;
+      return true;
+    });
     energy_drawn_ = drawn;
     now_ = now;
     return n;

@@ -79,14 +79,15 @@ class FailureScheduleSupply : public dev::PowerSupply {
 
   // Prepaid draws were advertised as provably safe, so a due failure is
   // deferred past the batch (countdown clamps at 1) and fires on the next
-  // per-op consume — the over-budget draw at the headroom boundary.
-  std::size_t consume_batch(const dev::SpendEvent* ev, std::size_t n) override {
-    for (std::size_t i = 0; i < n; ++i) {
-      energy_drawn_ += ev[i].joules;
-      now_ += ev[i].dt;
+  // per-op consume — the over-budget draw at the headroom boundary. A
+  // charge run's repetitions are expanded and counted draw by draw.
+  std::size_t consume_batch(const dev::SpendBatch& b) override {
+    return dev::for_each_draw(b, [&](const dev::SpendEvent& e) {
+      energy_drawn_ += e.joules;
+      now_ += e.dt;
       if (countdown_ > 1) --countdown_;
-    }
-    return n;
+      return true;
+    });
   }
 
   bool prepay_safe() const override { return cfg_.prepaid; }

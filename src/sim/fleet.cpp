@@ -86,7 +86,7 @@ void validate(const FleetConfig& cfg) {
     check_input(g.count >= 1, where + ": count must be >= 1");
     population += g.count;
     check_input(std::isfinite(g.capacitance_f) && g.capacitance_f > 0.0,
-                where + ": capacitance must be finite and > 0");
+                      where + ": capacitance must be finite and > 0");
     check_input(g.max_off_s > 0.0, where + ": max_off must be > 0");
     check_input(g.max_reboots >= 1, where + ": reboots must be >= 1");
     check_input(g.max_futile >= 0, where + ": max_futile must be >= 0");
@@ -96,14 +96,14 @@ void validate(const FleetConfig& cfg) {
     runtime_uses_compressed_model(g.agenda.runtime);  // throws on unknown key
     if (!g.sched_spec.empty()) {
       check_input(runtime_is_adaptive(g.agenda.runtime),
-                  where + ": sched= only applies to the adaptive runtime");
+                        where + ": sched= only applies to the adaptive runtime");
       sched::parse_adaptive_spec(g.sched_spec);  // throws on malformed spec
     }
   }
   check_input(population <= std::numeric_limits<int>::max(),
-              "fleet config: population of " + std::to_string(population) +
-                  " devices exceeds the limit of " +
-                  std::to_string(std::numeric_limits<int>::max()));
+                    "fleet config: population of " + std::to_string(population) +
+                        " devices exceeds the limit of " +
+                        std::to_string(std::numeric_limits<int>::max()));
 }
 
 // The model variants a group's runtime executes: adaptive ships both.
@@ -632,28 +632,28 @@ struct ShardPartial {
 ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
   ShardPartial p;
   std::string line;
-  check(static_cast<bool>(std::getline(is, line)) && line == "ehdnn-fleet-shard-v2",
-        where + ": not a fleet shard partial (bad magic; v1 partials predate "
-                "event tracing — regenerate with this build)");
-  check(static_cast<bool>(std::getline(is, line)), where + ": truncated header");
+  check_input(static_cast<bool>(std::getline(is, line)) && line == "ehdnn-fleet-shard-v2",
+              where + ": not a fleet shard partial (bad magic; v1 partials predate "
+                      "event tracing — regenerate with this build)");
+  check_input(static_cast<bool>(std::getline(is, line)), where + ": truncated header");
   {
     std::istringstream hs(line);
     std::string tag;
     hs >> tag >> p.shard >> p.shards >> p.begin >> p.end;
-    check(tag == "range" && !hs.fail(), where + ": bad range line \"" + line + "\"");
+    check_input(tag == "range" && !hs.fail(), where + ": bad range line \"" + line + "\"");
   }
-  check(static_cast<bool>(std::getline(is, line)) && line == "config-begin",
-        where + ": missing config echo");
+  check_input(static_cast<bool>(std::getline(is, line)) && line == "config-begin",
+              where + ": missing config echo");
   while (std::getline(is, line) && line != "config-end") p.config_text += line + "\n";
-  check(line == "config-end", where + ": unterminated config echo");
+  check_input(line == "config-end", where + ": unterminated config echo");
 
   auto& rows = p.agg.rows;
   auto& devices = p.agg.devices;
   const std::string rows_rule = where + ": rows must be devices [" + std::to_string(p.begin) +
                                 ", " + std::to_string(p.end) + "), once each in id order";
   const auto check_device = [&](int id) {
-    check(id >= p.begin && id < p.end,
-          where + ": device " + std::to_string(id) + " has no row in \"" + line + "\"");
+    check_input(id >= p.begin && id < p.end,
+                where + ": device " + std::to_string(id) + " has no row in \"" + line + "\"");
   };
   bool saw_end = false;
   while (std::getline(is, line)) {
@@ -670,45 +670,46 @@ ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
       std::string rest;
       std::getline(ls, rest);
       if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-      if (which == "latency") {
-        p.agg.latency = QuantileSketch::deserialize(rest);
-      } else if (which == "staleness") {
-        p.agg.staleness = QuantileSketch::deserialize(rest);
-      } else {
-        fail(where + ": unknown sketch \"" + which + "\"");
-      }
+      QuantileSketch* const sketch = which == "latency"     ? &p.agg.latency
+                                     : which == "staleness" ? &p.agg.staleness
+                                                            : nullptr;
+      check_input(sketch != nullptr, where + ": unknown sketch \"" + which + "\"");
+      *sketch = QuantileSketch::deserialize(rest);
+      check_input(sketch->rel_err() == kSketchRelErr,
+                        where + ": sketch \"" + which + "\" has a foreign rel_err");
     } else if (tag == "row") {
       DeviceRow r;
       bool ok = get(ls, r.device);
       for_each_field(kRowFields, [&](auto& v) { ok = ok && get(ls, v); }, r);
-      check(ok && !(ls >> extra), where + ": bad row \"" + line + "\"");
-      check(static_cast<long long>(r.device) == p.begin + static_cast<long long>(rows.size()),
-            rows_rule + ", got \"" + line + "\"");
-      check(r.jobs_completed + r.jobs_dnf + r.jobs_starved + r.jobs_livelock +
-                    r.jobs_skipped ==
-                r.jobs_total,
-            where + ": verdict buckets do not sum to jobs_total in row \"" + line + "\"");
-      check(r.jobs_in_deadline <= r.jobs_total,
-            where + ": in_deadline exceeds jobs_total in row \"" + line + "\"");
+      check_input(ok && !(ls >> extra), where + ": bad row \"" + line + "\"");
+      check_input(
+          static_cast<long long>(r.device) == p.begin + static_cast<long long>(rows.size()),
+          rows_rule + ", got \"" + line + "\"");
+      check_input(
+          r.jobs_completed + r.jobs_dnf + r.jobs_starved + r.jobs_livelock + r.jobs_skipped ==
+              r.jobs_total,
+          where + ": verdict buckets do not sum to jobs_total in row \"" + line + "\"");
+      check_input(r.jobs_in_deadline <= r.jobs_total,
+                  where + ": in_deadline exceeds jobs_total in row \"" + line + "\"");
       rows.push_back(r);
     } else if (tag == "trace") {
       obs::TraceCapture cap;
       std::size_t n_events = 0;
-      check(get(ls, cap.id) && get(ls, n_events) && get(ls, cap.dropped) &&
-                get(ls, cap.total),
-            where + ": bad trace header \"" + line + "\"");
+      check_input(get(ls, cap.id) && get(ls, n_events) && get(ls, cap.dropped) &&
+                      get(ls, cap.total),
+                  where + ": bad trace header \"" + line + "\"");
       check_device(cap.id);
       std::getline(ls, cap.label);
       if (!cap.label.empty() && cap.label.front() == ' ') cap.label.erase(0, 1);
       for (std::size_t i = 0; i < n_events; ++i) {
-        check(static_cast<bool>(std::getline(is, line)), where + ": truncated trace");
+        check_input(static_cast<bool>(std::getline(is, line)), where + ": truncated trace");
         std::istringstream es(line);
         std::string etag;
         int kind = 0;
         obs::Event e;
         const bool ok = es >> etag && get(es, e.t_s) && es >> kind >> e.a >> e.b;
-        check(etag == "ev" && ok && kind >= 0 && kind < obs::kKindCount,
-              where + ": bad event line \"" + line + "\"");
+        check_input(etag == "ev" && ok && kind >= 0 && kind < obs::kKindCount,
+                    where + ": bad event line \"" + line + "\"");
         e.kind = static_cast<obs::EventKind>(kind);
         cap.events.push_back(e);
       }
@@ -718,22 +719,22 @@ ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
       sched::JobRecord j;
       bool ok = get(ls, device);
       for_each_field(kJobFields, [&](auto& v) { ok = ok && get(ls, v); }, j);
-      check(ok && !(ls >> extra), where + ": bad job line \"" + line + "\"");
+      check_input(ok && !(ls >> extra), where + ": bad job line \"" + line + "\"");
       check_device(device);
       if (devices.empty() || devices.back().device < device) {
         devices.emplace_back().device = device;
       }
-      check(devices.back().device == device,
-            where + ": job lines must come in one block per device, in id order, got \"" +
-                line + "\"");
+      check_input(devices.back().device == device,
+                  where + ": job lines must come in one block per device, in id order, " +
+                      "got \"" + line + "\"");
       devices.back().jobs.push_back(std::move(j));
     } else {
-      fail(where + ": unknown record \"" + tag + "\"");
+      fail_input(where + ": unknown record \"" + tag + "\"");
     }
   }
-  check(saw_end, where + ": truncated partial (no end marker)");
-  check(static_cast<long long>(rows.size()) == static_cast<long long>(p.end) - p.begin,
-        rows_rule);
+  check_input(saw_end, where + ": truncated partial (no end marker)");
+  check_input(static_cast<long long>(rows.size()) == static_cast<long long>(p.end) - p.begin,
+              rows_rule);
   for (const FleetDeviceResult& d : devices) {
     const DeviceRow& row = rows[static_cast<std::size_t>(d.device - p.begin)];
     DeviceRow tally = row;
@@ -743,8 +744,8 @@ ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
       same = same && std::memcmp(&a, &b, sizeof a) == 0;
     };
     for_each_field(kRowFields, same_bits, tally, row);
-    check(same, where + ": the row of device " + std::to_string(d.device) +
-                    " disagrees with its job lines");
+    check_input(same, where + ": the row of device " + std::to_string(d.device) +
+                          " disagrees with its job lines");
   }
   return p;
 }
@@ -797,8 +798,8 @@ FleetConfig parse_fleet_config(std::istream& is) {
                                           std::numeric_limits<std::uint64_t>::max());
       const std::string detail = a.str("detail", cfg.per_device_detail ? "full" : "aggregate");
       check_input(detail == "full" || detail == "aggregate",
-                  where + ": detail must be \"full\" or \"aggregate\", got \"" + detail +
-                      "\"");
+                        where + ": detail must be \"full\" or \"aggregate\", got \"" + detail +
+                            "\"");
       cfg.per_device_detail = detail == "full";
     } else if (tokens[0] == "group") {
       FleetGroup g;
@@ -984,18 +985,18 @@ void FleetEngine::run_shard(std::ostream& os, int shard, int shards,
 }
 
 FleetReport merge_fleet_shards(const std::vector<std::string>& paths) {
-  check(!paths.empty(), "merge_fleet_shards: need at least one partial");
+  check_input(!paths.empty(), "merge_fleet_shards: need at least one partial");
   std::vector<ShardPartial> parts;
   parts.reserve(paths.size());
   for (const auto& path : paths) {
     std::ifstream f(path);
-    check(f.good(), "merge_fleet_shards: cannot read " + path);
+    check_input(f.good(), "merge_fleet_shards: cannot read " + path);
     parts.push_back(parse_shard_partial(f, path));
   }
   const int shards = parts.front().shards;
-  check(static_cast<std::size_t>(shards) == parts.size(),
-        "merge_fleet_shards: expected " + std::to_string(shards) + " partials, got " +
-            std::to_string(parts.size()));
+  check_input(static_cast<std::size_t>(shards) == parts.size(),
+              "merge_fleet_shards: expected " + std::to_string(shards) + " partials, got " +
+                  std::to_string(parts.size()));
   std::sort(parts.begin(), parts.end(),
             [](const ShardPartial& a, const ShardPartial& b) { return a.shard < b.shard; });
 
@@ -1005,15 +1006,16 @@ FleetReport merge_fleet_shards(const std::vector<std::string>& paths) {
   ReportSink agg(cfg.per_device_detail);
   for (int i = 0; i < shards; ++i) {
     const ShardPartial& p = parts[static_cast<std::size_t>(i)];
-    check(p.shard == i, "merge_fleet_shards: missing or duplicate shard " + std::to_string(i));
-    check(p.shards == shards, "merge_fleet_shards: inconsistent shard counts");
-    check(p.config_text == parts.front().config_text,
-          "merge_fleet_shards: partials ran different configs");
+    check_input(p.shard == i,
+                "merge_fleet_shards: missing or duplicate shard " + std::to_string(i));
+    check_input(p.shards == shards, "merge_fleet_shards: inconsistent shard counts");
+    check_input(p.config_text == parts.front().config_text,
+                "merge_fleet_shards: partials ran different configs");
     const auto [begin, end] = shard_range(n, i, shards);
-    check(p.begin == begin && p.end == end,
-          "merge_fleet_shards: shard " + std::to_string(i) + " covers the wrong range");
-    check(!cfg.per_device_detail || p.agg.devices.size() == p.agg.rows.size(),
-          "merge_fleet_shards: shard " + std::to_string(i) + " is missing job records");
+    check_input(p.begin == begin && p.end == end,
+                "merge_fleet_shards: shard " + std::to_string(i) + " covers the wrong range");
+    check_input(!cfg.per_device_detail || p.agg.devices.size() == p.agg.rows.size(),
+                "merge_fleet_shards: shard " + std::to_string(i) + " is missing job records");
     agg.merge(p.agg);
   }
   agg.finalize();

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -116,37 +117,48 @@ std::string QuantileSketch::serialize() const {
   return os.str();
 }
 
+// The text comes from a shard partial, which is user input: every
+// rejection is a UserError.
 QuantileSketch QuantileSketch::deserialize(const std::string& line) {
   std::istringstream is(line);
   std::string magic, rel_field;
   is >> magic >> rel_field;
-  check(magic == "qsketch-v1", "qsketch: bad magic in '" + line + "'");
-  check(rel_field.rfind("rel_err=", 0) == 0, "qsketch: missing rel_err in '" + line + "'");
+  check_input(magic == "qsketch-v1", "qsketch: bad magic in '" + line + "'");
+  check_input(rel_field.rfind("rel_err=", 0) == 0,
+              "qsketch: missing rel_err in '" + line + "'");
   const auto rel = parse_double(rel_field.substr(8));
-  check(rel.has_value(), "qsketch: bad rel_err in '" + line + "'");
+  check_input(rel.has_value() && *rel > 0.0 && *rel < 1.0,
+              "qsketch: bad rel_err in '" + line + "'");
   QuantileSketch s(*rel);
   std::string count_s, zero_s, min_s, max_s;
   is >> count_s >> zero_s >> min_s >> max_s;
-  check(!max_s.empty(), "qsketch: truncated header in '" + line + "'");
-  s.count_ = std::stoull(count_s);
-  s.zero_count_ = std::stoull(zero_s);
+  check_input(!max_s.empty(), "qsketch: truncated header in '" + line + "'");
+  constexpr auto kMaxCount = std::numeric_limits<std::uint64_t>::max();
+  const auto count = parse_int<std::uint64_t>(count_s, 0, kMaxCount);
+  const auto zeros = parse_int<std::uint64_t>(zero_s, 0, kMaxCount);
   const auto mn = parse_double(min_s), mx = parse_double(max_s);
-  check(mn.has_value() && mx.has_value(), "qsketch: bad min/max in '" + line + "'");
+  check_input(count && zeros && mn && mx, "qsketch: bad header in '" + line + "'");
+  s.count_ = *count;
+  s.zero_count_ = *zeros;
   s.min_ = *mn;
   s.max_ = *mx;
   std::string bin;
   std::uint64_t binned = 0;
   while (is >> bin) {
     const auto colon = bin.find(':');
-    check(colon != std::string::npos, "qsketch: bad bin '" + bin + "'");
-    const int32_t index = static_cast<int32_t>(std::stol(bin.substr(0, colon)));
-    const std::uint64_t c = std::stoull(bin.substr(colon + 1));
-    check(c > 0 && s.bins_.find(index) == s.bins_.end(),
-          "qsketch: duplicate or empty bin '" + bin + "'");
-    s.bins_[index] = c;
-    binned += c;
+    check_input(colon != std::string::npos, "qsketch: bad bin '" + bin + "'");
+    const auto index = parse_int<std::int32_t>(bin.substr(0, colon),
+                                               std::numeric_limits<std::int32_t>::min(),
+                                               std::numeric_limits<std::int32_t>::max());
+    const auto c = parse_int<std::uint64_t>(bin.substr(colon + 1), 1, kMaxCount);
+    check_input(index && c, "qsketch: bad bin '" + bin + "'");
+    check_input(s.bins_.find(*index) == s.bins_.end(),
+                "qsketch: duplicate bin '" + bin + "'");
+    s.bins_[*index] = *c;
+    binned += *c;
   }
-  check(s.zero_count_ + binned == s.count_, "qsketch: count mismatch in '" + line + "'");
+  check_input(s.zero_count_ + binned == s.count_,
+              "qsketch: count mismatch in '" + line + "'");
   return s;
 }
 

@@ -19,7 +19,9 @@
 // dense) and HAR (conv1d) models and TILE on both under continuous power,
 // where a run settles its draws through consume_batch(), and SONIC on the
 // 10 uF square harvest, where runs buffer into prepaid windows and
-// brown-outs land inside a MAC loop.
+// brown-outs land inside a MAC loop. On the capacitor cases a window's
+// runs reach the capacitor as run entries and settle in closed form, so
+// these hashes pin that settlement to the per-draw one.
 //
 // Charge runs settle a run's draws with an infallible supply through one
 // consume_batch() call; a supply that is not infallible makes every run
@@ -66,11 +68,21 @@ class ChargeRecorder : public dev::PowerSupply {
     failures_ += ok ? 0 : 1;
     return ok;
   }
-  std::size_t consume_batch(const dev::SpendEvent* ev, std::size_t n) override {
-    const std::size_t done = inner_.consume_batch(ev, n);
-    // A failing event is drained too (the capacitor empties into it).
+  // The batch goes to the inner supply whole, so its own run settlement
+  // (the capacitor's closed form) is what the hash pins; the recorder
+  // folds the draws it settled, a run's expanded in order.
+  std::size_t consume_batch(const dev::SpendBatch& b) override {
+    const std::size_t done = inner_.consume_batch(b);
+    const std::size_t n = b.size();
+    // A failing draw is drained too (the capacitor empties into it).
     const std::size_t drained = std::min(n, done + 1);
-    for (std::size_t i = 0; i < drained; ++i) fold_event(ev[i].joules, ev[i].dt);
+    std::size_t folded = 0;
+    dev::for_each_draw(b, [&](const dev::SpendEvent& e) {
+      if (folded == drained) return false;
+      fold_event(e.joules, e.dt);
+      ++folded;
+      return true;
+    });
     failures_ += done == n ? 0 : 1;
     return done;
   }

@@ -169,7 +169,8 @@ TEST(Fleet, ShardedRunMergesToTheIdenticalArtifact) {
 
 // A partial no run could have written (impossible counters, ids, field
 // values, or a row that disagrees with its jobs) is refused at merge
-// instead of folding into a report that contradicts itself.
+// instead of folding into a report that contradicts itself. A partial is
+// user input, so each refusal is a UserError.
 TEST(Fleet, MergeRejectsTamperedRows) {
   std::ostringstream part;
   FleetEngine(tiny_fleet()).run_shard(part, 0, 1);
@@ -188,10 +189,10 @@ TEST(Fleet, MergeRejectsTamperedRows) {
     return merge_fleet_shards({path});
   };
   EXPECT_NO_THROW(merge_text(good));
-  EXPECT_THROW(merge_text(tampered("1 9 1 0 0 0 0")), Error);   // buckets sum to 9, not 1
-  EXPECT_THROW(merge_text(tampered("1 1 2 0 0 0 0")), Error);   // in_deadline > jobs_total
-  EXPECT_THROW(merge_text(tampered("1 2 1 0 -1 0 0")), Error);  // negative bucket
-  EXPECT_THROW(merge_text(tampered("-1 -1 0 0 0 0 0")), Error);  // negative total
+  EXPECT_THROW(merge_text(tampered("1 9 1 0 0 0 0")), UserError);  // buckets sum to 9
+  EXPECT_THROW(merge_text(tampered("1 1 2 0 0 0 0")), UserError);  // in_deadline > total
+  EXPECT_THROW(merge_text(tampered("1 2 1 0 -1 0 0")), UserError);   // negative bucket
+  EXPECT_THROW(merge_text(tampered("-1 -1 0 0 0 0 0")), UserError);  // negative total
 
   // `good` with `text` inserted before the end marker.
   auto appended = [&](const std::string& text) {
@@ -216,17 +217,23 @@ TEST(Fleet, MergeRejectsTamperedRows) {
   const std::string job0 = line_with("job 0 ", 0, "job");
   // Ids: rows exactly [begin, end) once each; trace and job lines only of
   // devices with a row; one job block per device.
-  EXPECT_THROW(merge_text(retoken("row 1 ", 1, "0")), Error);  // row 0 twice, no row 1
-  EXPECT_THROW(merge_text(appended("trace 6 0 0 0 device 6")), Error);
-  EXPECT_THROW(merge_text(appended(line_with("job 0 ", 1, "9"))), Error);
-  EXPECT_THROW(merge_text(appended(job0)), Error);  // a second block of device 0
+  EXPECT_THROW(merge_text(retoken("row 1 ", 1, "0")), UserError);  // row 0 twice, no row 1
+  EXPECT_THROW(merge_text(appended("trace 6 0 0 0 device 6")), UserError);
+  EXPECT_THROW(merge_text(appended(line_with("job 0 ", 1, "9"))), UserError);
+  EXPECT_THROW(merge_text(appended(job0)), UserError);  // a second block of device 0
   // Values by kind: a nan energy, a negative count, a flag that is not 0/1.
-  EXPECT_THROW(merge_text(retoken("row 0 ", 12, "nan")), Error);
-  EXPECT_THROW(merge_text(retoken("job 0 ", 14, "-5")), Error);  // checkpoints
-  EXPECT_THROW(merge_text(retoken("job 0 ", 9, "x")), Error);    // met_deadline
+  EXPECT_THROW(merge_text(retoken("row 0 ", 12, "nan")), UserError);
+  EXPECT_THROW(merge_text(retoken("job 0 ", 14, "-5")), UserError);  // checkpoints
+  EXPECT_THROW(merge_text(retoken("job 0 ", 9, "x")), UserError);    // met_deadline
   // A job line whose reboots disagree with its device's row.
   ASSERT_NE(line_with("job 0 ", 13, "99"), job0);
-  EXPECT_THROW(merge_text(retoken("job 0 ", 13, "99")), Error);
+  EXPECT_THROW(merge_text(retoken("job 0 ", 13, "99")), UserError);
+  // Framing and sketches: a short range line, no end marker, a sketch
+  // count that is not a number and a sketch of another accuracy.
+  EXPECT_THROW(merge_text(retoken("range ", 4, "")), UserError);
+  EXPECT_THROW(merge_text(good.substr(0, good.rfind("end\n"))), UserError);
+  EXPECT_THROW(merge_text(retoken("sketch latency ", 4, "x")), UserError);
+  EXPECT_THROW(merge_text(retoken("sketch latency ", 3, "rel_err=0.02")), UserError);
   std::remove(path.c_str());
 }
 

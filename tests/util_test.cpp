@@ -16,6 +16,7 @@
 #include "util/parse.h"
 #include "util/rng.h"
 #include "util/table.h"
+#include "util/ulp_run.h"
 
 namespace ehdnn {
 namespace {
@@ -206,6 +207,203 @@ TEST(FmodWalk, MatchesFmodOverForecasterHistories) {
         ASSERT_EQ(bits(fmod_walk(ti, p, k)), bits(std::fmod(ti, p))) << p << " " << ti;
       }
     }
+  }
+}
+
+// ---- UlpRun: the closed form against the serial loop it replaces -------
+
+// The oracle: k repetitions of the pattern, one rounded addition each.
+double add_serially(double x, const std::vector<double>& d, long long k) {
+  for (long long r = 0; r < k; ++r) {
+    for (const double a : d) x = x + a;
+  }
+  return x;
+}
+
+// True when every sum the serial loop forms in k repetitions is in [lo, hi).
+bool sums_within(double x, const std::vector<double>& d, long long k, double lo, double hi) {
+  for (long long r = 0; r < k; ++r) {
+    for (const double a : d) {
+      x = x + a;
+      if (!(x >= lo && x < hi)) return false;
+    }
+  }
+  return true;
+}
+
+// `reps` repetitions the way the capacitor settles a run: in closed form
+// where a whole repetition fits the binade, serially across a boundary.
+// `closed` counts the repetitions the closed form took.
+double add_fast(double x, const std::vector<double>& d, long long reps, long long& closed) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  while (reps > 0) {
+    const UlpRun run(x, d.data(), d.size());
+    const long long k = run.reps_within(-inf, inf, reps);
+    if (k == 0) {
+      x = add_serially(x, d, 1);
+      --reps;
+      continue;
+    }
+    x = run.after(k);
+    reps -= k;
+    closed += k;
+  }
+  return x;
+}
+
+// An addend of `ulps` units of x's ulp, times a random scale factor that
+// keeps it off the ulp grid (and off any half-ulp tie) almost surely.
+double addend_in_ulps(double x, double ulps) {
+  int e = 0;
+  std::frexp(x, &e);
+  return std::ldexp(ulps, e - 53);
+}
+
+TEST(UlpRun, MatchesTheSerialLoopInRandomBinades) {
+  Rng rng(0x0171);
+  long long closed = 0, total = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const double x = std::ldexp(rng.uniform(1.0, 2.0), rng.range(-60, 60));
+    std::vector<double> d(static_cast<std::size_t>(rng.range(1, 8)));
+    for (double& a : d) {
+      // Mostly within a few hundred ulps, some well below one ulp, of
+      // either sign.
+      const double ulps = rng.chance(0.2) ? rng.uniform(0.0, 1.0) : rng.uniform(0.0, 300.0);
+      a = (rng.chance(0.4) ? -1.0 : 1.0) * addend_in_ulps(x, ulps);
+    }
+    const long long reps = rng.range(1, 5000);
+    const double want = add_serially(x, d, reps);
+    ASSERT_EQ(bits(add_fast(x, d, reps, closed)), bits(want)) << trial;
+    total += reps;
+
+    // Every k it offers keeps the serial sums in the bounds, and one more
+    // repetition would leave them (bounds inside the binade).
+    const double lo = x - addend_in_ulps(x, rng.uniform(0.0, 1e5));
+    const double hi = x + addend_in_ulps(x, rng.uniform(0.0, 1e5));
+    const UlpRun run(x, d.data(), d.size());
+    ASSERT_TRUE(run.exact());
+    const long long k = run.reps_within(lo, hi, 100000);
+    if (k == UlpRun::kUnbounded || k == 100000) continue;
+    ASSERT_TRUE(sums_within(x, d, k, lo, hi)) << trial;
+    ASSERT_EQ(bits(run.after(k)), bits(add_serially(x, d, k))) << trial;
+    int ex = 0;
+    std::frexp(x, &ex);
+    const double top = std::ldexp(1.0, ex), bottom = std::ldexp(1.0, ex - 1);
+    // (A sum of exactly 2^e is out: reached from above it may round into
+    // the binade below.)
+    const double in_binade = std::max(lo, std::nextafter(bottom, top));
+    EXPECT_FALSE(sums_within(x, d, k + 1, in_binade, std::min(hi, top))) << trial;
+  }
+  // The serial fallback is the exception, not the rule.
+  EXPECT_GT(closed, total * 9 / 10);
+}
+
+TEST(UlpRun, ExactHalfUlpTiesFallBack) {
+  const double x = 1.0 + 0x1p-52 * 12345.0;
+  const double ulp = 0x1p-52;
+  // 2.5 ulps: nearest-even rounds x + d to an even ulp count, so the
+  // step depends on x's parity.
+  for (const double tie : {2.5 * ulp, -0.5 * ulp, 7.5 * ulp}) {
+    const std::vector<double> d{ulp, tie};
+    EXPECT_FALSE(UlpRun(x, d.data(), d.size()).exact()) << tie;
+    EXPECT_EQ(UlpRun(x, d.data(), d.size()).reps_within(0.0, 4.0), 0);
+    long long closed = 0;
+    EXPECT_EQ(bits(add_fast(x, d, 200, closed)), bits(add_serially(x, d, 200)));
+    EXPECT_EQ(closed, 0);
+  }
+  // A quarter ulp is no tie.
+  const std::vector<double> quarter{0.25 * ulp, 3.25 * ulp};
+  EXPECT_TRUE(UlpRun(x, quarter.data(), quarter.size()).exact());
+}
+
+TEST(UlpRun, MixedPatternsNeverLandOnTheBinadeBottom) {
+  // From 1 + 5 ulps, -5 ulps lands exactly on 1.0, below which the grid
+  // halves: the next -0.3 ulp moves the sum to 1 - 0.5 ulp, not 0. The
+  // closed form must leave such a pattern to the serial loop.
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const double u = 0x1p-52, x = 1.0 + 5.0 * u;
+  const std::vector<double> d{-5.0 * u, -0.3 * u, -0.3 * u, 5.6 * u};
+  EXPECT_EQ(UlpRun(x, d.data(), d.size()).reps_within(-inf, inf), 0);
+  long long closed = 0;
+  EXPECT_EQ(bits(add_fast(x, d, 10, closed)), bits(add_serially(x, d, 10)));
+  // Without a negative addend every sum is reached from above, so a
+  // pattern may sit on the bottom: 1.0 + 0.3 ulp rounds back to 1.0.
+  const std::vector<double> up{0.3 * u, 0.2 * u};
+  EXPECT_EQ(UlpRun(1.0, up.data(), up.size()).reps_within(-inf, inf), UlpRun::kUnbounded);
+  EXPECT_EQ(bits(add_serially(1.0, up, 100)), bits(1.0));
+}
+
+TEST(UlpRun, SubnormalsAndNonFiniteValues) {
+  const double sub = std::numeric_limits<double>::denorm_min() * 12345.0;
+  const std::vector<double> one{1e-310};
+  // A subnormal, zero, negative or non-finite x has no binade to work in.
+  for (const double x : {sub, 0.0, -0.0, -1.0, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), 0x1p-1000}) {
+    EXPECT_FALSE(UlpRun(x, one.data(), 1).exact()) << x;
+  }
+  // Subnormal addends on a small normal x land on its grid exactly.
+  const double x = 0x1p-960 * 1.375;
+  const std::vector<double> d{std::numeric_limits<double>::denorm_min() * 3e9, -sub};
+  const UlpRun run(x, d.data(), d.size());
+  ASSERT_TRUE(run.exact());
+  long long closed = 0;
+  EXPECT_EQ(bits(add_fast(x, d, 1000, closed)), bits(add_serially(x, d, 1000)));
+  EXPECT_GT(closed, 0);
+  // Non-finite addends are refused.
+  for (const double a : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    const std::vector<double> bad{1e-3, a};
+    EXPECT_FALSE(UlpRun(1.0, bad.data(), bad.size()).exact()) << a;
+  }
+}
+
+TEST(UlpRun, ChainsThatCrossBinades) {
+  Rng rng(0xb1ad);
+  for (int trial = 0; trial < 200; ++trial) {
+    const double x = std::ldexp(rng.uniform(1.0, 2.0), rng.range(-20, 20));
+    // One repetition moves x by a fraction f of itself: up past one or
+    // several binade tops, or down below its binade's bottom (staying
+    // positive), with one addend against the direction of travel.
+    const bool up = trial % 2 == 0;
+    const double f = rng.uniform(1e-3, 4e-3);
+    std::vector<double> d(static_cast<std::size_t>(rng.range(1, 4)));
+    for (double& a : d) a = x * f * rng.uniform(0.5, 1.5) / static_cast<double>(d.size());
+    d.push_back(-0.1 * x * f * rng.uniform());
+    if (!up) {
+      for (double& a : d) a = -a;
+    }
+    double net = 0.0;
+    for (const double a : d) net += a;
+    const double travel = up ? rng.uniform(1.1, 5.0) : rng.uniform(0.55, 0.7);
+    const auto reps = static_cast<long long>(travel * x / std::abs(net));
+    long long closed = 0;
+    const double want = add_serially(x, d, reps);
+    ASSERT_EQ(bits(add_fast(x, d, reps, closed)), bits(want)) << trial;
+    EXPECT_GT(closed, reps / 2) << trial;
+    int e0 = 0, e1 = 0;
+    std::frexp(x, &e0);
+    std::frexp(want, &e1);
+    EXPECT_NE(e0, e1) << trial;  // the chain left its binade
+  }
+}
+
+TEST(UlpRun, DecreasingChainsStopAtTheLowerBound) {
+  // A store drained by a pattern of small incomes and larger loads: the
+  // closed form stops before any sum drops below the floor or out of the
+  // binade [2^-15, 2^-14), and the serial loop confirms that one more
+  // repetition would.
+  const double x = 5.4e-5, bottom = 0x1p-15;
+  const std::vector<double> d{1.0e-9 * 0.37, -2.3e-9, 4.1e-10, -7.7e-10};
+  const UlpRun run(x, d.data(), d.size());
+  ASSERT_TRUE(run.exact());
+  for (const double floor : {2.4e-5, 4.0e-5}) {  // below the binade, inside it
+    const long long k = run.reps_within(floor, std::numeric_limits<double>::infinity());
+    ASSERT_GT(k, 0);
+    ASSERT_NE(k, UlpRun::kUnbounded);
+    EXPECT_TRUE(sums_within(x, d, k, floor, 1.0));
+    EXPECT_EQ(bits(run.after(k)), bits(add_serially(x, d, k)));
+    const double lo = std::max(floor, std::nextafter(bottom, 1.0));
+    EXPECT_FALSE(sums_within(x, d, k + 1, lo, 1.0)) << floor;
   }
 }
 
