@@ -140,8 +140,8 @@ inline flex::RunStats run_framework(Framework fw, models::Task task, const Power
   flex::RunOptions opts;
   opts.max_reboots = max_reboots;
   if (!ps.continuous) {
-    opts.flex_v_warn = power::warn_voltage_for(
-        ccfg, flex::worst_checkpoint_energy(cm, dev.cost()) + 5e-6, 3.0);
+    opts.flex_v_warn =
+        power::flex_warn_voltage(ccfg, flex::worst_checkpoint_energy(cm, dev.cost()));
   }
   const auto policy = sim::make_policy(runtime_key(fw));
   return flex::IntermittentExecutor(*policy).run(dev, cm, input, opts);

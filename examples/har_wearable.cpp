@@ -38,8 +38,8 @@ int main() {
   device.attach_supply(&cap);
   const auto cm = ace::compile(rad_out.qmodel, device);
   flex::RunOptions opts;
-  opts.flex_v_warn = power::warn_voltage_for(
-      ccfg, flex::worst_checkpoint_energy(cm, device.cost()) + 5e-6, 3.0);
+  opts.flex_v_warn =
+      power::flex_warn_voltage(ccfg, flex::worst_checkpoint_energy(cm, device.cost()));
   const auto policy = flex::make_flex_policy();
   flex::IntermittentExecutor ex(*policy);
 

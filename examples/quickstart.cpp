@@ -67,8 +67,8 @@ int main() {
   eh_device.attach_supply(&cap);
   const ace::CompiledModel cm2 = ace::compile(rad_out.qmodel, eh_device);
   flex::RunOptions opts;
-  opts.flex_v_warn = power::warn_voltage_for(
-      ccfg, flex::worst_checkpoint_energy(cm2, eh_device.cost()) + 5e-6, 3.0);
+  opts.flex_v_warn = power::flex_warn_voltage(
+      ccfg, flex::worst_checkpoint_energy(cm2, eh_device.cost()));
   const auto flex_policy = flex::make_flex_policy();
   const flex::RunStats inter =
       flex::IntermittentExecutor(*flex_policy).run(eh_device, cm2, qin, opts);

@@ -19,23 +19,17 @@ struct ScratchNeed {
   std::size_t blk = 0;
 };
 
-ScratchNeed layer_need(const quant::QLayer& l) {
+ScratchNeed layer_need(const quant::QLayer& l, const LayerPlan& p) {
   ScratchNeed n;
   switch (l.kind) {
-    case quant::QKind::kConv2D: {
-      const std::size_t gather = l.in_ch * l.live_positions();
-      n.input_stage = l.in_size();
-      n.kern_vec = gather;
-      n.win_vec = gather;
-      n.row_stage = l.out_shape[2];  // one output row
-      break;
-    }
+    case quant::QKind::kConv2D:
     case quant::QKind::kConv1D: {
-      const std::size_t gather = l.in_ch * l.k;
+      // The whole input map, one filter's live weights, one window and
+      // one output row.
       n.input_stage = l.in_size();
-      n.kern_vec = gather;
-      n.win_vec = gather;
-      n.row_stage = l.out_shape[1];  // one filter's full output
+      n.kern_vec = p.w_gather.size();
+      n.win_vec = p.w_gather.size();
+      n.row_stage = conv_geom(l).cols;
       break;
     }
     case quant::QKind::kDense: {
@@ -110,6 +104,24 @@ LayerPlan layer_plan(const quant::QLayer& l) {
 }
 
 }  // namespace
+
+ConvGeom conv_geom(const quant::QLayer& l) {
+  ConvGeom g;
+  g.filters = l.out_ch;
+  if (l.kind == quant::QKind::kConv1D) {
+    g.rows = 1;
+    g.cols = l.out_shape[1];
+    g.in_row = l.in_shape[1];
+    g.filter_words = l.in_ch * l.k;
+  } else {
+    check(l.kind == quant::QKind::kConv2D, "conv_geom: not a conv layer");
+    g.rows = l.out_shape[1];
+    g.cols = l.out_shape[2];
+    g.in_row = l.in_shape[2];
+    g.filter_words = l.in_ch * l.kh * l.kw;
+  }
+  return g;
+}
 
 bool use_dma(const dev::CostModel& cm, std::size_t words) {
   // CPU copy loop: load + store + pointer/loop upkeep per word.
@@ -187,8 +199,8 @@ CompiledModel compile(const quant::QuantModel& qm, dev::Device& dev, bool co_res
 
   // --- SRAM scratch plan: maxima over layers -----------------------------
   ScratchNeed max_need;
-  for (const auto& q : qm.layers) {
-    const ScratchNeed n = layer_need(q);
+  for (std::size_t l = 0; l < qm.layers.size(); ++l) {
+    const ScratchNeed n = layer_need(qm.layers[l], cm.plans[l]);
     max_need.input_stage = std::max(max_need.input_stage, n.input_stage);
     max_need.kern_vec = std::max(max_need.kern_vec, n.kern_vec);
     max_need.win_vec = std::max(max_need.win_vec, n.win_vec);

@@ -52,6 +52,27 @@ struct LayerPlan {
   std::vector<std::uint32_t> real_gather;
 };
 
+// One conv layer's output and addressing geometry. A Conv1D layer (C, L)
+// is a Conv2D over a (C, 1, L) input with one output row, so every conv
+// kernel walks filters x rows x cols and finds a window's top-left input
+// word at row * in_row + col. This is the one place that tells the two
+// kinds apart outside the gather-table build (layer_plan).
+struct ConvGeom {
+  std::size_t filters = 0;       // output channels
+  std::size_t rows = 0;          // output rows per filter (1 for Conv1D)
+  std::size_t cols = 0;          // output columns per row
+  std::size_t in_row = 0;        // input words per row
+  std::size_t filter_words = 0;  // one filter's weights in FRAM (dense layout)
+
+  // Output pixel px (filter-major, then row, then column): its filter and
+  // its window's offset from the input base.
+  std::size_t filter(std::size_t px) const { return px / (rows * cols); }
+  std::size_t window(std::size_t px) const {
+    return (px / cols) % rows * in_row + px % cols;
+  }
+};
+ConvGeom conv_geom(const quant::QLayer& l);
+
 // SRAM scratch plan (word addresses; a size of 0 means not needed).
 struct SramPlan {
   dev::Addr input_stage = 0;   // staged input feature map (conv) / x vector

@@ -21,8 +21,6 @@ using quant::QLayer;
 
 constexpr std::size_t kCpuUnit = 64;  // element block for CPU-direct layers
 
-int acc_rshift(const QLayer& l) { return 15 + l.out_exp - l.w_exp - l.in_exp; }
-
 using Span = std::span<fx::q15_t>;
 
 // Effective arena for one kernel run: the caller's cross-layer arena when
@@ -61,12 +59,12 @@ void pack_acc64(Span w, std::size_t idx, std::int64_t v) {
 
 // ------------------------------------------------------- conv window rows
 
-// The conv kernels' per-pixel loop, charged by output row. On the device
+// The conv kernel's per-pixel loop, charged by output row. On the device
 // each output pixel is one window gather plus one LEA MAC, and the model
 // charges, in order: cpu_ops(2g) for the gather loop, a g-word SRAM
 // gather read, a g-word write of the window into win_vec, and the MAC of
-// win_vec against kern_vec. Both conv kernels are stride 1, so the
-// windows of one row start at consecutive staged-input words.
+// win_vec against kern_vec. The kernel is stride 1, so the windows of
+// one row start at consecutive staged-input words.
 //
 // run() charges the row's pixels as one charge loop
 // (Device::charge_loop) of those four draws, with pixel_per_op() — the
@@ -142,43 +140,42 @@ class WindowRow {
   const dev::ChargePattern pixel_;
 };
 
-// ---------------------------------------------------------------- Conv2D
+// ---------------------------------------------------------------- conv
 
-void run_conv2d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
+void run_conv(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
   dev::Device& dv = ctx.dev;
   const QLayer& q = ctx.q();
   const SramPlan& sp = ctx.cm.sram;
   const LayerPlan& lp = ctx.plan();
   ArenaRef ar(ctx);
-  const std::size_t iw = q.in_shape[2];
-  const std::size_t oh = q.out_shape[1], ow = q.out_shape[2];
-  const std::size_t gather = q.in_ch * lp.live_pos.size();
+  const ConvGeom g = conv_geom(q);
+  const std::size_t gather = lp.w_gather.size();
   const int rshift = acc_rshift(q);
 
   // Stage the whole input feature map in SRAM (acceleration-aware
   // dataflow: one bulk DMA instead of per-window FRAM traffic).
-  check(q.in_size() <= sp.input_stage_words, "conv2d: input stage overflow");
+  check(q.in_size() <= sp.input_stage_words, "conv: input stage overflow");
   move_words(dv, MemKind::kFram, ctx.in_addr, MemKind::kSram, sp.input_stage, q.in_size());
 
   const Span gbuf = ScratchArena::need(ar->gather, gather);
-  const Span rowbuf = ScratchArena::need(ar->row, ow);
+  const Span rowbuf = ScratchArena::need(ar->row, g.cols);
   WindowRow row(ctx, ar.ar, gbuf);
 
   std::size_t cur_f = static_cast<std::size_t>(-1);
   q15_t bias_f = 0;
-  const std::size_t units = q.out_ch * oh;
+  const std::size_t units = g.filters * g.rows;
   for (std::size_t unit = start_unit; unit < units; ++unit) {
     if (dv.browned_out()) return;  // in the staging DMA or the last commit hook
     if (hooks.boundary) hooks.boundary(unit);
-    const std::size_t f = unit / oh;
-    const std::size_t i = unit % oh;
+    const std::size_t f = unit / g.rows;
+    const std::size_t i = unit % g.rows;
 
     if (f != cur_f) {
       // Gather filter f's live weights into a contiguous SRAM vector: one
       // LEA MAC then covers the whole kernel (Fig. 4).
       dv.cpu_ops(2.0 * static_cast<double>(gather));
-      dv.read_gather(MemKind::kFram, ctx.img().w_base + f * q.in_ch * q.kh * q.kw,
-                     lp.w_gather, lp.w_span, gbuf, /*offsets_in_span=*/true);
+      dv.read_gather(MemKind::kFram, ctx.img().w_base + f * g.filter_words, lp.w_gather,
+                     lp.w_span, gbuf, /*offsets_in_span=*/true);
       dv.write_block(MemKind::kSram, sp.kern_vec, gbuf);
       bias_f = q.bias.empty() ? q15_t{0} : dv.read(MemKind::kFram, ctx.img().b_base + f);
       cur_f = f;
@@ -188,64 +185,21 @@ void run_conv2d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
     // Window gather (SRAM -> SRAM, pruned positions skipped) + LEA MAC
     // per output pixel. ctx.stats sees only the pixels charged before a
     // brown-out.
-    const auto accs = row.run(sp.input_stage + i * iw, ow);
+    const auto accs = row.run(sp.input_stage + i * g.in_row, g.cols);
     for (std::size_t j = 0; j < accs.size(); ++j) {
       q15_t v = fx::narrow_q30(accs[j], rshift, ctx.stats);
       if (!q.bias.empty()) v = fx::add_sat(v, bias_f, ctx.stats);
       rowbuf[j] = v;
     }
     if (dv.browned_out()) return;
-    dv.cpu_ops(4.0 * static_cast<double>(ow));  // narrow + bias + store setup
+    dv.cpu_ops(4.0 * static_cast<double>(g.cols));  // narrow + bias + store setup
     dv.write_block(MemKind::kSram, sp.row_stage, rowbuf);
 
     // Bulk-commit the finished output row.
     move_words(dv, MemKind::kSram, sp.row_stage, MemKind::kFram,
-               ctx.out_addr + (f * oh + i) * ow, ow);
+               ctx.out_addr + (f * g.rows + i) * g.cols, g.cols);
     if (dv.browned_out()) return;
     if (hooks.committed) hooks.committed(unit);
-  }
-}
-
-// ---------------------------------------------------------------- Conv1D
-
-void run_conv1d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
-  dev::Device& dv = ctx.dev;
-  const QLayer& q = ctx.q();
-  const SramPlan& sp = ctx.cm.sram;
-  ArenaRef ar(ctx);
-  const std::size_t ol = q.out_shape[1];
-  const std::size_t gather = q.in_ch * q.k;
-  const int rshift = acc_rshift(q);
-
-  check(q.in_size() <= sp.input_stage_words, "conv1d: input stage overflow");
-  move_words(dv, MemKind::kFram, ctx.in_addr, MemKind::kSram, sp.input_stage, q.in_size());
-
-  const Span gbuf = ScratchArena::need(ar->gather, gather);
-  const Span rowbuf = ScratchArena::need(ar->row, ol);
-  WindowRow row(ctx, ar.ar, gbuf);
-
-  for (std::size_t f = start_unit; f < q.out_ch; ++f) {
-    if (dv.browned_out()) return;  // in the staging DMA or the last commit hook
-    if (hooks.boundary) hooks.boundary(f);
-    // Filter weights are contiguous in FRAM: a straight block read.
-    dv.cpu_ops(2.0 * static_cast<double>(gather));
-    dv.read_block(MemKind::kFram, ctx.img().w_base + f * gather, gbuf);
-    dv.write_block(MemKind::kSram, sp.kern_vec, gbuf);
-    const q15_t bias_f = q.bias.empty() ? q15_t{0} : dv.read(MemKind::kFram, ctx.img().b_base + f);
-    if (dv.browned_out()) return;
-
-    const auto accs = row.run(sp.input_stage, ol);
-    for (std::size_t i = 0; i < accs.size(); ++i) {
-      q15_t v = fx::narrow_q30(accs[i], rshift, ctx.stats);
-      if (!q.bias.empty()) v = fx::add_sat(v, bias_f, ctx.stats);
-      rowbuf[i] = v;
-    }
-    if (dv.browned_out()) return;
-    dv.cpu_ops(4.0 * static_cast<double>(ol));
-    dv.write_block(MemKind::kSram, sp.row_stage, rowbuf);
-    move_words(dv, MemKind::kSram, sp.row_stage, MemKind::kFram, ctx.out_addr + f * ol, ol);
-    if (dv.browned_out()) return;
-    if (hooks.committed) hooks.committed(f);
   }
 }
 
@@ -344,25 +298,11 @@ void run_cpu_layer(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks)
         dv.write_block(MemKind::kFram, ctx.out_addr + lo, buf);
         break;
       }
-      case QKind::kMaxPool2D: {
-        const std::size_t ihh = q.in_shape[1], iww = q.in_shape[2];
-        const std::size_t ohh = q.out_shape[1], oww = q.out_shape[2];
+      case QKind::kMaxPool2D:
         for (std::size_t e = lo; e < hi; ++e) {
-          const std::size_t ch = e / (ohh * oww);
-          const std::size_t i = (e / oww) % ohh;
-          const std::size_t j = e % oww;
-          q15_t m = fx::kQ15Min;
-          for (std::size_t di = 0; di < 2; ++di) {
-            for (std::size_t dj = 0; dj < 2; ++dj) {
-              m = std::max(m, dv.read(MemKind::kFram,
-                                      ctx.in_addr + (ch * ihh + 2 * i + di) * iww + 2 * j + dj));
-            }
-          }
-          dv.cpu_ops(5);
-          dv.write(MemKind::kFram, ctx.out_addr + e, m);
+          run_element(dv, q, ctx.in_addr, ctx.out_addr, e);
         }
         break;
-      }
       case QKind::kFlatten:
         move_words(dv, MemKind::kFram, ctx.in_addr + lo, MemKind::kFram, ctx.out_addr + lo,
                    hi - lo);
@@ -551,8 +491,11 @@ void run_bcm(ExecCtx& ctx, BcmState st, BcmObserver* obs) {
 
 std::size_t unit_count(const QLayer& l) {
   switch (l.kind) {
-    case QKind::kConv2D: return l.out_ch * l.out_shape[1];
-    case QKind::kConv1D: return l.out_ch;
+    case QKind::kConv2D:
+    case QKind::kConv1D: {
+      const ConvGeom g = conv_geom(l);
+      return g.filters * g.rows;
+    }
     case QKind::kDense:
       return div_ceil(l.in_ch, quant::kDenseChunk) * dense_neuron_blocks(l);
     case QKind::kBcmDense: return l.bp;  // committed rows
@@ -582,8 +525,8 @@ class BcmUnitAdapter : public BcmObserver {
 
 void run_layer(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
   switch (ctx.q().kind) {
-    case QKind::kConv2D: run_conv2d(ctx, start_unit, hooks); return;
-    case QKind::kConv1D: run_conv1d(ctx, start_unit, hooks); return;
+    case QKind::kConv2D:
+    case QKind::kConv1D: run_conv(ctx, start_unit, hooks); return;
     case QKind::kDense: run_dense(ctx, start_unit, hooks); return;
     case QKind::kBcmDense: {
       BcmUnitAdapter adapter(hooks);
@@ -698,10 +641,7 @@ bool run_tile(ExecCtx& ctx, TileCursor& cur, std::size_t tile_elems) {
         acc += static_cast<std::int32_t>(fx::mul_q30(xbuf[i], wbuf[i]) >> guard);
       }
       if (cur.tile + 1 == ntiles) {
-        dv.cpu_ops(4);
-        q15_t v = fx::narrow_q30(static_cast<std::int64_t>(acc), rshift);
-        if (!q.bias.empty()) v = fx::add_sat(v, dv.read(MemKind::kFram, bb + o));
-        dv.write(MemKind::kFram, out + o, v);
+        finish_output(dv, q, bb, o, acc, rshift, out + o);
         return !dv.browned_out() && tile_advance_outer(cur, q.out_ch);
       }
       if (dv.browned_out()) return false;
@@ -718,40 +658,24 @@ bool run_tile(ExecCtx& ctx, TileCursor& cur, std::size_t tile_elems) {
       const std::size_t red = tile_reduction_len(ctx.cm, ctx.layer);
       const std::size_t ntiles = div_ceil(red, tile_elems);
       const int rshift = acc_rshift(q);
+      const ConvGeom g = conv_geom(q);
       const std::size_t px = cur.outer;
-      std::size_t f = 0;
-      Addr xbase = 0;
-      if (q.kind == QKind::kConv2D) {
-        const std::size_t oh = q.out_shape[1], ow = q.out_shape[2];
-        f = px / (oh * ow);
-        const std::size_t i = (px / ow) % oh;
-        const std::size_t j = px % ow;
-        xbase = in + i * q.in_shape[2] + j;
-      } else {
-        const std::size_t ol = q.out_shape[1];
-        f = px / ol;
-        xbase = in + px % ol;
-      }
-      const std::size_t wstride =
-          q.kind == QKind::kConv2D ? q.in_ch * q.kh * q.kw : q.in_ch * q.k;
+      const std::size_t f = g.filter(px);
       const std::size_t lo = cur.tile * tile_elems;
       const std::size_t n = std::min(lo + tile_elems, red) - lo;
       const Span xbuf = ScratchArena::need(ar->row, n);
       const Span wbuf = ScratchArena::need(ar->gather, n);
       const std::span<const std::uint32_t> xoff(lp.x_gather);
       const std::span<const std::uint32_t> woff(lp.w_gather);
-      dv.read_gather(MemKind::kFram, xbase, xoff.subspan(lo, n), lp.x_span, xbuf,
+      dv.read_gather(MemKind::kFram, in + g.window(px), xoff.subspan(lo, n), lp.x_span, xbuf,
                      /*offsets_in_span=*/true);
-      dv.read_gather(MemKind::kFram, wb + f * wstride, woff.subspan(lo, n), lp.w_span,
+      dv.read_gather(MemKind::kFram, wb + f * g.filter_words, woff.subspan(lo, n), lp.w_span,
                      wbuf, /*offsets_in_span=*/true);
       dv.charge_loop(mac, n, [&](std::size_t) { tile_mac_per_op(dv); });
       std::int64_t acc = cur.acc;
       for (std::size_t e = 0; e < n; ++e) acc += fx::mul_q30(xbuf[e], wbuf[e]);
       if (cur.tile + 1 == ntiles) {
-        dv.cpu_ops(4);
-        q15_t v = fx::narrow_q30(acc, rshift);
-        if (!q.bias.empty()) v = fx::add_sat(v, dv.read(MemKind::kFram, bb + f));
-        dv.write(MemKind::kFram, out + px, v);
+        finish_output(dv, q, bb, f, acc, rshift, out + px);
         return !dv.browned_out() && tile_advance_outer(cur, q.out_size());
       }
       if (dv.browned_out()) return false;
@@ -770,29 +694,7 @@ bool run_tile(ExecCtx& ctx, TileCursor& cur, std::size_t tile_elems) {
       const std::size_t blocks = div_ceil(nelem, tile_elems);
       const std::size_t lo = cur.outer * tile_elems;
       const std::size_t hi = std::min(lo + tile_elems, nelem);
-      for (std::size_t e = lo; e < hi; ++e) {
-        q15_t v;
-        if (q.kind == QKind::kMaxPool2D) {
-          const std::size_t ihh = q.in_shape[1], iww = q.in_shape[2];
-          const std::size_t ohh = q.out_shape[1], oww = q.out_shape[2];
-          const std::size_t ch = e / (ohh * oww);
-          const std::size_t i = (e / oww) % ohh;
-          const std::size_t j = e % oww;
-          v = fx::kQ15Min;
-          for (std::size_t di = 0; di < 2; ++di) {
-            for (std::size_t dj = 0; dj < 2; ++dj) {
-              v = std::max(v, dv.read(MemKind::kFram,
-                                      in + (ch * ihh + 2 * i + di) * iww + 2 * j + dj));
-            }
-          }
-          dv.cpu_ops(5);
-        } else {
-          v = dv.read(MemKind::kFram, in + e);
-          dv.cpu_ops(2);
-          if (q.kind == QKind::kReLU) v = std::max<q15_t>(v, 0);
-        }
-        dv.write(MemKind::kFram, out + e, v);
-      }
+      for (std::size_t e = lo; e < hi; ++e) run_element(dv, q, in, out, e);
       return !dv.browned_out() && tile_advance_outer(cur, blocks);
     }
 
@@ -800,6 +702,40 @@ bool run_tile(ExecCtx& ctx, TileCursor& cur, std::size_t tile_elems) {
       fail("tile runtime has no BCM support (run it on the dense model)");
   }
   fail("run_tile: unknown kind");
+}
+
+// ---------------------------------------------------------------- scalar paths
+
+void run_element(dev::Device& dv, const QLayer& q, Addr in, Addr out, std::size_t e) {
+  q15_t v;
+  if (q.kind == QKind::kMaxPool2D) {
+    const std::size_t ih = q.in_shape[1], iw = q.in_shape[2];
+    const std::size_t oh = q.out_shape[1], ow = q.out_shape[2];
+    const std::size_t ch = e / (oh * ow);
+    const std::size_t i = (e / ow) % oh;
+    const std::size_t j = e % ow;
+    v = fx::kQ15Min;
+    for (std::size_t di = 0; di < 2; ++di) {
+      for (std::size_t dj = 0; dj < 2; ++dj) {
+        v = std::max(v,
+                     dv.read(MemKind::kFram, in + (ch * ih + 2 * i + di) * iw + 2 * j + dj));
+      }
+    }
+    dv.cpu_ops(5);
+  } else {
+    v = dv.read(MemKind::kFram, in + e);
+    dv.cpu_ops(2);
+    if (q.kind == QKind::kReLU) v = std::max<q15_t>(v, 0);
+  }
+  dv.write(MemKind::kFram, out + e, v);
+}
+
+void finish_output(dev::Device& dv, const QLayer& q, Addr b_base, std::size_t f,
+                   std::int64_t acc, int rshift, Addr dst) {
+  dv.cpu_ops(4);
+  q15_t v = fx::narrow_q30(acc, rshift);
+  if (!q.bias.empty()) v = fx::add_sat(v, dv.read(MemKind::kFram, b_base + f));
+  dv.write(MemKind::kFram, dst, v);
 }
 
 // ---------------------------------------------------------------- acc helpers

@@ -9,11 +9,11 @@
 //   * moves bulk data with DMA when the cost model says DMA wins,
 //   * is resumable at *unit* granularity: a unit is the smallest chunk of
 //     work whose results are fully committed to FRAM (an output row for
-//     Conv2D, a filter for Conv1D, a (chunk x neuron-block) tile for
-//     Dense, a block row for BcmDense, an element range for the CPU
-//     layers). Units are sized so a single unit always fits in one
-//     harvest burst — the forward-progress requirement of intermittent
-//     execution.
+//     conv, a (chunk x neuron-block) tile for Dense, a block row for
+//     BcmDense, an element range for the CPU layers; a Conv1D layer is a
+//     Conv2D with one output row, so its unit is one filter's output).
+//     Units are sized so a single unit always fits in one harvest burst —
+//     the forward-progress requirement of intermittent execution.
 //
 // Intermittent runtimes drive kernels with a start unit (fast-forward
 // after reboot) and receive hooks at unit boundaries; FLEX additionally
@@ -77,6 +77,11 @@ struct UnitHooks {
 
 // Number of resumable units for a layer.
 std::size_t unit_count(const quant::QLayer& l);
+
+// Narrowing shift from a layer's exact Q30 accumulator to its output scale.
+inline int acc_rshift(const quant::QLayer& l) {
+  return 15 + l.out_exp - l.w_exp - l.in_exp;
+}
 
 // Dense tiling: units are (chunk, neuron-block) pairs; neuron blocks keep
 // per-unit work small enough to fit inside one harvest burst.
@@ -145,7 +150,8 @@ void run_bcm(ExecCtx& ctx, BcmState st, BcmObserver* obs);
 // subranges, FRAM-direct, no feature-map staging). `acc` carries the
 // partial sum across tiles; for Dense it holds the guard-shifted 32-bit
 // accumulator, for conv the exact 64-bit one. The element-wise math is
-// SONIC's exactly, so outputs are bit-identical across the two runtimes.
+// SONIC's exactly (the same gather walk, output finish and element
+// bodies), so outputs are bit-identical across the two runtimes.
 struct TileCursor {
   std::uint32_t layer = 0;
   std::uint32_t outer = 0;  // conv output pixel / dense neuron / cpu block
@@ -169,6 +175,20 @@ std::size_t tile_total_units(const CompiledModel& cm, std::size_t tile_elems);
 // whose cursor commit tore reproduces bit-identical state. Returns true
 // when the layer is complete.
 bool run_tile(ExecCtx& ctx, TileCursor& cur, std::size_t tile_elems);
+
+// ---- scalar element paths (shared with the CPU runtimes) -----------------
+
+// Element `e` of a ReLU, Flatten or 2x2 MaxPool layer through the real
+// ops: its FRAM input read(s), its ALU ops, its FRAM output write. SONIC
+// and TILE run every element layer through it, ACE its MaxPool.
+void run_element(dev::Device& dev, const quant::QLayer& q, dev::Addr in, dev::Addr out,
+                 std::size_t e);
+
+// A scalar conv/Dense output's finish: four ALU ops, the narrowing of the
+// exact accumulator by `rshift`, the bias word `b_base + f` when the layer
+// has biases, and the write of the output word `dst`.
+void finish_output(dev::Device& dev, const quant::QLayer& q, dev::Addr b_base, std::size_t f,
+                   std::int64_t acc, int rshift, dev::Addr dst);
 
 // ---- SRAM 32/64-bit accumulator helpers (shared with runtimes) ------------
 

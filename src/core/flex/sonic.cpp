@@ -12,6 +12,14 @@
 //
 // Commit-order discipline (inner index first, then outer, then layer)
 // makes every multi-word control transition safe to tear.
+//
+// A conv output pixel is one unit: its whole reduction walks the layer's
+// gather tables, as the tile runtime's tiles do, with the pixel's filter
+// and window from ace::conv_geom (a Conv1D layer is a Conv2D with one
+// output row). SONIC runs dense models, whose tables cover every
+// (channel, kernel position) in the weights' order. Every conv and Dense
+// output ends in ace::finish_output and every element-layer element is
+// ace::run_element, the bodies the tile runtime runs too.
 
 #include <algorithm>
 
@@ -155,7 +163,7 @@ class SonicPolicy : public RuntimePolicy {
         const std::size_t nin = q.in_ch;
         const std::size_t ntiles = div_ceil(nin, kTile);
         const int guard = quant::dense_guard_shift(nin);
-        const int rshift = 15 + q.out_exp - q.w_exp - q.in_exp - guard;
+        const int rshift = ace::acc_rshift(q) - guard;
         for (std::size_t o = outer0; o < q.out_ch; ++o) {
           for (std::size_t t = (o == outer0 ? tile0 : 0); t < ntiles; ++t) {
             // Accumulator state before tile t lives in parity slot [t & 1].
@@ -174,10 +182,7 @@ class SonicPolicy : public RuntimePolicy {
             ace::write_acc32(dev, MemKind::kFram, cm.nv_acc_base, (t + 1) & 1, acc);
             if (t + 1 == ntiles) {
               // Finish the neuron before the cursor moves past it.
-              dev.cpu_ops(4);
-              q15_t v = fx::narrow_q30(static_cast<std::int64_t>(acc), rshift);
-              if (!q.bias.empty()) v = fx::add_sat(v, dev.read(MemKind::kFram, bb + o));
-              dev.write(MemKind::kFram, out + o, v);
+              ace::finish_output(dev, q, bb, o, acc, rshift, out + o);
               if (!commit_outer(ctx, o + 1)) return;
             } else if (!commit_inner(ctx, t + 1)) {
               return;
@@ -187,62 +192,28 @@ class SonicPolicy : public RuntimePolicy {
         break;
       }
 
-      case QKind::kConv2D: {
-        const std::size_t ih = q.in_shape[1], iw = q.in_shape[2];
-        const std::size_t oh = q.out_shape[1], ow = q.out_shape[2];
-        const int rshift = 15 + q.out_exp - q.w_exp - q.in_exp;
-        for (std::size_t px = outer0; px < q.out_size(); ++px) {
-          const std::size_t f = px / (oh * ow);
-          const std::size_t i = (px / ow) % oh;
-          const std::size_t j = px % ow;
-          // Reduction index m = (c * kh + r) * kw + s.
-          dev.charge_loop(mac, q.in_ch * q.kh * q.kw, [&](std::size_t m) {
-            const std::size_t c = m / (q.kh * q.kw);
-            const std::size_t r = (m / q.kw) % q.kh;
-            const std::size_t s = m % q.kw;
-            mac_per_op(dev, in + (c * ih + i + r) * iw + j + s,
-                       wb + ((f * q.in_ch + c) * q.kh + r) * q.kw + s);
-          });
-          std::int64_t acc = 0;
-          for (std::size_t c = 0; c < q.in_ch; ++c) {
-            for (std::size_t r = 0; r < q.kh; ++r) {
-              const auto xs = dev.fram().view(in + (c * ih + i + r) * iw + j, q.kw);
-              const auto ws = dev.fram().view(wb + ((f * q.in_ch + c) * q.kh + r) * q.kw, q.kw);
-              for (std::size_t s = 0; s < q.kw; ++s) acc += fx::mul_q30(xs[s], ws[s]);
-            }
-          }
-          dev.cpu_ops(4);
-          q15_t v = fx::narrow_q30(acc, rshift);
-          if (!q.bias.empty()) v = fx::add_sat(v, dev.read(MemKind::kFram, bb + f));
-          dev.write(MemKind::kFram, out + px, v);
-          if (!commit_outer(ctx, px + 1)) return;
-        }
-        break;
-      }
-
+      case QKind::kConv2D:
       case QKind::kConv1D: {
-        const std::size_t il = q.in_shape[1];
-        const std::size_t ol = q.out_shape[1];
-        const int rshift = 15 + q.out_exp - q.w_exp - q.in_exp;
+        // One output pixel is one unit: its whole reduction, walked through
+        // the layer's gather tables (a dense model's tables cover every
+        // (channel, kernel position) in order), then the output word.
+        const ace::LayerPlan& lp = cm.plans[l];
+        const ace::ConvGeom g = ace::conv_geom(q);
+        const int rshift = ace::acc_rshift(q);
         for (std::size_t px = outer0; px < q.out_size(); ++px) {
-          const std::size_t f = px / ol;
-          const std::size_t i = px % ol;
-          // Reduction index m = c * k + t.
-          dev.charge_loop(mac, q.in_ch * q.k, [&](std::size_t m) {
-            const std::size_t c = m / q.k;
-            const std::size_t t = m % q.k;
-            mac_per_op(dev, in + c * il + i + t, wb + (f * q.in_ch + c) * q.k + t);
+          const std::size_t f = g.filter(px);
+          const Addr xa = in + g.window(px);
+          const Addr wa = wb + f * g.filter_words;
+          dev.charge_loop(mac, lp.w_gather.size(), [&](std::size_t m) {
+            mac_per_op(dev, xa + lp.x_gather[m], wa + lp.w_gather[m]);
           });
+          const auto xs = dev.fram().view(xa, lp.x_span);
+          const auto ws = dev.fram().view(wa, lp.w_span);
           std::int64_t acc = 0;
-          for (std::size_t c = 0; c < q.in_ch; ++c) {
-            const auto xs = dev.fram().view(in + c * il + i, q.k);
-            const auto ws = dev.fram().view(wb + (f * q.in_ch + c) * q.k, q.k);
-            for (std::size_t t = 0; t < q.k; ++t) acc += fx::mul_q30(xs[t], ws[t]);
+          for (std::size_t m = 0; m < lp.w_gather.size(); ++m) {
+            acc += fx::mul_q30(xs[lp.x_gather[m]], ws[lp.w_gather[m]]);
           }
-          dev.cpu_ops(4);
-          q15_t v = fx::narrow_q30(acc, rshift);
-          if (!q.bias.empty()) v = fx::add_sat(v, dev.read(MemKind::kFram, bb + f));
-          dev.write(MemKind::kFram, out + px, v);
+          ace::finish_output(dev, q, bb, f, acc, rshift, out + px);
           if (!commit_outer(ctx, px + 1)) return;
         }
         break;
@@ -256,29 +227,7 @@ class SonicPolicy : public RuntimePolicy {
         for (std::size_t t = outer0; t < tiles; ++t) {
           const std::size_t lo = t * kCpuTile;
           const std::size_t hi = std::min(lo + kCpuTile, n);
-          for (std::size_t e = lo; e < hi; ++e) {
-            q15_t v;
-            if (q.kind == QKind::kMaxPool2D) {
-              const std::size_t ihh = q.in_shape[1], iww = q.in_shape[2];
-              const std::size_t ohh = q.out_shape[1], oww = q.out_shape[2];
-              const std::size_t ch = e / (ohh * oww);
-              const std::size_t i = (e / oww) % ohh;
-              const std::size_t j = e % oww;
-              v = fx::kQ15Min;
-              for (std::size_t di = 0; di < 2; ++di) {
-                for (std::size_t dj = 0; dj < 2; ++dj) {
-                  v = std::max(v, dev.read(MemKind::kFram,
-                                           in + (ch * ihh + 2 * i + di) * iww + 2 * j + dj));
-                }
-              }
-              dev.cpu_ops(5);
-            } else {
-              v = dev.read(MemKind::kFram, in + e);
-              dev.cpu_ops(2);
-              if (q.kind == QKind::kReLU) v = std::max<q15_t>(v, 0);
-            }
-            dev.write(MemKind::kFram, out + e, v);
-          }
+          for (std::size_t e = lo; e < hi; ++e) ace::run_element(dev, q, in, out, e);
           if (!commit_outer(ctx, t + 1)) return;
         }
         break;

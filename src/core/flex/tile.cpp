@@ -8,7 +8,10 @@
 // reduction into tiles of `t` MACs (walked through the LayerPlan gather
 // tables, core/ace/kernels.cpp run_tile) and after every tile commits a
 // (layer, outer, tile, accumulator) cursor to FRAM, so a boot that
-// survives one tile plus one commit makes forward progress.
+// survives one tile plus one commit makes forward progress. Conv1D and
+// Conv2D share one path (ace::conv_geom: a Conv1D is a one-row Conv2D),
+// and an element's output finish and the element layers' bodies are
+// SONIC's (ace::finish_output, ace::run_element).
 //
 // The cursor record is double-buffered and torn-write safe: two slots in
 // the compiled model's ctrl block (ace::kTileCursorOffset), each
@@ -67,12 +70,10 @@ class TilePolicy : public RuntimePolicy {
       // cannot overflow them (would corrupt the resume position).
       for (std::size_t l = 0; l < cm.model.layers.size(); ++l) {
         const quant::QLayer& q = cm.model.layers[l];
-        const std::size_t outers =
-            q.kind == quant::QKind::kDense ? q.out_ch : q.out_size();
-        const std::size_t red =
-            q.kind == quant::QKind::kDense
-                ? q.in_ch
-                : q.in_ch * std::max<std::size_t>(q.kh * q.kw, q.k);
+        const bool dense = q.kind == quant::QKind::kDense;
+        const bool conv = q.kind == quant::QKind::kConv2D || q.kind == quant::QKind::kConv1D;
+        const std::size_t outers = dense ? q.out_ch : q.out_size();
+        const std::size_t red = dense ? q.in_ch : conv ? ace::conv_geom(q).filter_words : 0;
         check(outers <= 0xffff && div_ceil(red, t_) <= 0xffff,
               "tile: model too large for 16-bit cursor fields");
       }

@@ -1,9 +1,11 @@
 #include "obs/export.h"
 
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <ostream>
 
+#include "util/check.h"
 #include "util/format.h"
 
 namespace ehdnn::obs {
@@ -101,6 +103,20 @@ void write_text_trace(std::ostream& os, const std::vector<TraceCapture>& traces)
          << "\n";
     }
   }
+}
+
+void write_trace_files(const std::vector<TraceCapture>& traces,
+                       const std::string& chrome_path, const std::string& text_path,
+                       const char* tool) {
+  const auto write_one = [&](const std::string& path, auto writer) {
+    if (path.empty()) return;
+    std::ofstream f(path);
+    check_input(f.good(), "cannot write " + path);
+    writer(f, traces);
+    std::fprintf(stderr, "%s: %zu trace tracks -> %s\n", tool, traces.size(), path.c_str());
+  };
+  write_one(chrome_path, write_chrome_trace);
+  write_one(text_path, write_text_trace);
 }
 
 void write_metrics_json(std::ostream& os, const MetricsRegistry& reg,

@@ -36,6 +36,14 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceCapture>& trace
 // the CI determinism cmp pin.
 void write_text_trace(std::ostream& os, const std::vector<TraceCapture>& traces);
 
+// Writes `traces` as Chrome JSON to `chrome_path` and as the text dump to
+// `text_path`, skipping a format whose path is empty, and notes each file
+// on stderr as "<tool>: N trace tracks -> PATH". A file that cannot be
+// opened is a user error (UserError, "cannot write PATH").
+void write_trace_files(const std::vector<TraceCapture>& traces,
+                       const std::string& chrome_path, const std::string& text_path,
+                       const char* tool);
+
 // The shared `metrics` JSON block (counters then gauges, each sorted by
 // name) used by both FLEET (ehdnn-fleet-v6) and SCENARIOS
 // (ehdnn-scenarios-v3) writers. `indent` prefixes every emitted line; the

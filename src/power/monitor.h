@@ -22,4 +22,11 @@ inline double warn_voltage_for(const CapacitorConfig& cfg, double energy_budget_
   return std::sqrt(v2);
 }
 
+// FLEX's warning threshold for a deployment whose worst-case checkpoint
+// costs `worst_checkpoint_j`: that checkpoint plus a 5 uJ margin, covered
+// three times over.
+inline double flex_warn_voltage(const CapacitorConfig& cfg, double worst_checkpoint_j) {
+  return warn_voltage_for(cfg, worst_checkpoint_j + 5e-6, 3.0);
+}
+
 }  // namespace ehdnn::power

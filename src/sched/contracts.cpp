@@ -383,7 +383,7 @@ SingleRun run_single(const World& w, bool force_admit_all) {
 
   flex::RunOptions opts;
   opts.max_futile_boots = 400;
-  opts.flex_v_warn = power::warn_voltage_for(supply.config(), worst_ck + 5e-6, 3.0);
+  opts.flex_v_warn = power::flex_warn_voltage(supply.config(), worst_ck);
 
   AdaptivePolicy* ap = as_adaptive(policy.get());
   ehdnn::check(ap != nullptr, "contract world: sched spec must be adaptive");

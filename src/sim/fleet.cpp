@@ -311,7 +311,7 @@ std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig&
       fd->supply.burst_energy(), tpl.completion);
   fd->opts.max_reboots = g.max_reboots;
   fd->opts.max_futile_boots = g.max_futile;
-  fd->opts.flex_v_warn = power::warn_voltage_for(fd->supply.config(), worst_ck + 5e-6, 3.0);
+  fd->opts.flex_v_warn = power::flex_warn_voltage(fd->supply.config(), worst_ck);
   fd->opts.profile = profile;  // JobQueue copies opts, so wire before emplace
   if (trace_capacity > 0) fd->trace.set_capacity(static_cast<std::size_t>(trace_capacity));
   fd->opts.trace = &fd->trace;  // counts-only unless the capacity above was set
@@ -868,9 +868,9 @@ static void validate_run_options(const FleetRunOptions& ropts, int n) {
         "fleet: --profile needs --jobs 1 (one shared, unsynchronized sink); "
         "the request used to be silently ignored under a worker pool");
   for (const int id : ropts.trace_devices) {
-    check(id >= 0 && id < n,
-          "fleet: trace device id " + std::to_string(id) + " out of range [0, " +
-              std::to_string(n) + ")");
+    check_input(id >= 0 && id < n,
+                "fleet: trace device id " + std::to_string(id) + " out of range [0, " +
+                    std::to_string(n) + ")");
   }
   check(ropts.trace_capacity >= 1, "fleet: trace_capacity must be >= 1");
 }

@@ -144,7 +144,7 @@ ScenarioCell run_cell(const std::string& rt_key, models::Task task,
   opts.max_reboots = sc.max_reboots;
   opts.max_futile_boots = sc.max_futile;
   if (!continuous) {
-    opts.flex_v_warn = power::warn_voltage_for(cap->config(), worst_ck + 5e-6, 3.0);
+    opts.flex_v_warn = power::flex_warn_voltage(cap->config(), worst_ck);
   }
   const flex::RunStats st =
       flex::IntermittentExecutor(*policy).run(dev, cm, inputs.at(rk.compressed), opts);
@@ -280,9 +280,9 @@ ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
   // matrix is byte-identical for any job count.
   const std::size_t n_cells = tasks.size() * scenarios.size() * runtimes.size();
   for (const int id : opts.trace_cells) {
-    check(id >= 0 && static_cast<std::size_t>(id) < n_cells,
-          "scenario sweep: trace cell index " + std::to_string(id) +
-              " out of range [0, " + std::to_string(n_cells) + ")");
+    check_input(id >= 0 && static_cast<std::size_t>(id) < n_cells,
+                "scenario sweep: trace cell index " + std::to_string(id) +
+                    " out of range [0, " + std::to_string(n_cells) + ")");
   }
   m.cells.resize(n_cells);
   std::mutex log_mu;

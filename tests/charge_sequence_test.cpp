@@ -19,7 +19,9 @@
 // dense) and HAR (conv1d) models and TILE on both under continuous power,
 // where a run settles its draws through consume_batch(), and SONIC on the
 // 10 uF square harvest, where runs buffer into prepaid windows and
-// brown-outs land inside a MAC loop. On the capacitor cases a window's
+// brown-outs land inside a MAC loop. SONIC on that harvest and TILE on
+// the 80 nF one also run HAR, so brown-outs land inside the scalar
+// runtimes' conv1d pixels. On the capacitor cases a window's
 // runs reach the capacitor as run entries and settle in closed form, so
 // these hashes pin that settlement to the per-draw one.
 //
@@ -155,6 +157,10 @@ constexpr SequenceCase kSequenceCases[] = {
     {"har_tile_continuous", models::Task::kHar, "tile", 0.0, 0x214ac0b1c44f9f8aull, 1687156},
     {"mnist_sonic_10uF_square", models::Task::kMnist, "sonic", 10e-6, 0x364872a1b11a8c10ull,
      1305771},
+    {"har_sonic_10uF_square", models::Task::kHar, "sonic", 10e-6, 0xfc765eaac52797b1ull,
+     2192585},
+    {"har_tile_80nF_square", models::Task::kHar, "tile", 80e-9, 0x6a1e85a4317bb21aull,
+     1807693},
 };
 
 struct SequenceRun {

@@ -87,7 +87,7 @@ TEST_F(FullStack, FlexCompletesUnderHarvestedPowerBitExact) {
   const auto cmi = ace::compile(result_->qmodel, di);
   flex::RunOptions opts;
   opts.flex_v_warn =
-      power::warn_voltage_for(ccfg, flex::worst_checkpoint_energy(cmi, di.cost()) + 5e-6, 3.0);
+      power::flex_warn_voltage(ccfg, flex::worst_checkpoint_energy(cmi, di.cost()));
   const auto inter = ex.run(di, cmi, qin, opts);
   ASSERT_TRUE(inter.completed());
   EXPECT_EQ(inter.output, cont.output);
@@ -126,7 +126,7 @@ TEST_F(FullStack, CheckpointOverheadIsSmallFraction) {
   flex::IntermittentExecutor ex(*policy);
   flex::RunOptions opts;
   opts.flex_v_warn =
-      power::warn_voltage_for(ccfg, flex::worst_checkpoint_energy(cm, di.cost()) + 5e-6, 3.0);
+      power::flex_warn_voltage(ccfg, flex::worst_checkpoint_energy(cm, di.cost()));
   const auto st = ex.run(di, cm, qin, opts);
   ASSERT_TRUE(st.completed());
   // SSIV-A.5: total checkpoint overhead is ~1% of inference energy.

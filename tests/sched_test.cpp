@@ -392,8 +392,8 @@ TEST(Adaptive, MisforecastDemotesAceToFlexAndCompletes) {
     dev.attach_supply(&supply);
     const auto cm = ace::compile(qm, dev);
     flex::RunOptions opts;
-    opts.flex_v_warn = power::warn_voltage_for(
-        ccfg, flex::worst_checkpoint_energy(cm, dev.cost()) + 5e-6, 3.0);
+    opts.flex_v_warn =
+        power::flex_warn_voltage(ccfg, flex::worst_checkpoint_energy(cm, dev.cost()));
     if (opts_out != nullptr) *opts_out = opts;
     if (policy == nullptr) {
       const flex::RunStats st = fixed_flex_run(dev, cm, opts);
@@ -449,8 +449,8 @@ TEST(Adaptive, ObservedIncomeFeedsTheForecaster) {
   provision_adaptive(*policy, img);
 
   flex::RunOptions opts;
-  opts.flex_v_warn = power::warn_voltage_for(
-      ccfg, flex::worst_checkpoint_energy(cm_c, dev.cost()) + 5e-6, 3.0);
+  opts.flex_v_warn =
+      power::flex_warn_voltage(ccfg, flex::worst_checkpoint_energy(cm_c, dev.cost()));
   flex::IntermittentExecutor ex(*policy);
   const flex::RunStats st = ex.run(dev, cm_c, input, opts);
 

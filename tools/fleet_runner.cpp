@@ -195,31 +195,12 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // Trace exporters, shared by the full-run and --merge paths (shard
-    // partials carry their captures; the merge reassembles them).
-    auto write_traces = [&](const sim::FleetReport& r) {
-      if (!trace_out.empty()) {
-        std::ofstream tf(trace_out);
-        check_input(tf.good(), "cannot write " + trace_out);
-        obs::write_chrome_trace(tf, r.traces);
-        std::fprintf(stderr, "fleet_runner: %zu trace tracks -> %s\n", r.traces.size(),
-                     trace_out.c_str());
-      }
-      if (!trace_text_out.empty()) {
-        std::ofstream tf(trace_text_out);
-        check_input(tf.good(), "cannot write " + trace_text_out);
-        obs::write_text_trace(tf, r.traces);
-        std::fprintf(stderr, "fleet_runner: %zu trace tracks -> %s\n", r.traces.size(),
-                     trace_text_out.c_str());
-      }
-    };
-
     if (merge) {
       const sim::FleetReport r = sim::merge_fleet_shards(merge_inputs);
       std::ofstream f(out_path);
       check_input(f.good(), "cannot write " + out_path);
       sim::write_fleet_json(f, r);
-      write_traces(r);
+      obs::write_trace_files(r.traces, trace_out, trace_text_out, "fleet_runner");
       std::fprintf(stderr, "fleet_runner: merged %zu shards, %d devices -> %s\n",
                    merge_inputs.size(), r.config.total_devices(), out_path.c_str());
       return 0;
@@ -258,7 +239,7 @@ int main(int argc, char** argv) {
     std::ofstream f(out_path);
     check_input(f.good(), "cannot write " + out_path);
     sim::write_fleet_json(f, r);
-    write_traces(r);
+    obs::write_trace_files(r.traces, trace_out, trace_text_out, "fleet_runner");
     std::fprintf(stderr,
                  "fleet_runner: %d devices, %d jobs -> %d completed (%.1f%%), %d in "
                  "deadline (%.1f%%); latency p50 %.4fs p90 %.4fs p99 %.4fs -> %s\n",

@@ -200,20 +200,7 @@ int main(int argc, char** argv) {
     sim::write_scenarios_json(f, m);
     std::fprintf(stderr, "scenario_runner: wrote %zu cells to %s\n", m.cells.size(),
                  out_path.c_str());
-    if (!trace_out.empty()) {
-      std::ofstream tf(trace_out);
-      check_input(tf.good(), "cannot write " + trace_out);
-      obs::write_chrome_trace(tf, m.traces);
-      std::fprintf(stderr, "scenario_runner: %zu trace tracks -> %s\n", m.traces.size(),
-                   trace_out.c_str());
-    }
-    if (!trace_text_out.empty()) {
-      std::ofstream tf(trace_text_out);
-      check_input(tf.good(), "cannot write " + trace_text_out);
-      obs::write_text_trace(tf, m.traces);
-      std::fprintf(stderr, "scenario_runner: %zu trace tracks -> %s\n", m.traces.size(),
-                   trace_text_out.c_str());
-    }
+    obs::write_trace_files(m.traces, trace_out, trace_text_out, "scenario_runner");
     if (profile) {
       std::fprintf(stderr,
                    "scenario_runner: profile (host seconds): recharge %.3f "
