@@ -35,15 +35,14 @@ std::size_t Device::charge_run(const ChargePattern& p, std::size_t reps) {
     reps = done;
   } else if (supply_ != nullptr) {
     // Past this point an op's draw would arm a window (prepay_safe) or be
-    // consumed alone and might brown out (fallible): the caller's per-op
-    // loop decides.
-    if (prepay_supported_ || !infallible_) return 0;
-    const SpendRun run = p.run(reps, 0);
-    if (supply_->consume_batch(SpendBatch{{}, {&run, 1}}) != reps * n) {
-      fail("charge run: an infallible supply refused a draw");
-    }
+    // consumed alone and might brown out (no ledger): the caller's per-op
+    // loop decides. Against a ledger each draw is one add to its sums.
+    if (prepay_supported_ || ledger_ == nullptr) return 0;
+    trace_.add_repeated(steps, reps, *ledger_);
+    return reps;
   }
-  // Bench power (no supply) charges the trace only.
+  // In a window the run is settled later; bench power (no supply)
+  // charges the trace only.
   trace_.add_repeated(steps, reps);
   return reps;
 }

@@ -25,9 +25,9 @@
 // (core/ace/kernels.cpp) their per-pixel window gather and LEA MAC. A run
 // charges only repetitions whose every draw provably takes the arm the op
 // would take (buffered in an open prepaid window; trace only on bench
-// power; settled at once against an infallible supply) and otherwise
-// hands the next repetition back to the caller's per-op loop, which
-// decides per op as always.
+// power; added to the supply's ledger with the trace, in one loop, on
+// continuous power) and otherwise hands the next repetition back to the
+// caller's per-op loop, which decides per op as always.
 //
 // set_bulk_enabled(false) is the reference mode: every block op charges
 // per word, as the equivalent read()/write() sequence would, and every
@@ -125,7 +125,7 @@ class Device {
   void attach_supply(PowerSupply* supply) {
     supply_ = supply;
     prepay_supported_ = supply != nullptr && supply->prepay_safe();
-    infallible_ = supply != nullptr && supply->infallible();
+    ledger_ = supply != nullptr ? supply->ledger() : nullptr;
     // One capacity-sized reservation up front keeps the per-spend
     // push_back growth-free for the window's whole lifetime.
     if (prepay_supported_) prepaid_.reserve(kPrepaidMaxEvents);
@@ -269,9 +269,9 @@ class Device {
   //   * inside an open prepaid window, buffered against its budget as
   //     one SpendRun entry;
   //   * on bench power (no supply), trace only;
-  //   * on an infallible() supply with no window (ContinuousPower),
-  //     settled with it, as one SpendRun, through consume_batch()
-  //     before it returns.
+  //   * on a supply with a ledger() and no window (ContinuousPower),
+  //     added to the trace and the ledger in one loop
+  //     (EnergyTrace::add_repeated), before it returns.
   // Anywhere else — a fallible supply with no window open, a window that
   // cannot take the next repetition, a latched device,
   // set_bulk_enabled(false) — it stops short, never inside a repetition.
@@ -445,7 +445,6 @@ class Device {
   bool browned_out_ = false;
   bool bulk_enabled_ = true;
   bool prepay_supported_ = false;  // cached supply->prepay_safe()
-  bool infallible_ = false;        // cached supply->infallible()
   bool prepaid_open_ = false;
   double prepaid_budget_ = 0.0;    // remaining armed budget (joules)
   // The open window: its single draws, and its charge runs as entries
@@ -455,6 +454,7 @@ class Device {
   std::vector<SpendRun> prepaid_runs_;
   std::size_t prepaid_cap_ = kPrepaidMaxEvents;
   std::vector<fx::cq15> fft_scratch_;  // reused by lea_fft/lea_ifft
+  SupplyLedger* ledger_ = nullptr;     // cached supply->ledger()
 };
 
 }  // namespace ehdnn::dev

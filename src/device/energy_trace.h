@@ -7,6 +7,8 @@
 #include <span>
 #include <string>
 
+#include "device/power_interface.h"
+
 namespace ehdnn::dev {
 
 enum class Rail : std::size_t {
@@ -52,42 +54,14 @@ class EnergyTrace {
   static constexpr std::size_t kRepeatedRails = 4;
   template <class Charge>
   void add_repeated(std::span<const Charge> charges, std::size_t reps) {
-    std::array<std::size_t, kRepeatedRails> rail_of{};  // slot -> rail
-    std::array<std::size_t, kRepeatedRails> slot_of{};  // charge -> slot
-    std::size_t slots = 0;
-    for (std::size_t i = 0; i < charges.size(); ++i) {
-      const auto r = static_cast<std::size_t>(charges[i].rail);
-      std::size_t s = 0;
-      while (s < slots && rail_of[s] != r) ++s;
-      if (s == slots) rail_of[slots++] = r;
-      slot_of[i] = s;
-    }
-    std::array<double, kRepeatedRails> e{}, c{};
-    for (std::size_t s = 0; s < slots; ++s) {
-      e[s] = energy_[rail_of[s]];
-      c[s] = cycles_[rail_of[s]];
-    }
-    double total_energy = total_energy_;
-    double total_cycles = total_cycles_;
-    for (std::size_t r = 0; r < reps; ++r) {
-      for (std::size_t i = 0; i < charges.size(); ++i) {
-        const Charge& ch = charges[i];
-        switch (slot_of[i]) {
-          case 0: e[0] += ch.joules; c[0] += ch.cycles; break;
-          case 1: e[1] += ch.joules; c[1] += ch.cycles; break;
-          case 2: e[2] += ch.joules; c[2] += ch.cycles; break;
-          default: e[3] += ch.joules; c[3] += ch.cycles; break;
-        }
-        total_energy += ch.joules;
-        total_cycles += ch.cycles;
-      }
-    }
-    for (std::size_t s = 0; s < slots; ++s) {
-      energy_[rail_of[s]] = e[s];
-      cycles_[rail_of[s]] = c[s];
-    }
-    total_energy_ = total_energy;
-    total_cycles_ = total_cycles;
+    add_run<false>(charges, reps, nullptr);
+  }
+  // The same, and each charge's draw settled with `ledger` as
+  // consume(c.joules, c.dt) would settle it. The ledger's two sums run in
+  // the same loop as the trace's, so their chains of adds overlap.
+  template <class Charge>
+  void add_repeated(std::span<const Charge> charges, std::size_t reps, SupplyLedger& ledger) {
+    add_run<true>(charges, reps, &ledger);
   }
 
   double energy(Rail rail) const { return energy_[static_cast<std::size_t>(rail)]; }
@@ -114,6 +88,59 @@ class EnergyTrace {
   }
 
  private:
+  template <bool kLedger, class Charge>
+  void add_run(std::span<const Charge> charges, std::size_t reps, SupplyLedger* ledger) {
+    std::array<std::size_t, kRepeatedRails> rail_of{};  // slot -> rail
+    std::array<std::size_t, kRepeatedRails> slot_of{};  // charge -> slot
+    std::size_t slots = 0;
+    for (std::size_t i = 0; i < charges.size(); ++i) {
+      const auto r = static_cast<std::size_t>(charges[i].rail);
+      std::size_t s = 0;
+      while (s < slots && rail_of[s] != r) ++s;
+      if (s == slots) rail_of[slots++] = r;
+      slot_of[i] = s;
+    }
+    std::array<double, kRepeatedRails> e{}, c{};
+    for (std::size_t s = 0; s < slots; ++s) {
+      e[s] = energy_[rail_of[s]];
+      c[s] = cycles_[rail_of[s]];
+    }
+    double total_energy = total_energy_;
+    double total_cycles = total_cycles_;
+    double drawn = 0.0, now = 0.0;
+    if constexpr (kLedger) {
+      drawn = ledger->energy_j;
+      now = ledger->now_s;
+    }
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (std::size_t i = 0; i < charges.size(); ++i) {
+        const Charge& ch = charges[i];
+        switch (slot_of[i]) {
+          case 0: e[0] += ch.joules; c[0] += ch.cycles; break;
+          case 1: e[1] += ch.joules; c[1] += ch.cycles; break;
+          case 2: e[2] += ch.joules; c[2] += ch.cycles; break;
+          default: e[3] += ch.joules; c[3] += ch.cycles; break;
+        }
+        total_energy += ch.joules;
+        total_cycles += ch.cycles;
+        if constexpr (kLedger) {
+          drawn += ch.joules;
+          now += ch.dt;
+        }
+      }
+    }
+    for (std::size_t s = 0; s < slots; ++s) {
+      energy_[rail_of[s]] = e[s];
+      cycles_[rail_of[s]] = c[s];
+    }
+    total_energy_ = total_energy;
+    total_cycles_ = total_cycles;
+    if constexpr (kLedger) {
+      ledger->energy_j = drawn;
+      ledger->now_s = now;
+    }
+  }
+
   std::array<double, static_cast<std::size_t>(Rail::kCount)> energy_{};
   std::array<double, static_cast<std::size_t>(Rail::kCount)> cycles_{};
   double total_energy_ = 0.0;

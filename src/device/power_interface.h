@@ -48,9 +48,9 @@ struct SpendBatch {
 
 // Calls draw(ev) for each draw of `b` in settlement order, a run's draws
 // expanded, until a call returns false. Returns the index of that draw,
-// or b.size() when every call returned true. Forced inline, so a
-// caller's running sums stay in registers (ContinuousPower settles every
-// charge run of the continuous-power runs through it).
+// or b.size() when every call returned true. Forced inline, so the call
+// to `draw` inlines into the loop (the default consume_batch and
+// FailureScheduleSupply's settle through it).
 template <class Draw>
 [[gnu::always_inline]] inline std::size_t for_each_draw(const SpendBatch& b, Draw&& draw) {
   std::size_t idx = 0, pos = 0;
@@ -71,6 +71,15 @@ template <class Draw>
   }
   return idx;
 }
+
+// The running sums of a supply that never refuses a draw: consume(j, dt)
+// is exactly `energy_j += j; now_s += dt` and nothing else. The device
+// adds a charge run's draws to these itself, in draw order, in the same
+// loop as its energy trace (Device::charge_run).
+struct SupplyLedger {
+  double energy_j = 0.0;  // drawn so far
+  double now_s = 0.0;     // the supply clock
+};
 
 // Execution landmarks the intermittent runtimes announce to the supply.
 // Physical supplies ignore them; schedule-driven supplies (the
@@ -113,15 +122,13 @@ class PowerSupply {
   // individual consume() calls to aim failures and must stay opted out.
   virtual bool prepay_safe() const { return false; }
 
-  // True when consume() never returns false: every draw succeeds whatever
-  // its size or the supply's state, and headroom() is infinite. A device
-  // on such a supply (and outside any prepaid window) settles a charge
-  // run's draws (Device::charge_run) through consume_batch() instead of
-  // one consume() each, before the run returns; every batch must settle
-  // all its events, in order, or the device fails. Only the bench supply
-  // (power/continuous.h) reports it. A supply that counts or aims
-  // individual draws must not.
-  virtual bool infallible() const { return false; }
+  // The ledger that holds this supply's sums when every consume() is
+  // exactly an add to them (see SupplyLedger), else nullptr. A device on
+  // such a supply (and outside any prepaid window) adds a charge run's
+  // draws to the ledger directly instead of calling consume() once per
+  // draw. Only the bench supply (power/continuous.h) returns one. A
+  // supply that counts, aims or wraps individual draws must not.
+  virtual SupplyLedger* ledger() { return nullptr; }
 
   // The energy budget a prepaid window may be armed with right now: a
   // headroom() shaved by the supply's own rounding slack, so that a batch

@@ -2,9 +2,10 @@
 // "continuous power supply" experiments (Fig. 7a) and as the oracle runs
 // the intermittent outputs must match bit-for-bit.
 //
-// It reports infallible(), so the device settles each charge run
-// (Device::charge_run) through consume_batch() before the run returns,
-// one draw at a time in order, and stays out of the prepaid window
+// Its sums live in a dev::SupplyLedger that ledger() hands to the device,
+// so a charge run (Device::charge_run) adds its draws to them in the
+// same loop as the device's energy trace, in draw order, exactly as one
+// consume() per draw would. It stays out of the prepaid window
 // (prepay_safe() is false): a window would settle only at slice
 // boundaries and voltage samples, so every supply-clock stamp in between
 // (obs_now_s, the commit events) would freeze at the last settlement.
@@ -21,36 +22,22 @@ class ContinuousPower : public dev::PowerSupply {
   explicit ContinuousPower(double volts = 3.3) : volts_(volts) {}
 
   bool consume(double joules, double dt) override {
-    energy_drawn_ += joules;
-    now_ += dt;
+    ledger_.energy_j += joules;
+    ledger_.now_s += dt;
     return true;
   }
-  // Every draw succeeds; the sums run in draw order, as consume()'s do.
-  std::size_t consume_batch(const dev::SpendBatch& b) override {
-    double drawn = energy_drawn_;
-    double now = now_;
-    const std::size_t n = dev::for_each_draw(b, [&](const dev::SpendEvent& e) {
-      drawn += e.joules;
-      now += e.dt;
-      return true;
-    });
-    energy_drawn_ = drawn;
-    now_ = now;
-    return n;
-  }
-  bool infallible() const override { return true; }
+  dev::SupplyLedger* ledger() override { return &ledger_; }
   double voltage() const override { return volts_; }
   bool on() const override { return true; }
   double recharge_to_on() override { return 0.0; }
-  void idle_until(double t_s) override { now_ = std::max(now_, t_s); }
-  double now() const override { return now_; }
+  void idle_until(double t_s) override { ledger_.now_s = std::max(ledger_.now_s, t_s); }
+  double now() const override { return ledger_.now_s; }
 
-  double energy_drawn() const { return energy_drawn_; }
+  double energy_drawn() const { return ledger_.energy_j; }
 
  private:
   double volts_;
-  double now_ = 0.0;
-  double energy_drawn_ = 0.0;
+  dev::SupplyLedger ledger_;
 };
 
 }  // namespace ehdnn::power

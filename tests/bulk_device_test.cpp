@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <thread>
 
 #include "core/ace/compiled_model.h"
@@ -281,12 +283,22 @@ TEST(ChargeRun, BenchPowerMatchesPerOp) {
   expect_same_trace(runs, ops);
 }
 
+// On continuous power a run adds its draws to the supply's ledger
+// (PowerSupply::ledger) in the trace's loop; the sums must be the ones
+// one consume() per draw leaves, also when the ledger already holds
+// draws and idle time before the run.
 TEST(ChargeRun, InfallibleSupplySettlesEveryDrawInOrder) {
   Device runs, ops;
   power::ContinuousPower s_runs, s_ops;
   runs.attach_supply(&s_runs);
   ops.attach_supply(&s_ops);
-  // Longer than one settlement chunk, and a ragged last chunk.
+  for (Device* d : {&runs, &ops}) {
+    d->supply()->idle_until(0.1);
+    d->cpu_ops(3);
+    d->write(MemKind::kFram, 20, 7);
+  }
+  ASSERT_GT(s_runs.energy_drawn(), 0.0);
+  ASSERT_GT(s_runs.now(), 0.1);
   EXPECT_EQ(runs.charge_run(mac_pattern(runs), 101), 101u);
   for (int i = 0; i < 101; ++i) mac_ops(ops);
   // A second pattern on the same device, then the first again.
@@ -298,8 +310,9 @@ TEST(ChargeRun, InfallibleSupplySettlesEveryDrawInOrder) {
   }
   drive_both(runs, ops, 16, 5);
   expect_same_trace(runs, ops);
-  EXPECT_EQ(s_runs.now(), s_ops.now());
-  EXPECT_EQ(s_runs.energy_drawn(), s_ops.energy_drawn());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s_runs.now()), std::bit_cast<std::uint64_t>(s_ops.now()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s_runs.energy_drawn()),
+            std::bit_cast<std::uint64_t>(s_ops.energy_drawn()));
 }
 
 TEST(ChargeRun, PrepaidWindowStopsAtBudgetAndEventCap) {

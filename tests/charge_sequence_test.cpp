@@ -17,7 +17,7 @@
 // never touch SRAM; and the scalar CPU runtimes' MAC loops, which charge
 // through the device's charge runs: SONIC on the dense MNIST (conv2d +
 // dense) and HAR (conv1d) models and TILE on both under continuous power,
-// where a run settles its draws through consume_batch(), and SONIC on the
+// where every draw reaches the recorder's consume(), and SONIC on the
 // 10 uF square harvest, where runs buffer into prepaid windows and
 // brown-outs land inside a MAC loop. SONIC on that harvest and TILE on
 // the 80 nF one also run HAR, so brown-outs land inside the scalar
@@ -25,11 +25,13 @@
 // runs reach the capacitor as run entries and settle in closed form, so
 // these hashes pin that settlement to the per-draw one.
 //
-// Charge runs settle a run's draws with an infallible supply through one
-// consume_batch() call; a supply that is not infallible makes every run
-// stop short, so each repetition draws through its per-op fallback, one
-// consume() per op. ChargeRuns.EveryRuntimeMatchesPerOpSettlement holds
-// the two to bit-identity for every runtime that charges loops as runs.
+// On continuous power a device adds a charge run's draws to the supply's
+// ledger (PowerSupply::ledger) with no consume() call. The recorder hands
+// the device no ledger, so there every run stops short and each
+// repetition draws through its per-op fallback, one consume() per op:
+// the hash sees every draw. ChargeRuns.EveryRuntimeMatchesPerOpSettlement
+// holds the ledger runs to bit-identity with that per-op settlement for
+// every runtime that charges loops as runs.
 //
 // Every case also runs under a second scramble seed and must reproduce
 // the hash, the output and every RunStats field. That is the
@@ -60,6 +62,8 @@
 namespace ehdnn {
 namespace {
 
+// Forwards everything but ledger(): a device on it settles every draw
+// through consume() or consume_batch(), both of which it hashes.
 class ChargeRecorder : public dev::PowerSupply {
  public:
   explicit ChargeRecorder(dev::PowerSupply& inner) : inner_(inner) {}
@@ -89,7 +93,6 @@ class ChargeRecorder : public dev::PowerSupply {
     return done;
   }
   bool prepay_safe() const override { return inner_.prepay_safe(); }
-  bool infallible() const override { return inner_.infallible(); }
   double prepaid_budget() const override { return inner_.prepaid_budget(); }
   double voltage() const override { return inner_.voltage(); }
   double headroom() const override { return inner_.headroom(); }
@@ -353,16 +356,25 @@ TEST(ChargeRuns, ScalarRuntimesMatchPerOpOracle) {
   }
 }
 
-// ContinuousPower that does not report infallible(): the device then
-// refuses every charge run (bulk stays on), and each repetition draws
-// through the loop body's real ops, settled one consume() at a time.
-class FallibleContinuousPower : public power::ContinuousPower {
+// ContinuousPower that counts its consume() calls. It keeps its ledger,
+// so a device attached to it directly adds its charge runs there and
+// calls consume() only for the draws outside runs.
+class CountingContinuousPower : public power::ContinuousPower {
  public:
-  bool infallible() const override { return false; }
+  bool consume(double joules, double dt) override {
+    ++calls_;
+    return ContinuousPower::consume(joules, dt);
+  }
+  long calls() const { return calls_; }
+
+ private:
+  long calls_ = 0;
 };
 
+// One inference on `supply`: attached directly (the ledger arm), or
+// through a ChargeRecorder (`per_op`), which fills the digest and draws.
 OracleRun run_on_supply(models::Task task, const std::string& runtime,
-                        power::ContinuousPower& supply) {
+                        power::ContinuousPower& supply, bool per_op) {
   const bool compressed = runtime == "ace" || runtime == "flex";
   Rng rng(0x5e0);
   const quant::QuantModel qm = models::make_deployed_qmodel(task, compressed, rng);
@@ -374,7 +386,7 @@ OracleRun run_on_supply(models::Task task, const std::string& runtime,
 
   dev::Device dev(models::deployment_device_config(compressed));
   ChargeRecorder rec(supply);
-  dev.attach_supply(&rec);
+  dev.attach_supply(per_op ? static_cast<dev::PowerSupply*>(&rec) : &supply);
   const auto cm = ace::compile(qm, dev);
   obs::EventTrace events(std::size_t{1} << 18);
   flex::RunOptions opts;
@@ -387,39 +399,51 @@ OracleRun run_on_supply(models::Task task, const std::string& runtime,
   run.stats = flex::IntermittentExecutor(*policy).run(dev, cm, input, opts);
   run.trace = dev.trace();
   run.events = events.snapshot();
-  run.digest = rec.digest(dev);
-  run.draws = rec.events();
+  if (per_op) {
+    run.digest = rec.digest(dev);
+    run.draws = rec.events();
+  }
   EXPECT_EQ(events.dropped(), 0) << runtime << ": ring too small";
   return run;
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 // Every runtime whose loops charge through charge runs — SONIC's and
 // TILE's MAC loops, ACE's and FLEX's conv rows (conv2d on MNIST, conv1d
-// on HAR) — must leave the same bits whether its runs settle in batches
-// or every repetition settles per op, down to the order of the draws.
+// on HAR) — must leave the same bits whether its runs settle with the
+// supply's ledger or every repetition settles per op, one consume() per
+// draw: in the ledger, every rail, the totals, the stats and the events.
 TEST(ChargeRuns, EveryRuntimeMatchesPerOpSettlement) {
   for (const models::Task task : {models::Task::kMnist, models::Task::kHar}) {
     for (const std::string runtime : {"sonic", "tile", "ace", "flex"}) {
       const std::string name = std::string(models::task_name(task)) + "/" + runtime;
-      power::ContinuousPower s_runs;
-      FallibleContinuousPower s_per_op;
-      const OracleRun runs = run_on_supply(task, runtime, s_runs);
-      const OracleRun per_op = run_on_supply(task, runtime, s_per_op);
+      CountingContinuousPower s_runs, s_per_op;
+      const OracleRun runs = run_on_supply(task, runtime, s_runs, /*per_op=*/false);
+      const OracleRun per_op = run_on_supply(task, runtime, s_per_op, /*per_op=*/true);
       ASSERT_TRUE(runs.stats.completed()) << name;
       expect_same_stats(runs.stats, per_op.stats, name.c_str());
-      EXPECT_EQ(s_runs.now(), s_per_op.now()) << name;
-      EXPECT_EQ(s_runs.energy_drawn(), s_per_op.energy_drawn()) << name;
-      EXPECT_EQ(runs.draws, per_op.draws) << name;
-      EXPECT_EQ(runs.digest, per_op.digest) << name << ": a draw moved, merged or changed";
+      EXPECT_EQ(bits(s_runs.energy_drawn()), bits(s_per_op.energy_drawn())) << name;
+      EXPECT_EQ(bits(s_runs.now()), bits(s_per_op.now())) << name;
+      EXPECT_EQ(bits(runs.trace.total_energy()), bits(per_op.trace.total_energy())) << name;
+      EXPECT_EQ(bits(runs.trace.total_cycles()), bits(per_op.trace.total_cycles())) << name;
       for (std::size_t r = 0; r < static_cast<std::size_t>(dev::Rail::kCount); ++r) {
         const auto rail = static_cast<dev::Rail>(r);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(runs.trace.energy(rail)),
-                  std::bit_cast<std::uint64_t>(per_op.trace.energy(rail)))
+        EXPECT_EQ(bits(runs.trace.energy(rail)), bits(per_op.trace.energy(rail)))
             << name << " rail " << r;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(runs.trace.cycles(rail)),
-                  std::bit_cast<std::uint64_t>(per_op.trace.cycles(rail)))
+        EXPECT_EQ(bits(runs.trace.cycles(rail)), bits(per_op.trace.cycles(rail)))
             << name << " rail " << r;
       }
+      // The per-op side settled every draw alone, and the recorder hashed
+      // each: where a continuous case pins that sequence, it is the pinned
+      // one. The ledger side settled its runs without consume().
+      EXPECT_EQ(s_per_op.calls(), per_op.draws) << name;
+      for (const SequenceCase& sc : kSequenceCases) {
+        if (sc.task != task || sc.runtime != runtime || sc.capacitance_f > 0.0) continue;
+        EXPECT_EQ(per_op.draws, sc.events) << name;
+        EXPECT_EQ(per_op.digest, sc.digest) << name;
+      }
+      EXPECT_LT(s_runs.calls(), per_op.draws) << name << ": no run took the ledger arm";
       ASSERT_EQ(runs.events.size(), per_op.events.size()) << name;
       long commits = 0;
       for (std::size_t i = 0; i < runs.events.size(); ++i) {
@@ -428,7 +452,7 @@ TEST(ChargeRuns, EveryRuntimeMatchesPerOpSettlement) {
         ASSERT_EQ(ea.kind, eb.kind) << name << " event " << i;
         ASSERT_EQ(ea.a, eb.a) << name << " event " << i;
         ASSERT_EQ(ea.b, eb.b) << name << " event " << i;
-        ASSERT_EQ(ea.t_s, eb.t_s) << name << " event " << i;
+        ASSERT_EQ(bits(ea.t_s), bits(eb.t_s)) << name << " event " << i;
         commits += ea.kind == obs::EventKind::kCommit ? 1 : 0;
       }
       EXPECT_GT(commits, 0) << name;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "nn/bcm_dense.h"
@@ -63,6 +65,84 @@ TEST(Dense, ForwardMatchesASerialReference) {
         float acc = bias ? layer.bias()[o] : 0.0f;
         for (std::size_t i = 0; i < 37; ++i) acc += layer.weights()[o * 37 + i] * x[i];
         EXPECT_EQ(y[o], acc) << "out=" << out << " o=" << o << " bias=" << bias;
+      }
+    }
+  }
+}
+
+// Conv2D::forward computes eight adjacent outputs of a row per pass over
+// the filter; each output's float sum must still be the plain loop's
+// (channel, kernel row, column; pruned positions skipped), bit for bit.
+// Widths 7 and 9 leave a partial block, 1 and 7 no full one.
+TEST(Conv2D, ForwardMatchesASerialReference) {
+  Rng rng(5);
+  for (const bool pruned : {false, true}) {
+    for (const bool bias : {true, false}) {
+      for (const std::size_t in_ch : {1u, 6u}) {
+        for (const std::size_t ow : {1u, 7u, 8u, 9u, 24u}) {
+          constexpr std::size_t kH = 3, kW = 3, kOut = 3, kRows = 2;
+          Conv2D layer(in_ch, kOut, kH, kW, bias);
+          layer.init(rng);
+          for (float& b : layer.bias()) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+          if (pruned) {
+            layer.set_shape_mask({true, false, true, false, true, true, false, true, false});
+            // The forward skips a pruned position whatever its weight holds.
+            for (std::size_t f = 0; f < kOut; ++f) {
+              for (std::size_t c = 0; c < in_ch; ++c) layer.w(f, c, 0, 1) = 0.25f;
+            }
+          }
+          const Tensor x = random_tensor({in_ch, kRows + kH - 1, ow + kW - 1}, rng);
+          const Tensor y = layer.forward(x);
+          ASSERT_EQ(y.size(), kOut * kRows * ow);
+          const auto& mask = layer.shape_mask();
+          for (std::size_t f = 0; f < kOut; ++f) {
+            for (std::size_t i = 0; i < kRows; ++i) {
+              for (std::size_t j = 0; j < ow; ++j) {
+                float acc = bias ? layer.bias()[f] : 0.0f;
+                for (std::size_t c = 0; c < in_ch; ++c) {
+                  for (std::size_t r = 0; r < kH; ++r) {
+                    for (std::size_t s = 0; s < kW; ++s) {
+                      if (mask[r * kW + s]) acc += x.at(c, i + r, j + s) * layer.w(f, c, r, s);
+                    }
+                  }
+                }
+                EXPECT_EQ(std::bit_cast<std::uint32_t>(y.at(f, i, j)),
+                          std::bit_cast<std::uint32_t>(acc))
+                    << "ow=" << ow << " in_ch=" << in_ch << " bias=" << bias
+                    << " pruned=" << pruned << " at (" << f << "," << i << "," << j << ")";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Conv1D::forward, the same blocking over a one-row output.
+TEST(Conv1D, ForwardMatchesASerialReference) {
+  Rng rng(6);
+  for (const bool bias : {true, false}) {
+    for (const std::size_t in_ch : {1u, 6u}) {
+      for (const std::size_t ol : {1u, 7u, 8u, 9u, 24u}) {
+        constexpr std::size_t kK = 5, kOut = 3;
+        Conv1D layer(in_ch, kOut, kK, bias);
+        layer.init(rng);
+        for (float& b : layer.bias()) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+        const Tensor x = random_tensor({in_ch, ol + kK - 1}, rng);
+        const Tensor y = layer.forward(x);
+        ASSERT_EQ(y.size(), kOut * ol);
+        for (std::size_t f = 0; f < kOut; ++f) {
+          for (std::size_t i = 0; i < ol; ++i) {
+            float acc = bias ? layer.bias()[f] : 0.0f;
+            for (std::size_t c = 0; c < in_ch; ++c) {
+              for (std::size_t t = 0; t < kK; ++t) acc += x.at(c, i + t) * layer.w(f, c, t);
+            }
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(y.at(f, i)), std::bit_cast<std::uint32_t>(acc))
+                << "ol=" << ol << " in_ch=" << in_ch << " bias=" << bias << " at (" << f << ","
+                << i << ")";
+          }
+        }
       }
     }
   }
