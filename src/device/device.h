@@ -162,7 +162,6 @@ class Device {
   // completion-model calibration runs on such replicas).
   const DeviceConfig& config() const { return cfg_; }
 
-  double elapsed_cycles() const { return trace_.total_cycles(); }
   double elapsed_seconds() const { return cfg_.cost.seconds(trace_.total_cycles()); }
   long reboots() const { return reboots_; }
   // Deferred SRAM scrambles materialized so far (memory.h): the reboots

@@ -189,6 +189,14 @@ nn::Model make_lenet5(Rng& rng) {
   return m;
 }
 
+nn::Tensor random_tensor(std::vector<std::size_t> shape, Rng& rng) {
+  nn::Tensor t(std::move(shape));
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    t[i] = static_cast<float>(rng.uniform(-0.9, 0.9));
+  }
+  return t;
+}
+
 quant::QuantModel make_deployed_qmodel(Task t, bool compressed, Rng& rng) {
   const ModelInfo info = model_info(t);
   nn::Model m = compressed ? make_model(t, rng) : make_dense_model(t, rng);
@@ -202,13 +210,7 @@ quant::QuantModel make_deployed_qmodel(Task t, bool compressed, Rng& rng) {
     }
   }
   std::vector<nn::Tensor> calib;
-  for (int i = 0; i < 4; ++i) {
-    nn::Tensor tensor(info.input_shape);
-    for (std::size_t j = 0; j < tensor.size(); ++j) {
-      tensor[j] = static_cast<float>(rng.uniform(-0.9, 0.9));
-    }
-    calib.push_back(std::move(tensor));
-  }
+  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor(info.input_shape, rng));
   quant::QuantizeOptions qo;
   qo.model_name = task_name(t);
   return quant::quantize(m, calib, info.input_shape, qo);

@@ -58,6 +58,10 @@ nn::Model make_lenet5(Rng& rng);
 
 ModelInfo model_info(Task t);
 
+// A tensor of `shape` with entries uniform in [-0.9, 0.9) — the
+// RAD-normalized activation range the models are calibrated on.
+nn::Tensor random_tensor(std::vector<std::size_t> shape, Rng& rng);
+
 // Deployment-ready quantized instance of a zoo model: builds the network
 // (`compressed` selects the Table II BCM/pruned deployment model vs the
 // dense baseline twin), applies the structured-pruning mask, calibrates

@@ -53,12 +53,6 @@ class Model {
     for (auto& l : layers_) l->zero_grad();
   }
 
-  std::size_t param_count() {
-    std::size_t n = 0;
-    for (auto& p : params()) n += p.value.size();
-    return n;
-  }
-
   // Stored (compressed) weights across layers — what ships to FRAM.
   std::size_t stored_weights() const {
     std::size_t n = 0;

@@ -102,8 +102,6 @@ struct QuantModel {
   // Largest activation buffer any layer reads or writes, in words — the
   // max(L_i) bound of ACE's circular-buffer convolution (paper Fig. 5).
   std::size_t max_activation_words() const;
-
-  std::size_t output_size() const { return layers.back().out_size(); }
 };
 
 }  // namespace ehdnn::quant

@@ -5,11 +5,13 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/ace/compiled_model.h"
 #include "core/flex/runtime.h"
 #include "power/continuous.h"
+#include "sched/runtimes.h"
 #include "util/check.h"
 #include "util/spec.h"
 
@@ -17,23 +19,24 @@ namespace ehdnn::sched {
 
 namespace {
 
-// One rung of the ladder. `persistent` marks tiers whose progress
-// survives reboots (their FRAM cursors/checkpoints); switching away from
-// one abandons banked work, so the scheduler only does it when the tier
-// has stopped progressing.
+// Calls f(rung, dense) for each kLadder rung an image ships, richest
+// first, where `dense` is the rung's model variant in the runtime table:
+// the dense-twin rungs ship only when `twin` does.
+template <class F>
+void for_each_tier(bool twin, F&& f) {
+  for (const LadderTier& rung : kLadder) {
+    const bool dense = !runtime_uses_compressed_model(rung.key);
+    if (twin || !dense) f(rung, dense);
+  }
+}
+
+// One rung of a provisioned ladder, with its own policy instance.
 struct Tier {
-  const char* key;
+  std::string_view key;
   bool dense_variant;
   bool persistent;
   std::unique_ptr<flex::RuntimePolicy> policy;
 };
-
-std::unique_ptr<flex::RuntimePolicy> make_tier_policy(const std::string& key) {
-  if (key == "flex") return flex::make_flex_policy();
-  if (key == "sonic") return flex::make_sonic_policy();
-  if (key == "tile") return flex::make_tile_policy();
-  return flex::make_ace_policy();  // base and ace
-}
 
 }  // namespace
 
@@ -62,28 +65,17 @@ CompletionModel CompletionModel::calibrate(const ace::CompiledModel& compressed,
     cm_d.emplace(ace::compile(dense->model, scratch, /*co_resident=*/true));
   }
 
-  struct Spec {
-    const char* key;
-    bool dense, persistent;
-  };
-  std::vector<Spec> specs;
-  if (dense != nullptr) specs.push_back({"base", true, false});
-  specs.push_back({"ace", false, false});
-  specs.push_back({"flex", false, true});
-  if (dense != nullptr) specs.push_back({"sonic", true, true});
-  if (dense != nullptr) specs.push_back({"tile", true, true});
-
   CompletionModel m;
   const std::vector<fx::q15_t> input(cm_c.model.layers.front().in_size(), 0);
-  for (const auto& s : specs) {
-    const ace::CompiledModel& cm = s.dense ? *cm_d : cm_c;
-    auto policy = make_tier_policy(s.key);
+  for_each_tier(dense != nullptr, [&](const LadderTier& rung, bool dense_variant) {
+    auto policy = make_policy(rung.key);
     flex::IntermittentExecutor ex(*policy);
-    const flex::RunStats st = ex.run(scratch, cm, input);
-    check(st.completed(), std::string("completion model: calibration run for tier ") + s.key +
-                              " did not complete under bench power");
-    m.tiers_.push_back({s.key, s.dense, s.persistent, st.energy_j, st.on_seconds});
-  }
+    const flex::RunStats st = ex.run(scratch, dense_variant ? *cm_d : cm_c, input);
+    check(st.completed(), std::string("completion model: calibration run for tier ") +
+                              rung.key + " did not complete under bench power");
+    m.tiers_.push_back(
+        {rung.key, dense_variant, rung.persistent, st.energy_j, st.on_seconds});
+  });
   return m;
 }
 
@@ -96,7 +88,7 @@ const CompletionModel& CompletionSlot::get(const ace::CompiledModel& compressed,
   return *model_;
 }
 
-const CompletionModel::Tier* CompletionModel::tier(const std::string& key) const {
+const CompletionModel::Tier* CompletionModel::tier(std::string_view key) const {
   for (const auto& t : tiers_) {
     if (t.key == key) return &t;
   }
@@ -177,7 +169,6 @@ struct AdaptivePolicy::Impl {
   bool provisioned = false;
 
   std::vector<Tier> tiers;  // richest (index 0) to leanest
-  int base_i = -1, ace_i = -1, flex_i = -1, sonic_i = -1, tile_i = -1;
 
   std::unique_ptr<HarvestForecaster> fc;
 
@@ -248,26 +239,22 @@ struct AdaptivePolicy::Impl {
     }
   }
 
+  // Whether the image ships the dense twin (and so the dense-twin tiers).
+  bool twin() const { return provisioned && image.dense != nullptr; }
+
+  // Index of the tier named `key` (-1 when the image does not ship it).
+  int at(std::string_view key) const {
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      if (tiers[i].key == key) return static_cast<int>(i);
+    }
+    return -1;
+  }
+
   void rebuild() {
     tiers.clear();
-    base_i = ace_i = flex_i = sonic_i = tile_i = -1;
-    const bool dense = provisioned && image.dense != nullptr;
-    if (dense) {
-      base_i = static_cast<int>(tiers.size());
-      tiers.push_back({"base", true, false, flex::make_ace_policy()});
-    }
-    ace_i = static_cast<int>(tiers.size());
-    tiers.push_back({"ace", false, false, flex::make_ace_policy()});
-    flex_i = static_cast<int>(tiers.size());
-    tiers.push_back({"flex", false, true, flex::make_flex_policy()});
-    if (dense) {
-      sonic_i = static_cast<int>(tiers.size());
-      tiers.push_back({"sonic", true, true, flex::make_sonic_policy()});
-      // The ladder floor: sub-layer cursors keep banking progress after
-      // even SONIC's per-element commits stop fitting the burst.
-      tile_i = static_cast<int>(tiers.size());
-      tiers.push_back({"tile", true, true, flex::make_tile_policy()});
-    }
+    for_each_tier(twin(), [&](const LadderTier& rung, bool dense) {
+      tiers.push_back({rung.key, dense, rung.persistent, make_policy(rung.key)});
+    });
     cur = -1;
     inner_fresh_pending = false;
     ready = false;
@@ -305,11 +292,10 @@ struct AdaptivePolicy::Impl {
   }
 
   // Lazily-computed SONIC worst minimal-commit energy on the dense image
-  // (0 when no dense twin ships — forced_tile_for then never fires).
+  // (0 when no dense twin ships — forced_tier then never pins tile).
   double sonic_unit(const dev::Device& dev) {
     if (sonic_unit_j < 0.0) {
-      sonic_unit_j =
-          tile_i >= 0 ? flex::sonic_worst_commit_energy(*image.dense, dev.cost()) : 0.0;
+      sonic_unit_j = twin() ? flex::sonic_worst_commit_energy(*image.dense, dev.cost()) : 0.0;
     }
     return sonic_unit_j;
   }
@@ -322,62 +308,55 @@ struct AdaptivePolicy::Impl {
   }
 
   // THE static burst-vs-checkpoint constraint, shared by per-boot
-  // selection (both modes) and the admission predictors: a burst that
-  // cannot fund FLEX's worst-case checkpoint (with margin) pins the
-  // device to fine-grained loop continuation. One predicate so the two
-  // paths cannot drift apart.
-  bool forced_sonic_for(double ckpt_j, const AdaptiveSpec& spec) const {
-    return provisioned && image.dense != nullptr &&
-           image.burst_energy_j < spec.ckpt_margin * ckpt_j;
+  // selection (both modes) and the admission predictors so they cannot
+  // drift apart: the tier the energy geometry pins the device to, -1
+  // when the burst funds FLEX. A burst that cannot fund FLEX's worst-case
+  // checkpoint (with margin) pins the device to fine-grained loop
+  // continuation (sonic). One that cannot fund even SONIC's smallest
+  // committable unit (same margin) livelocks every per-element strategy:
+  // the device is statically a tile device. That band lies strictly
+  // inside the sonic one, so it is checked first.
+  int forced_tier(const AdaptiveSpec& spec) const {
+    if (sonic_unit_j > 0.0 && image.burst_energy_j < spec.ckpt_margin * sonic_unit_j) {
+      return at("tile");
+    }
+    if (twin() && image.burst_energy_j < spec.ckpt_margin * flex_ckpt_j) return at("sonic");
+    return -1;
   }
 
-  // One notch below forced_sonic_for: a burst that cannot fund even
-  // SONIC's smallest committable unit (with the same margin) livelocks
-  // every per-element strategy — the device is statically a tile device.
-  // Checked FIRST: its band is strictly inside the forced-sonic band.
-  bool forced_tile_for(const AdaptiveSpec& spec) const {
-    return tile_i >= 0 && sonic_unit_j > 0.0 &&
-           image.burst_energy_j < spec.ckpt_margin * sonic_unit_j;
-  }
-
-  // Shared setup for the admission predictors: calibration, the FLEX
-  // checkpoint budget (computed once per image), the sonic constraint,
-  // and the supply clock.
-  struct PredictSetup {
-    double ckpt_j = 0.0;
-    bool forced_sonic = false;
-    bool forced_tile = false;
-    double now_s = 0.0;
-  };
-  PredictSetup predict_setup(const dev::Device& dev, const ace::CompiledModel& armed,
-                             const AdaptiveSpec& spec) {
+  // The admission predictors' one loop: the least f(tier) over the
+  // calibrated tiers the forced tier allows (all of them when none is
+  // forced). Calibrates, and computes the image's FLEX checkpoint and
+  // SONIC commit budgets, on first use.
+  template <class F>
+  double min_over_allowed(const dev::Device& dev, const ace::CompiledModel& armed,
+                          const AdaptiveSpec& spec, F&& f) {
     ensure_calibrated(armed, dev.config());
-    PredictSetup ps;
-    ps.ckpt_j = flex_ckpt(armed, dev);
+    flex_ckpt(armed, dev);
     sonic_unit(dev);
-    ps.forced_tile = forced_tile_for(spec);
-    ps.forced_sonic = !ps.forced_tile && forced_sonic_for(ps.ckpt_j, spec);
-    const dev::PowerSupply* sup = dev.supply();
-    ps.now_s = sup != nullptr ? sup->now() : 0.0;
-    return ps;
+    const int forced = forced_tier(spec);
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto& t : cmpl->tiers()) {
+      if (forced >= 0 && t.key != tiers[static_cast<std::size_t>(forced)].key) continue;
+      best = std::min(best, f(t));
+    }
+    return best;
   }
 
   // Per-cycle overhead estimate for a tier's completion prediction: the
   // FLEX tier pays a checkpoint write per warned cycle (worst-case prior,
   // refined by the observed per-cycle checkpoint energy); everyone else's
   // steady-state commit traffic is already in the calibrated energy.
-  double overhead_for(const std::string& key, double ckpt_j) const {
+  double overhead_for(const std::string& key) const {
     if (key != "flex") return 0.0;
-    return ovh_flex_n > 0 ? ovh_flex_ema : ckpt_j;
+    return ovh_flex_n > 0 ? ovh_flex_ema : flex_ckpt_j;
   }
 
   // The sel=deadline rule: the cheapest tier (by calibrated energy) whose
   // predicted completion beats the time the job has left; when none does,
   // the fastest-predicted tier still gets its shot (a late answer beats
   // no answer — admission control is where hopeless releases are shed).
-  int decide_deadline(const AdaptiveSpec& spec, flex::StepContext& ctx) {
-    if (forced_tile_for(spec)) return tile_i;
-    if (sonic_i >= 0 && forced_sonic_for(flex_ckpt_j, spec)) return sonic_i;
+  int decide_deadline(flex::StepContext& ctx) {
     ensure_calibrated(ctx.cm, ctx.dev.config());
     double remaining = std::numeric_limits<double>::infinity();
     const dev::PowerSupply* sup = ctx.dev.supply();
@@ -397,13 +376,13 @@ struct AdaptivePolicy::Impl {
       return ea != eb ? ea < eb : a < b;
     });
 
-    int fastest = flex_i;
+    int fastest = at("flex");
     double fastest_t = std::numeric_limits<double>::infinity();
     for (const int i : order) {
       const auto* ct = cmpl->tier(tiers[static_cast<std::size_t>(i)].key);
       if (ct == nullptr) continue;
       const double t = cmpl->predict_curve_s(*ct, image.burst_energy_j, *fc, now_s,
-                                             overhead_for(ct->key, flex_ckpt_j));
+                                             overhead_for(ct->key));
       if (t < fastest_t) {
         fastest_t = t;
         fastest = i;
@@ -414,19 +393,17 @@ struct AdaptivePolicy::Impl {
   }
 
   int decide_fresh(const AdaptiveSpec& spec, flex::StepContext& ctx) {
-    if (spec.sel == TierSelect::kDeadline) return decide_deadline(spec, ctx);
-    // Static energy geometry first (forced_tile_for / forced_sonic_for,
-    // shared with the deadline mode and the admission predictors).
-    if (forced_tile_for(spec)) return tile_i;
-    if (sonic_i >= 0 && forced_sonic_for(flex_ckpt_j, spec)) return sonic_i;
+    // Static energy geometry first, in both modes.
+    if (const int forced = forced_tier(spec); forced >= 0) return forced;
+    if (spec.sel == TierSelect::kDeadline) return decide_deadline(ctx);
     // Ask the forecaster about NOW, not about its last sample: a locked
     // periodic forecast reads the current wall-clock phase even when the
     // device idled through a phase transition without observing it.
     const dev::PowerSupply* sup = ctx.dev.supply();
     const double w = sup != nullptr ? fc->forecast_at_w(sup->now()) : fc->forecast_w();
-    if (base_i >= 0 && w >= spec.full_w) return base_i;
-    if (w >= spec.rich_w) return ace_i;
-    return flex_i;
+    if (twin() && w >= spec.full_w) return at("base");
+    if (w >= spec.rich_w) return at("ace");
+    return at("flex");
   }
 
   // Activates tiers[cur] with a fresh inner boot. The fresh flag is
@@ -515,7 +492,7 @@ void AdaptivePolicy::on_boot(flex::StepContext& ctx, bool fresh) {
   // Observed boot overhead: the checkpoint energy this power cycle spent
   // banking its state is income the completion model must write off per
   // cycle. EMA so a single eager-monitor burst does not dominate.
-  if (s.cur == s.flex_i && ctx.st.checkpoints > s.last_ckpts) {
+  if (cur.key == "flex" && ctx.st.checkpoints > s.last_ckpts) {
     const double sample = ctx.st.checkpoint_energy_j - s.last_ckpt_e;
     s.ovh_flex_ema = s.ovh_flex_n == 0 ? sample : 0.7 * s.ovh_flex_ema + 0.3 * sample;
     ++s.ovh_flex_n;
@@ -616,7 +593,7 @@ const ace::CompiledModel& AdaptivePolicy::output_model(const ace::CompiledModel&
 
 std::string AdaptivePolicy::current_runtime() const {
   const Impl& s = *impl_;
-  return s.cur < 0 ? "" : s.tiers[static_cast<std::size_t>(s.cur)].key;
+  return s.cur < 0 ? "" : std::string(s.tiers[static_cast<std::size_t>(s.cur)].key);
 }
 
 bool AdaptivePolicy::on_dense_model() const {
@@ -632,28 +609,18 @@ const HarvestForecaster& AdaptivePolicy::forecaster() const { return *impl_->fc;
 double AdaptivePolicy::predict_best_completion_s(const dev::Device& dev,
                                                  const ace::CompiledModel& armed) {
   Impl& s = *impl_;
-  const Impl::PredictSetup ps = s.predict_setup(dev, armed, spec_);
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& t : s.cmpl->tiers()) {
-    if (ps.forced_tile && t.key != "tile") continue;
-    if (ps.forced_sonic && t.key != "sonic") continue;
-    best = std::min(best, s.cmpl->predict_curve_s(t, s.image.burst_energy_j, *s.fc, ps.now_s,
-                                                  s.overhead_for(t.key, ps.ckpt_j)));
-  }
-  return best;
+  const dev::PowerSupply* sup = dev.supply();
+  const double now_s = sup != nullptr ? sup->now() : 0.0;
+  return s.min_over_allowed(dev, armed, spec_, [&](const CompletionModel::Tier& t) {
+    return s.cmpl->predict_curve_s(t, s.image.burst_energy_j, *s.fc, now_s,
+                                   s.overhead_for(t.key));
+  });
 }
 
 double AdaptivePolicy::predict_optimistic_s(const dev::Device& dev,
                                             const ace::CompiledModel& armed) {
-  Impl& s = *impl_;
-  const Impl::PredictSetup ps = s.predict_setup(dev, armed, spec_);
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& t : s.cmpl->tiers()) {
-    if (ps.forced_tile && t.key != "tile") continue;
-    if (ps.forced_sonic && t.key != "sonic") continue;
-    best = std::min(best, t.on_s);
-  }
-  return best;
+  return impl_->min_over_allowed(dev, armed, spec_,
+                                 [](const CompletionModel::Tier& t) { return t.on_s; });
 }
 
 const CompletionModel* AdaptivePolicy::completion_model() const {

@@ -5,7 +5,7 @@
 //
 // AdaptivePolicy is itself a flex::RuntimePolicy, so it rides the shared
 // IntermittentExecutor unchanged: the executor sees one policy; inside,
-// a ladder of inner tiers — richest to leanest —
+// a ladder of inner tiers — richest to leanest (kLadder below) —
 //
 //     base  (dense twin,  ACE kernels, no checkpointing)
 //     ace   (compressed,  ACE kernels, no checkpointing)
@@ -13,8 +13,10 @@
 //     sonic (dense twin,  fine-grained loop continuation)
 //     tile  (dense twin,  sub-layer reduction-tile cursors)
 //
-// is selected per boot. Fresh boots pick from the forecast (and from the
-// static burst-vs-checkpoint budget: a capacitor too small to fund a FLEX
+// is selected per boot. Each tier is a runtime-table key: its policy and
+// its model variant come from the one table in sched/runtimes.cpp.
+// Fresh boots pick from the forecast (and from the static
+// burst-vs-checkpoint budget: a capacitor too small to fund a FLEX
 // checkpoint is a SONIC device, and one too small to fund even SONIC's
 // largest minimal commit is a tile device — no forecast needed) — either by income
 // thresholds (sel=income, the PR-4 ladder) or by predicted completion
@@ -39,12 +41,28 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/flex/executor.h"
 #include "sched/forecast.h"
 
 namespace ehdnn::sched {
+
+// The ladder in order, richest (index 0) to leanest, each rung with the
+// scheduler's persistence flag: a persistent tier's progress survives
+// reboots (its FRAM cursors/checkpoints), so switching away from it
+// abandons banked work, and the scheduler only does that when the tier
+// has stopped progressing. The ladder, the completion model's
+// calibration and the contract checker all iterate this list; the
+// dense-twin rungs ship only when the image carries a dense twin.
+struct LadderTier {
+  const char* key;  // a runtime-table key (sched/runtimes.h)
+  bool persistent;
+};
+inline constexpr LadderTier kLadder[] = {
+    {"base", false}, {"ace", false}, {"flex", true}, {"sonic", true}, {"tile", true},
+};
 
 // How a fresh boot picks its tier.
 enum class TierSelect {
@@ -135,15 +153,15 @@ class CompletionModel {
     double on_s = 0.0;      // continuous-power inference time
   };
 
-  // Calibrates every tier the image ships: {base, ace, flex, sonic,
-  // tile} when `dense` is non-null, {ace, flex} otherwise. `dcfg` is the real
+  // Calibrates every tier the image ships, in kLadder order: all five
+  // when `dense` is non-null, {ace, flex} otherwise. `dcfg` is the real
   // device's configuration (the scratch replicas are built from it).
   static CompletionModel calibrate(const ace::CompiledModel& compressed,
                                    const ace::CompiledModel* dense,
                                    const dev::DeviceConfig& dcfg);
 
   const std::vector<Tier>& tiers() const { return tiers_; }
-  const Tier* tier(const std::string& key) const;
+  const Tier* tier(std::string_view key) const;
 
   // Predicted wall-clock seconds for `t` to complete one inference given
   // usable per-burst energy, forecast income, and a per-power-cycle

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -12,15 +13,10 @@
 #include "core/ace/compiled_model.h"
 #include "core/flex/runtime.h"
 #include "device/device.h"
-#include "nn/bcm_dense.h"
-#include "nn/conv.h"
-#include "nn/dense.h"
-#include "nn/model.h"
-#include "nn/simple_layers.h"
+#include "models/tiny.h"
 #include "power/capacitor.h"
 #include "power/factory.h"
 #include "power/monitor.h"
-#include "quant/quantize.h"
 #include "util/check.h"
 #include "util/format.h"
 #include "util/parallel.h"
@@ -33,47 +29,11 @@ namespace {
 
 // ---------------------------------------------------------------- fixture
 //
-// The enumeration fixture: one tiny compressed/dense deployment pair
-// (the sched test suite's tiny model geometry — every kernel kind, small
-// enough for thousands of runs), one deterministic input, and the
+// The enumeration fixture: the tiny compressed/dense deployment pair of
+// models/tiny.h (the runtime test suites' models — every kernel kind,
+// small enough for thousands of runs), one deterministic input, and the
 // calibrated per-tier costs every world shares. Worlds differ only in
 // their power geometry and agenda, so this is computed once.
-
-nn::Tensor random_tensor(std::vector<std::size_t> shape, Rng& rng) {
-  nn::Tensor t(std::move(shape));
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    t[i] = static_cast<float>(rng.uniform(-0.9, 0.9));
-  }
-  return t;
-}
-
-quant::QuantModel tiny_compressed(Rng& rng) {
-  nn::Model m;
-  m.add<nn::Conv2D>(1, 2, 3, 3)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::MaxPool2D>();
-  m.add<nn::Flatten>();
-  m.add<nn::BcmDense>(2 * 4 * 4, 16, 16)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::Dense>(16, 4)->init(rng);
-  std::vector<nn::Tensor> calib;
-  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor({1, 10, 10}, rng));
-  return quant::quantize(m, calib, {1, 10, 10});
-}
-
-quant::QuantModel tiny_dense(Rng& rng) {
-  nn::Model m;
-  m.add<nn::Conv2D>(1, 2, 3, 3)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::MaxPool2D>();
-  m.add<nn::Flatten>();
-  m.add<nn::Dense>(2 * 4 * 4, 16)->init(rng);
-  m.add<nn::ReLU>();
-  m.add<nn::Dense>(16, 4)->init(rng);
-  std::vector<nn::Tensor> calib;
-  for (int i = 0; i < 4; ++i) calib.push_back(random_tensor({1, 10, 10}, rng));
-  return quant::quantize(m, calib, {1, 10, 10});
-}
 
 struct Fixture {
   quant::QuantModel qm_c;
@@ -89,8 +49,8 @@ const Fixture& fixture() {
   static const Fixture fx_ = [] {
     Fixture f;
     Rng rng(0x5eed);
-    f.qm_c = tiny_compressed(rng);
-    f.qm_d = tiny_dense(rng);
+    f.qm_c = models::tiny_compressed_qmodel(rng);
+    f.qm_d = models::tiny_dense_qmodel(rng);
     // FRAM sized like the fleet does it: compile both variants co-resident
     // on a scratch device, keep the high-water mark plus slack.
     {
@@ -129,7 +89,9 @@ const Fixture& fixture() {
       f.energy_rank[f.cmpl.tiers()[static_cast<std::size_t>(order[r])].key] =
           static_cast<int>(r);
     }
-    f.ladder_rank = {{"base", 0}, {"ace", 1}, {"flex", 2}, {"sonic", 3}, {"tile", 4}};
+    for (std::size_t r = 0; r < std::size(kLadder); ++r) {
+      f.ladder_rank[kLadder[r].key] = static_cast<int>(r);
+    }
     return f;
   }();
   return fx_;

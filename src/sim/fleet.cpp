@@ -106,14 +106,6 @@ void validate(const FleetConfig& cfg) {
                         std::to_string(std::numeric_limits<int>::max()));
 }
 
-// The model variants a group's runtime executes: adaptive ships both.
-void group_variants(const FleetGroup& g, bool* need_compressed, bool* need_dense) {
-  const bool adaptive = runtime_is_adaptive(g.agenda.runtime);
-  const bool compressed = runtime_uses_compressed_model(g.agenda.runtime);
-  *need_compressed = adaptive || compressed;
-  *need_dense = adaptive || !compressed;
-}
-
 // One group's compile-once execution image. ace::compile is a pure
 // function of (model, device geometry): it writes the weight image into
 // FRAM and bump-allocates scratch plans, drawing no energy and touching
@@ -194,10 +186,9 @@ FleetWorld build_world(const FleetConfig& cfg) {
   // like the scenario sweep; each device gets its own derived inputs
   // (different users, different samples).
   for (const auto& g : cfg.groups) {
-    bool need_c = false, need_d = false;
-    group_variants(g, &need_c, &need_d);
+    const sched::ModelVariants need = sched::runtime_variants(g.agenda.runtime);
     for (const bool compressed : {true, false}) {
-      if (!(compressed ? need_c : need_d)) continue;
+      if (!need.ships(compressed)) continue;
       const auto key = std::make_pair(static_cast<int>(g.task), compressed);
       if (w.qms.count(key) != 0) continue;
       Rng rng(cfg.seed + static_cast<std::uint64_t>(g.task));
@@ -218,14 +209,13 @@ FleetWorld build_world(const FleetConfig& cfg) {
     if (g.fram_words != 0) {
       w.group_fram[gi] = g.fram_words;
     } else {
-      bool need_c = false, need_d = false;
-      group_variants(g, &need_c, &need_d);
+      const sched::ModelVariants need = sched::runtime_variants(g.agenda.runtime);
       dev::DeviceConfig scratch_cfg = models::deployment_device_config(/*compressed=*/false);
       dev::Device scratch(scratch_cfg);
       std::size_t used = 0;
       bool first = true;
       for (const bool compressed : {true, false}) {
-        if (!(compressed ? need_c : need_d)) continue;
+        if (!need.ships(compressed)) continue;
         const auto& qm = w.qms.at({static_cast<int>(g.task), compressed});
         used = ace::compile(qm, scratch, /*co_resident=*/!first).fram_words_used;
         first = false;
@@ -913,10 +903,6 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
     bo.jobs = ropts.jobs;
     const FleetReport br = FleetEngine(bc).run(bo);
     r.baselines.push_back({key, br.jobs_completed, br.jobs_in_deadline});
-    if (ropts.verbose) {
-      std::fprintf(stderr, "fleet baseline %-8s: %d jobs completed, %d in deadline\n",
-                   key.c_str(), br.jobs_completed, br.jobs_in_deadline);
-    }
   }
 
   // Admission comparison: the same population with energy-budgeted
@@ -927,10 +913,6 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
     ao.force_admit_all = true;
     const FleetReport ar = FleetEngine(cfg_).run(ao);
     r.admission_baseline.push_back({"admit=all", ar.jobs_completed, ar.jobs_in_deadline});
-    if (ropts.verbose) {
-      std::fprintf(stderr, "fleet admit=all baseline: %d jobs completed, %d in deadline\n",
-                   ar.jobs_completed, ar.jobs_in_deadline);
-    }
   }
   return r;
 }

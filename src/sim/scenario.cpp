@@ -27,68 +27,6 @@ namespace ehdnn::sim {
 
 namespace {
 
-std::unique_ptr<flex::RuntimePolicy> make_adaptive_default() {
-  return sched::make_adaptive_policy();
-}
-
-// Deadline-aware scheduling v2 as its own sweep column: predicted-
-// completion tier selection over the periodic harvest forecaster (no
-// admission — a one-shot scenario cell has no deadline to refuse).
-std::unique_ptr<flex::RuntimePolicy> make_adaptive_deadline() {
-  return sched::make_adaptive_policy(
-      sched::parse_adaptive_spec("adaptive:sel=deadline,fc=periodic"));
-}
-
-// THE runtime table: key, model variant, and both factories in one place
-// (the sweep, the fuzzer, and the fleet harness all resolve through it).
-// `adaptive` entries ship BOTH variants co-resident and pick per boot;
-// their `compressed` flag names the primary image the executor is armed
-// with (the sim layer provisions the dense twin via sched::
-// provision_adaptive).
-struct RuntimeEntry {
-  const char* key;
-  bool compressed;  // deployment model vs dense twin (primary for adaptive)
-  bool adaptive;    // per-boot scheduled (needs both variants provisioned)
-  std::unique_ptr<flex::RuntimePolicy> (*make_policy)();
-};
-
-std::unique_ptr<flex::RuntimePolicy> make_tile_default() {
-  return flex::make_tile_policy();
-}
-
-constexpr RuntimeEntry kRuntimeTable[] = {
-    {"base", false, false, flex::make_ace_policy},
-    {"ace", true, false, flex::make_ace_policy},
-    {"sonic", false, false, flex::make_sonic_policy},
-    {"tails", false, false, flex::make_tails_policy},
-    {"tile", false, false, make_tile_default},
-    {"flex", true, false, flex::make_flex_policy},
-    {"adaptive", true, true, make_adaptive_default},
-    {"adaptive-deadline", true, true, make_adaptive_deadline},
-};
-
-const RuntimeEntry& runtime_entry(const std::string& key) {
-  // "tile" takes an optional ":t=N" spec suffix; the base name before the
-  // colon resolves the table entry.
-  const std::string base = key.substr(0, key.find(':'));
-  for (const auto& rk : kRuntimeTable) {
-    if (base == rk.key) {
-      if (base != key) {
-        // Validate spec arguments HERE so every resolver — the sweep, the
-        // fuzzer, and fleet-config validation — rejects a malformed tile
-        // spec (t=0, t=-4, unknown keys) before any device is built.
-        check_input(base == "tile", "scenario: runtime \"" + base +
-                                        "\" takes no spec arguments (\"" + key + "\")");
-        flex::parse_tile_spec(key);
-      }
-      return rk;
-    }
-  }
-  std::string known;
-  for (const auto& rk : kRuntimeTable) known += std::string(known.empty() ? "" : "|") + rk.key;
-  fail_input("scenario: unknown runtime \"" + key + "\" (" + known + ")");
-}
-
 // `src` is the scenario's shared (immutable) harvest source, or nullptr
 // for continuous bench power; the stateful capacitor is per cell, as is
 // the Device (seeded per cell so cells stay independent under any job
@@ -101,11 +39,12 @@ ScenarioCell run_cell(const std::string& rt_key, models::Task task,
                       const ScenarioSpec& sc, const power::HarvestSource* src,
                       std::uint64_t scramble_seed, flex::PhaseProfile* profile,
                       int cell_index, long trace_capacity) {
-  const RuntimeEntry& rk = runtime_entry(rt_key);
-  // Adaptive devices carry the dense twin too, so they get the enlarged
-  // baseline FRAM geometry.
+  const bool adaptive = runtime_is_adaptive(rt_key);
+  const bool compressed = runtime_uses_compressed_model(rt_key);  // the primary image
+  // A device that ships the dense twin (adaptive ones too) gets the
+  // enlarged baseline FRAM geometry.
   dev::DeviceConfig dcfg =
-      models::deployment_device_config(rk.adaptive ? false : rk.compressed);
+      models::deployment_device_config(!sched::runtime_variants(rt_key).dense);
   dcfg.scramble_seed = scramble_seed;
   dev::Device dev(dcfg);
 
@@ -128,12 +67,10 @@ ScenarioCell run_cell(const std::string& rt_key, models::Task task,
     dev.attach_supply(cap.get());
   }
 
-  const auto cm = ace::compile(qms.at(rk.compressed), dev);
+  const auto cm = ace::compile(qms.at(compressed), dev);
   std::optional<ace::CompiledModel> cm_dense;
-  if (rk.adaptive) cm_dense = ace::compile(qms.at(false), dev, /*co_resident=*/true);
+  if (adaptive) cm_dense = ace::compile(qms.at(false), dev, /*co_resident=*/true);
 
-  // Through the spec-aware factory, not rk.make_policy directly — tile's
-  // ":t=N" suffix must reach the policy.
   auto policy = make_policy(rt_key);
   const double worst_ck = sched::provision_deployment(
       *policy, dev.cost(), cm, cm_dense.has_value() ? &*cm_dense : nullptr,
@@ -147,7 +84,7 @@ ScenarioCell run_cell(const std::string& rt_key, models::Task task,
     opts.flex_v_warn = power::flex_warn_voltage(cap->config(), worst_ck);
   }
   const flex::RunStats st =
-      flex::IntermittentExecutor(*policy).run(dev, cm, inputs.at(rk.compressed), opts);
+      flex::IntermittentExecutor(*policy).run(dev, cm, inputs.at(compressed), opts);
   if (profile != nullptr) *profile->sram_fills += dev.sram_fills();
 
   ScenarioCell cell;
@@ -177,29 +114,6 @@ ScenarioCell run_cell(const std::string& rt_key, models::Task task,
 }
 
 }  // namespace
-
-std::unique_ptr<flex::RuntimePolicy> make_policy(const std::string& key) {
-  const RuntimeEntry& e = runtime_entry(key);
-  // Tile is the one parameterized entry: its spec suffix reaches the
-  // policy (validated by runtime_entry above).
-  if (std::string(e.key) == "tile") return flex::make_tile_policy(flex::parse_tile_spec(key));
-  return e.make_policy();
-}
-
-bool runtime_uses_compressed_model(const std::string& key) {
-  return runtime_entry(key).compressed;
-}
-
-bool runtime_is_adaptive(const std::string& key) { return runtime_entry(key).adaptive; }
-
-const std::vector<std::string>& all_runtime_keys() {
-  static const std::vector<std::string> keys = [] {
-    std::vector<std::string> v;
-    for (const auto& rk : kRuntimeTable) v.emplace_back(rk.key);
-    return v;
-  }();
-  return keys;
-}
 
 ScenarioSpec parse_scenario_arg(const std::string& arg) {
   // NAME=SOURCE[;key=value...] — the first '=' ends the name (harvest
@@ -241,11 +155,11 @@ ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
   // Fail fast on bad inputs before hours of sweeping; sources are
   // immutable (power_at is const), so each scenario's is built once and
   // shared read-only by its cells across workers.
-  std::vector<bool> need_variant = {false, false};  // [compressed]
+  sched::ModelVariants need;  // the union over the requested runtimes
   for (const auto& rt : runtimes) {
-    const RuntimeEntry& e = runtime_entry(rt);
-    need_variant[e.compressed] = true;
-    if (e.adaptive) need_variant[false] = need_variant[true] = true;
+    const sched::ModelVariants v = sched::runtime_variants(rt);
+    need.compressed |= v.compressed;
+    need.dense |= v.dense;
   }
   std::vector<std::unique_ptr<power::HarvestSource>> sources;
   for (const auto& sc : scenarios) {
@@ -265,7 +179,7 @@ ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
     const models::Task task = tasks[ti];
     m.tasks.push_back(models::task_name(task));
     for (const bool compressed : {false, true}) {
-      if (!need_variant[compressed]) continue;
+      if (!need.ships(compressed)) continue;
       Rng rng(opts.seed + static_cast<std::uint64_t>(task));
       qms[ti][compressed] = models::make_deployed_qmodel(task, compressed, rng);
       std::vector<fx::q15_t> input(qms[ti][compressed].layers.front().in_size());

@@ -15,6 +15,7 @@
 #include "core/flex/runtime.h"
 #include "models/zoo.h"
 #include "obs/export.h"
+#include "sched/runtimes.h"
 
 namespace ehdnn::sim {
 
@@ -100,34 +101,12 @@ struct SweepOptions {
   long trace_capacity = 65536;
 };
 
-// Runtime keys, in sweep order: base, sonic/tails and tile execute the
-// dense twin ("tile" accepts an optional ":t=N" spec suffix — MACs per
-// sub-layer cursor commit), ace and flex the RAD-compressed deployment
-// model, and the two
-// adaptive keys ship both variants co-resident and pick runtime + variant
-// per boot (sched::AdaptivePolicy) — `adaptive` via the PR-4 income
-// ladder, `adaptive-deadline` via predicted-completion tier selection
-// over the periodic forecaster. Keys, model variants, and the policy
-// factories all come from ONE static table, so adding a runtime cannot
-// desynchronize the sweep, the fuzzer, the fleet harness, and the CLIs'
-// --list-runtimes output.
-const std::vector<std::string>& all_runtime_keys();
-
-// Policy factory for those keys — the one name-to-runtime mapping, used
-// by the sweep, the fleet harness, the paper benches and the
-// crash-consistency fuzzer. Run one inference with
-// flex::IntermittentExecutor(*policy).run(...). Throws on an unknown key
-// or a malformed spec suffix.
-std::unique_ptr<flex::RuntimePolicy> make_policy(const std::string& key);
-
-// Whether a runtime key executes the RAD-compressed deployment model
-// (ace/flex) or the dense twin (base/sonic/tails). For adaptive this is
-// the PRIMARY image (compressed); the dense twin rides along co-resident.
-bool runtime_uses_compressed_model(const std::string& key);
-
-// Whether a runtime key is the per-boot scheduler (needs both model
-// variants provisioned — see sched/adaptive.h).
-bool runtime_is_adaptive(const std::string& key);
+// The runtime keys, their policy factory and their model variants come
+// from sched's runtime table (sched/runtimes.h).
+using sched::all_runtime_keys;
+using sched::make_policy;
+using sched::runtime_is_adaptive;
+using sched::runtime_uses_compressed_model;
 
 // Runs every (runtime x task x scenario) combination, with
 // SweepOptions::jobs worker threads (cells are independent: shared state

@@ -26,6 +26,7 @@
 
 #include "power/factory.h"
 #include "sched/adaptive.h"
+#include "sched/runtimes.h"
 #include "sched_test_util.h"
 #include "sim/fleet.h"
 
@@ -223,6 +224,13 @@ TEST(CompletionModelProperty, PredictedOrderingMatchesMeasuredOnContinuousPower)
   // (continuous power) must order the tiers the same way.
   const CompletionModel m = CompletionModel::calibrate(cm_c, &cm_d, dev.config());
   ASSERT_EQ(m.tiers().size(), 5u);
+  // The calibration walks the ladder in order, and each tier runs the
+  // model variant the runtime table gives its key.
+  for (std::size_t i = 0; i < m.tiers().size(); ++i) {
+    EXPECT_EQ(m.tiers()[i].key, tiers[i].key) << "tier " << i;
+    EXPECT_EQ(m.tiers()[i].dense, !runtime_uses_compressed_model(m.tiers()[i].key))
+        << m.tiers()[i].key;
+  }
   auto measured_on = [&](const std::string& key) {
     for (const auto& t : measured) {
       if (t.key == key) return t.on_s;
